@@ -9,7 +9,7 @@ beta -> beta ||.||_{.., 2 beta} is continuous, strictly increasing and
 divergent, which makes bracketing + bisection unconditionally safe.  When the
 multilocal part commutes with the single-site part the zeta-weight drops and
 beta_u is available in closed form.  Classical spin systems have the simpler
-threshold log 2 / (6 ||phi_bar||_{log 3}).
+threshold 1 / (3 ||phi_bar||_{log 3}).
 """
 
 from __future__ import annotations
@@ -206,14 +206,20 @@ def br_646_beta(rep: SpinRep, nu: int, coupling: float) -> EpsBeta:
     return _optimized_prefactor(1.0 / (8.0 * nu * abs(coupling) * d ** 3), objective)
 
 
-def ising_beta_symbolic(nu: int, coupling: float) -> EpsBeta:
-    """Staggered-field Ising threshold with the bond norm taken as 1:
-    beta = [36 nu |J|]^{-1} eps e^{-eps} / (1 + e^eps).  Independent of the
-    field strength (the single-site part commutes and is subtracted)."""
-    opt = optimize_eps(uniqueness_objective)
+def ising_beta_fixed(nu: int, coupling: float, eps: float) -> float:
+    """Staggered-field Ising threshold at a fixed eps with the bond norm taken
+    as 1: beta = [36 nu |J|]^{-1} eps e^{-eps} / (1 + e^eps), +infinity when
+    J = 0.  Independent of the field strength (the single-site part commutes
+    and is subtracted)."""
     if coupling == 0.0:
-        return EpsBeta(opt.eps_star, math.inf)
-    return EpsBeta(opt.eps_star, opt.value / (36.0 * nu * abs(coupling)))
+        return math.inf
+    return uniqueness_objective(eps) / (36.0 * nu * abs(coupling))
+
+
+def ising_beta_symbolic(nu: int, coupling: float) -> EpsBeta:
+    """``ising_beta_fixed`` at the eps that maximizes it."""
+    eps_star = optimize_eps(uniqueness_objective).eps_star
+    return EpsBeta(eps_star, ising_beta_fixed(nu, coupling, eps_star))
 
 
 def ising_beta_operator_norm(nu: int, coupling: float, rep: SpinRep) -> EpsBeta:
@@ -268,7 +274,7 @@ class CombinedBounds:
     """Common subcritical regime for a classical model and its quantizations."""
 
     beta_hat: float       # root of the zeta-coupled condition on classical norms
-    beta_tilde: float     # classical threshold log2 / (6 ||phi_bar||_log3)
+    beta_tilde: float     # classical threshold 1 / (3 ||phi_bar||_log3)
     eps_star: float
     norm_log3: float
     chain_ok: bool        # beta_hat * 6 ||phi_bar||_log3 < log 2
@@ -294,6 +300,12 @@ def combined_report(spec: TIInteractionSpec) -> CombinedBounds:
     )
 
 
+def json_number(x):
+    """A float as JSON output carries it: +infinity becomes the string "+inf";
+    anything else passes through unchanged."""
+    return "+inf" if isinstance(x, float) and math.isinf(x) else x
+
+
 @dataclass
 class BoundReport:
     """Model threshold together with literature comparators and their ratios."""
@@ -305,18 +317,15 @@ class BoundReport:
     ratios: dict = field(default_factory=dict)       # name -> comparator/ours
 
     def to_dict(self) -> dict:
-        def num(x):
-            return "+inf" if math.isinf(x) else x
-
         return {
             "model_id": self.model_id,
             "eps_star": self.eps_star,
-            "beta_u": num(self.beta_u),
+            "beta_u": json_number(self.beta_u),
             "comparators": {
-                k: {"eps_star": v.eps_star, "beta": num(v.beta)}
+                k: {"eps_star": v.eps_star, "beta": json_number(v.beta)}
                 for k, v in sorted(self.comparators.items())
             },
-            "ratios": {k: num(v) for k, v in sorted(self.ratios.items())},
+            "ratios": {k: json_number(v) for k, v in sorted(self.ratios.items())},
         }
 
 

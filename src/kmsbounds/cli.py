@@ -2,42 +2,41 @@
 verification suites, and emit deterministic JSON or CSV reports.
 
 Exit codes: 0 success, 1 verification failure, 2 config/schema violation,
-3 dimension cap exceeded, 4 unsupported model for the requested command.
+3 dimension cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable
 
 import jsonschema
 
 from .bounds import (
     LOG3,
-    BoundReport,
     beta_u_classical,
     beta_u_commuting,
-    beta_u_general,
-    beta_u_general_optimized,
     classical_report,
     fv_beta,
     heisenberg_report,
+    ising_beta_fixed,
     ising_report,
+    json_number,
     optimize_eps,
     target_fn,
     uniqueness_objective,
 )
 from .lattice import (
     DimensionCapError,
-    InteractionFamily,
     SpinRep,
-    TIInteractionSpec,
     box_window,
     classical_heisenberg_ti,
     heisenberg_ti,
@@ -50,9 +49,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_SCHEMA = 2
 EXIT_DIMCAP = 3
-EXIT_MODEL = 4
 
-_QUANTUM_MODELS = ("heisenberg", "ising_staggered")
+#: config keys under "params" whose field name differs from the key
+_RENAMED = {"J": "coupling", "B": "field_strength"}
 
 
 @dataclass
@@ -65,12 +64,18 @@ class ModelConfig:
     field_strength: float = 0.0
     beta: float = 1.0
     eps: object = "auto"
-    window: list = field(default_factory=lambda: [4])
+    window: list = None  # one extent per lattice direction, [4] * nu when omitted
     dyson_order: int = 3
     ks_order: int = 2
     quad_points: int = 8
     seed: int = 0
     verify_suites: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.window is None:
+            self.window = [4] * self.nu
+        elif len(self.window) != self.nu:
+            raise ValueError(f"window has {len(self.window)} extents but nu is {self.nu}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
@@ -78,45 +83,64 @@ class ModelConfig:
             resources.files("kmsbounds").joinpath("config_schema.json").read_text()
         )
         jsonschema.validate(raw, schema)
-        params = raw.get("params", {})
-        trunc = raw.get("truncation", {})
-        return cls(
-            model=raw["model"],
-            nu=raw.get("nu", 1),
-            two_j=raw.get("two_j", 1),
-            coupling=params.get("J", 1.0),
-            delta=params.get("delta", 1.0),
-            field_strength=params.get("B", 0.0),
-            beta=raw.get("beta", 1.0),
-            eps=raw.get("eps", "auto"),
-            window=list(raw.get("window", [4])),
-            dyson_order=trunc.get("dyson_order", 3),
-            ks_order=trunc.get("ks_order", 2),
-            quad_points=trunc.get("quad_points", 8),
-            seed=raw.get("seed", 0),
-            verify_suites=list(raw.get("verify_suites", [])),
-        )
+        flat = {**raw, **raw.get("params", {}), **raw.get("truncation", {})}
+        names = {f.name for f in dataclasses.fields(cls)}
+        values = {_RENAMED.get(key, key): value for key, value in flat.items()}
+        return cls(**{key: value for key, value in values.items() if key in names})
 
     def rep(self) -> SpinRep:
         return SpinRep(self.two_j)
-
-    def interaction(self):
-        """Translation-invariant specification for the configured model; the
-        custom model is an empty placeholder family (all norms vanish)."""
-        if self.model == "heisenberg":
-            return heisenberg_ti(self.nu, self.coupling, self.delta, self.rep())
-        if self.model == "ising_staggered":
-            return ising_staggered_ti(
-                self.nu, self.coupling, self.field_strength, self.rep()
-            )
-        if self.model == "classical_heisenberg":
-            return classical_heisenberg_ti(self.nu, self.coupling, self.delta)
-        return InteractionFamily({}, self.rep().dim)
 
     def eps_value(self) -> float:
         if self.eps == "auto":
             return optimize_eps(uniqueness_objective).eps_star
         return float(self.eps)
+
+
+@dataclass(frozen=True)
+class Model:
+    """Everything the CLI knows about one model."""
+
+    spec: Callable  # config -> TIInteractionSpec
+    report: Callable  # config -> BoundReport at the optimized eps
+    fixed_eps: Callable  # (config, spec, eps) -> beta-u output keys at that eps
+    auto_extras: Callable = lambda report: {}  # extra beta-u keys for eps "auto"
+    compare_extras: Callable = lambda config: {}  # extra compare keys
+
+
+def _ising_auto_extras(report) -> dict:
+    # ising_report leaves out its comparators when J = 0: every threshold is +inf
+    comp = report.comparators.get("ours_operator_norm")
+    return {"beta_u_operator_norm": comp.beta if comp else math.inf}
+
+
+MODELS = {
+    "heisenberg": Model(
+        spec=lambda c: heisenberg_ti(c.nu, c.coupling, c.delta, c.rep()),
+        report=lambda c: heisenberg_report(c.rep(), c.nu, c.coupling, c.delta),
+        fixed_eps=lambda c, spec, eps: {"beta_u": beta_u_commuting(spec, eps)},
+    ),
+    # the staggered field commutes with the bonds and is subtracted, so the
+    # primary threshold is field-independent
+    "ising_staggered": Model(
+        spec=lambda c: ising_staggered_ti(c.nu, c.coupling, c.field_strength, c.rep()),
+        report=lambda c: ising_report(c.rep(), c.nu, c.coupling),
+        fixed_eps=lambda c, spec, eps: {
+            "beta_u": ising_beta_fixed(c.nu, c.coupling, eps),
+            "beta_u_operator_norm": beta_u_commuting(spec, eps),
+        },
+        auto_extras=_ising_auto_extras,
+    ),
+    # the classical threshold 1 / (3 ||phi_bar||_{log 3}) does not depend on eps
+    "classical_heisenberg": Model(
+        spec=lambda c: classical_heisenberg_ti(c.nu, c.coupling, c.delta),
+        report=lambda c: classical_report(c.nu, c.coupling, c.delta),
+        fixed_eps=lambda c, spec, eps: {
+            "beta_u": beta_u_classical(norm_eps_zeta(spec, NormParams(LOG3)))
+        },
+        compare_extras=lambda c: {"fv_ratio": fv_beta(c.coupling, c.delta, c.nu).ratio},
+    ),
+}
 
 
 class CliError(Exception):
@@ -135,105 +159,57 @@ def _load_config(path: str) -> ModelConfig:
         return ModelConfig.from_dict(raw)
     except jsonschema.ValidationError as exc:
         raise CliError(f"config rejected: {exc.message}", EXIT_SCHEMA)
-
-
-def _encode(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "+inf"
-    return value
+    except ValueError as exc:
+        raise CliError(f"config rejected: {exc}", EXIT_SCHEMA)
 
 
 def cmd_norms(config: ModelConfig) -> dict:
-    interaction = config.interaction()
+    spec = MODELS[config.model].spec(config)
     eps = config.eps_value()
     zeta = 2.0 * config.beta
     out = {
         "model_id": config.model,
         "eps": eps,
         "zeta": zeta,
-        "norm_eps": norm_eps_zeta(interaction, NormParams(eps)),
-        "norm_eps_log3": norm_eps_zeta(interaction, NormParams(eps + LOG3)),
-        "norm_eps_log3_zeta": norm_eps_zeta(interaction, NormParams(eps + LOG3, zeta)),
+        "norm_eps": norm_eps_zeta(spec, NormParams(eps)),
+        "norm_eps_log3": norm_eps_zeta(spec, NormParams(eps + LOG3)),
+        "norm_eps_log3_zeta": norm_eps_zeta(spec, NormParams(eps + LOG3, zeta)),
         "target": target_fn(eps),
+        "psi_site_norm": spec.psi_site_norm,
     }
-    if isinstance(interaction, TIInteractionSpec):
-        out["psi_site_norm"] = interaction.psi_site_norm
-        if config.model in _QUANTUM_MODELS:
-            report = window_norms(
-                interaction, box_window(config.window), NormParams(eps)
-            )
-            out["window"] = {
-                "extents": config.window,
-                "interior_sup": report.interior,
-                "boundary_sup": report.boundary,
-            }
-    grid = []
-    for e in [0.1 * k for k in range(1, 21)]:
-        grid.append(
-            {
-                "eps": round(e, 10),
-                "norm_eps": norm_eps_zeta(interaction, NormParams(e)),
-                "norm_eps_log3": norm_eps_zeta(interaction, NormParams(e + LOG3)),
-            }
-        )
-    out["grid"] = grid
+    # a finite window needs motif operators; classical motifs carry only norms
+    if all(motif.operator is not None for motif in spec.motifs):
+        report = window_norms(spec, box_window(config.window), NormParams(eps))
+        out["window"] = {
+            "extents": config.window,
+            "interior_sup": report.interior,
+            "boundary_sup": report.boundary,
+        }
+    out["grid"] = [
+        {
+            "eps": round(e, 10),
+            "norm_eps": norm_eps_zeta(spec, NormParams(e)),
+            "norm_eps_log3": norm_eps_zeta(spec, NormParams(e + LOG3)),
+        }
+        for e in [0.1 * k for k in range(1, 21)]
+    ]
     return out
-
-
-def _bound_report(config: ModelConfig) -> BoundReport:
-    if config.model == "heisenberg":
-        return heisenberg_report(config.rep(), config.nu, config.coupling, config.delta)
-    if config.model == "ising_staggered":
-        return ising_report(config.rep(), config.nu, config.coupling)
-    if config.model == "classical_heisenberg":
-        return classical_report(config.nu, config.coupling, config.delta)
-    raise CliError(f"unsupported model for this command: {config.model}", EXIT_MODEL)
 
 
 def cmd_beta_u(config: ModelConfig) -> dict:
     """Threshold for the configured model; 'auto' optimizes over eps and
-    matches the compare/report value.  The staggered-field model commutes, so
-    the field is subtracted and the primary value is field-independent."""
-    interaction = config.interaction()
-    extras = {}
+    matches the compare/report value."""
+    model = MODELS[config.model]
     if config.eps == "auto":
-        if config.model == "custom":
-            best = beta_u_general_optimized(interaction)
-            eps_star, beta = best.eps_star, best.beta
-        else:
-            report = _bound_report(config)
-            eps_star, beta = report.eps_star, report.beta_u
-            if config.model == "ising_staggered":
-                extras["beta_u_operator_norm"] = _encode(
-                    report.comparators["ours_operator_norm"].beta
-                )
-        trace = "auto"
+        report = model.report(config)
+        out = {"eps_star": report.eps_star, "beta_u": report.beta_u, "eps_mode": "auto"}
+        out.update(model.auto_extras(report))
     else:
-        eps_star = config.eps_value()
-        if config.model == "classical_heisenberg":
-            beta = beta_u_classical(norm_eps_zeta(interaction, NormParams(LOG3)))
-        elif config.model == "ising_staggered":
-            beta = (
-                uniqueness_objective(eps_star) / (36.0 * config.nu * abs(config.coupling))
-                if config.coupling
-                else math.inf
-            )
-            extras["beta_u_operator_norm"] = _encode(
-                beta_u_commuting(interaction, eps_star)
-            )
-        elif config.model == "heisenberg":
-            beta = beta_u_commuting(interaction, eps_star)
-        else:
-            beta = beta_u_general(interaction, eps_star)
-        trace = "fixed"
-    out = {
-        "model_id": config.model,
-        "eps_star": eps_star,
-        "beta_u": _encode(beta),
-        "eps_mode": trace,
-    }
-    out.update(extras)
-    return out
+        eps = config.eps_value()
+        out = {"eps_star": eps, "eps_mode": "fixed"}
+        out.update(model.fixed_eps(config, model.spec(config), eps))
+    out["model_id"] = config.model
+    return {key: json_number(value) for key, value in out.items()}
 
 
 def cmd_compare(config: ModelConfig, paper_table: bool = False) -> dict:
@@ -248,54 +224,40 @@ def cmd_compare(config: ModelConfig, paper_table: bool = False) -> dict:
         # grows; report the limiting value alongside the nu = 1 row
         rows[2]["fv_ratio_supremum"] = 9.0 * math.exp(-6.0)
         return {"table": rows}
-    if config.model not in (
-        "heisenberg",
-        "ising_staggered",
-        "classical_heisenberg",
-    ):
-        raise CliError(f"unsupported model for compare: {config.model}", EXIT_MODEL)
-    report = _bound_report(config)
-    out = report.to_dict()
-    if config.model == "classical_heisenberg":
-        out["fv_ratio"] = fv_beta(config.coupling, config.delta, config.nu).ratio
-    return out
+    model = MODELS[config.model]
+    return {**model.report(config).to_dict(), **model.compare_extras(config)}
+
+
+def _run_suites(config: ModelConfig, names) -> list:
+    """(name, checks) for each named suite, run with the config's seed and
+    truncation settings."""
+    options = {
+        "dyson": {"order": config.dyson_order},
+        "ks": {"order": config.ks_order, "quad_points": config.quad_points},
+    }
+    return [(name, SUITES[name](seed=config.seed, **options.get(name, {}))) for name in names]
 
 
 def cmd_verify(config: ModelConfig, suite: str) -> dict:
-    names = (
-        list(SUITES) if suite == "all" else [suite]
-    )
-    results = {}
-    all_passed = True
-    for name in names:
-        runner = SUITES[name]
-        kwargs = {"seed": config.seed}
-        if name == "ks":
-            kwargs.update(order=max(config.ks_order, 2), quad_points=config.quad_points)
-        if name == "dyson":
-            kwargs.update(order=max(config.dyson_order, 1))
-        checks = runner(**kwargs)
-        results[name] = [c.to_dict() for c in checks]
-        all_passed = all_passed and all(c.passed for c in checks)
+    names = list(SUITES) if suite == "all" else [suite]
+    results = {
+        name: [c.to_dict() for c in checks] for name, checks in _run_suites(config, names)
+    }
     return {
         "seed": config.seed,
         "suites": results,
-        "passed": all_passed,
+        "passed": all(c["passed"] for checks in results.values() for c in checks),
     }
 
 
 def cmd_report(config: ModelConfig) -> dict:
-    out = _bound_report(config).to_dict()
-    checks = []
-    if config.verify_suites:
-        suite = "all" if "all" in config.verify_suites else None
-        names = list(SUITES) if suite else config.verify_suites
-        for name in names:
-            for check in SUITES[name](seed=config.seed):
-                entry = check.to_dict()
-                entry["suite"] = name
-                checks.append(entry)
-    out["checks"] = checks
+    out = MODELS[config.model].report(config).to_dict()
+    names = list(SUITES) if "all" in config.verify_suites else config.verify_suites
+    out["checks"] = [
+        {**check.to_dict(), "suite": name}
+        for name, checks in _run_suites(config, names)
+        for check in checks
+    ]
     return out
 
 

@@ -413,7 +413,7 @@ class Motif:
         return abs(self.coefficient) * self.bond_norm
 
     def translate(self, v: Site) -> Region:
-        return Region.of(tuple(c + dv for c, dv in zip(s, v)) for s in self.region)
+        return Region.of(tuple(c + dv for c, dv in zip(s, v, strict=True)) for s in self.region)
 
 
 @dataclass(frozen=True)

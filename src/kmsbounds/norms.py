@@ -119,7 +119,7 @@ def _is_interior(spec: TIInteractionSpec, window: Region, x: Site) -> bool:
     for motif in spec.motifs:
         for anchor in motif.region:
             # translate placing `anchor` at x
-            v = tuple(c - a for c, a in zip(x, anchor))
+            v = tuple(c - a for c, a in zip(x, anchor, strict=True))
             if not motif.translate(v).issubset(window):
                 return False
     return True

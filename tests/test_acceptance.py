@@ -9,13 +9,14 @@ import time
 
 from kmsbounds.bounds import (
     beta_u_classical,
+    beta_u_commuting,
     fv_beta,
     heisenberg_report,
     ising_report,
     optimize_eps,
     uniqueness_objective,
 )
-from kmsbounds.lattice import SpinRep, classical_heisenberg_ti
+from kmsbounds.lattice import SpinRep, classical_heisenberg_ti, ising_staggered_ti
 from kmsbounds.norms import NormParams, norm_eps_zeta
 from kmsbounds.verify import (
     run_classical_suite,
@@ -64,22 +65,30 @@ def test_criterion_03_ising_comparison():
     ratios = set()
     betas = set()
     br_betas = set()
+    commuting = set()
+    psi_norms = set()
     eps_br = None
     for field in (0.0, 1.0, 10.0):
         # the staggered field commutes with the bonds and is subtracted, so
-        # neither threshold depends on it; the reports take no field argument
-        # and the sweep documents that invariance
+        # neither threshold depends on it; the reports take no field argument,
+        # and the commuting threshold of the spec built with the field shows
+        # the invariance
         report = ising_report(SpinRep(1), 1, 1.0)
         ratios.add(round(report.ratios["bratteli_robinson_646"], 15))
         betas.add(round(report.beta_u, 15))
         br_betas.add(round(report.comparators["bratteli_robinson_646"].beta, 15))
         eps_br = report.comparators["bratteli_robinson_646"].eps_star
+        spec = ising_staggered_ti(1, 1.0, field, SpinRep(1))
+        psi_norms.add(spec.psi_site_norm)
+        commuting.add(beta_u_commuting(spec, report.eps_star))
     ratio = next(iter(ratios))
     ok = (
         abs(ratio - 0.027) <= 0.003
         and abs(eps_br - 0.505) <= 0.002
         and len(betas) == 1
         and len(br_betas) == 1
+        and len(psi_norms) == 3
+        and len(commuting) == 1
     )
     _report(3, "Ising ratio 0.027 @ 0.505, B-free", ok, time.perf_counter() - start, 1.0)
 

@@ -1,12 +1,13 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 
 from kmsbounds.cli import (
-    EXIT_MODEL,
     EXIT_OK,
     EXIT_SCHEMA,
+    MODELS,
     ModelConfig,
     cmd_beta_u,
     cmd_compare,
@@ -60,6 +61,17 @@ class TestConfig:
     def test_missing_file_exit_code(self, capsys):
         assert main(["beta-u", "--config", "/nonexistent.json"]) == EXIT_SCHEMA
 
+    def test_schema_models_match_table(self):
+        schema = json.loads(
+            resources.files("kmsbounds").joinpath("config_schema.json").read_text()
+        )
+        assert set(schema["properties"]["model"]["enum"]) == set(MODELS)
+
+    @pytest.mark.parametrize("truncation", [{"ks_order": 1}, {"dyson_order": 0}])
+    def test_truncation_below_minimum_rejected(self, tmp_path, capsys, truncation):
+        path = write_config(tmp_path, {**HEISENBERG, "truncation": truncation})
+        assert main(["verify", "--config", path, "--suite", "lemma1"]) == EXIT_SCHEMA
+
 
 class TestNorms:
     def test_heisenberg_theorem_norm(self):
@@ -68,12 +80,6 @@ class TestNorms:
             3 * math.exp(0.607) * 2 * 0.75, rel=1e-12
         )
         assert doc["norm_eps_log3"] == pytest.approx(8.25, abs=0.01)
-
-    def test_empty_custom_model(self):
-        doc = cmd_norms(ModelConfig.from_dict({"model": "custom"}))
-        assert doc["norm_eps"] == 0.0
-        assert doc["norm_eps_log3"] == 0.0
-        assert all(row["norm_eps"] == 0.0 for row in doc["grid"])
 
 
 class TestBetaU:
@@ -113,6 +119,16 @@ class TestBetaU:
             betas.add(round(doc["beta_u"], 15))
         assert len(betas) == 1
 
+    @pytest.mark.parametrize("eps", ["auto", 0.6])
+    def test_ising_zero_coupling_inf_token(self, tmp_path, capsys, eps):
+        path = write_config(
+            tmp_path, {"model": "ising_staggered", "eps": eps, "params": {"J": 0.0}}
+        )
+        assert main(["beta-u", "--config", path]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["beta_u"] == "+inf"
+        assert doc["beta_u_operator_norm"] == "+inf"
+
 
 class TestCompare:
     def test_paper_table_ratios(self):
@@ -128,9 +144,9 @@ class TestCompare:
             0.0223, abs=5e-4
         )
 
-    def test_unsupported_model_exit(self, tmp_path):
+    def test_unsupported_model_exit(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": "custom"})
-        assert main(["compare", "--config", path]) == EXIT_MODEL
+        assert main(["compare", "--config", path]) == EXIT_SCHEMA
 
 
 class TestDeterminism:
@@ -205,6 +221,25 @@ class TestWindowNorms:
         )
         assert doc["window"]["boundary_sup"] < doc["norm_eps"]
 
+    def test_default_window_has_one_extent_per_direction(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": "heisenberg", "nu": 2})
+        assert main(["norms", "--config", path]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["window"]["extents"] == [4, 4]
+        assert doc["window"]["interior_sup"] == pytest.approx(
+            doc["norm_eps"], rel=1e-12
+        )
+
+    def test_window_dimension_mismatch_rejected(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, {"model": "heisenberg", "nu": 1, "window": [3, 3]}
+        )
+        assert main(["norms", "--config", path]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "window" in captured.err
+
 
 class TestReport:
     def test_report_includes_checks(self, tmp_path, capsys):
@@ -224,3 +259,18 @@ class TestReport:
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"] == []
         assert "comparators" in doc
+
+    def test_report_honours_truncation(self, tmp_path, capsys):
+        config = {
+            **HEISENBERG,
+            "verify_suites": ["ks"],
+            "truncation": {"quad_points": 2},
+        }
+        path = write_config(tmp_path, config)
+        assert main(["report", "--config", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert main(["verify", "--config", path, "--suite", "ks"]) == EXIT_OK
+        verify = json.loads(capsys.readouterr().out)
+        assert report["checks"]
+        assert all(c.pop("suite") == "ks" for c in report["checks"])
+        assert report["checks"] == verify["suites"]["ks"]

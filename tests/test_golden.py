@@ -1,0 +1,105 @@
+"""Golden CLI outputs: the default JSON and the ``--csv`` bytes of ``norms``,
+``beta-u``, ``compare`` and ``report`` on a fixed config set, and of
+``compare --paper-table``, must not change unless a change is intended.
+
+Regenerate ``golden/cli_outputs.json`` after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from kmsbounds.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli_outputs.json"
+
+#: each model with eps auto and fixed, zero coupling, nu = 1, 2, 3, 2j > 1
+CONFIGS = {
+    "heisenberg": {"model": "heisenberg"},
+    "heisenberg-fixed": {
+        "model": "heisenberg", "eps": 0.8, "params": {"J": 1.3, "delta": 0.7},
+        "verify_suites": ["lemma1"], "seed": 3,
+    },
+    "heisenberg-nu2": {
+        "model": "heisenberg", "nu": 2, "two_j": 2, "window": [3, 3],
+        "params": {"J": 0.9, "delta": 1.2},
+    },
+    "heisenberg-nu2-default": {"model": "heisenberg", "nu": 2},
+    "heisenberg-nu3": {
+        "model": "heisenberg", "nu": 3, "window": [3, 3, 3],
+        "params": {"J": -0.7, "delta": 0.4},
+    },
+    "heisenberg-nu3-fixed": {
+        "model": "heisenberg", "nu": 3, "two_j": 3, "window": [3, 3, 3], "eps": 1.5,
+    },
+    "heisenberg-2j4": {
+        "model": "heisenberg", "two_j": 4, "window": [5], "params": {"J": 2.0, "delta": 0.5},
+    },
+    "heisenberg-zero": {"model": "heisenberg", "params": {"J": 0.0}},
+    "heisenberg-zero-fixed": {"model": "heisenberg", "eps": 0.5, "params": {"J": 0.0}},
+    "ising": {"model": "ising_staggered", "params": {"J": 1.0, "B": 0.5}},
+    "ising-fixed": {
+        "model": "ising_staggered", "nu": 2, "two_j": 3, "window": [3, 3], "eps": 0.5,
+        "params": {"J": -1.5, "B": 2.0},
+    },
+    "ising-nu3": {
+        "model": "ising_staggered", "nu": 3, "two_j": 2, "window": [3, 3, 3],
+        "params": {"J": 0.8, "B": 1.0},
+    },
+    "ising-zero": {"model": "ising_staggered", "params": {"J": 0.0}},
+    "ising-zero-fixed": {"model": "ising_staggered", "eps": 0.6, "params": {"J": 0.0}},
+    "classical": {"model": "classical_heisenberg"},
+    "classical-fixed": {
+        "model": "classical_heisenberg", "nu": 2, "eps": 1.2,
+        "params": {"J": 0.5, "delta": 2.0},
+    },
+    "classical-nu3": {"model": "classical_heisenberg", "nu": 3, "params": {"J": 1.5, "delta": 0.3}},
+    "classical-zero": {"model": "classical_heisenberg", "params": {"J": 0.0}},
+}
+
+COMMANDS = ("norms", "beta-u", "compare", "report")
+
+CASES = {
+    **{f"{label} {command}": (label, [command]) for label in CONFIGS for command in COMMANDS},
+    "paper-table": ("heisenberg", ["compare", "--paper-table"]),
+}
+
+
+def render(case: str, workdir: pathlib.Path) -> dict:
+    """Exit code and stdout of one case, as default JSON and as CSV."""
+    label, argv = CASES[case]
+    path = workdir / f"{label}.json"
+    path.write_text(json.dumps(CONFIGS[label]))
+    out = {}
+    for fmt, flags in (("json", []), ("csv", ["--csv"])):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--config", str(path), *flags])
+        out[fmt] = {"exit": code, "stdout": buf.getvalue()}
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_unchanged(case, golden, tmp_path):
+    assert render(case, tmp_path) == golden[case]
+
+
+def write_golden() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {case: render(case, pathlib.Path(tmp)) for case in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -264,3 +264,9 @@ class TestTISpec:
         spec = ising_staggered_ti(2, 1.0, 3.0, SpinRep(1))
         assert spec.psi_site_norm == pytest.approx(1.5)  # |B| j
         assert len(spec.motifs) == 2
+
+    def test_translate_rejects_other_dimension(self):
+        motif = heisenberg_ti(1, 1.0, 1.0, SpinRep(1)).motifs[0]
+        assert motif.translate((2,)) == Region.of([(2,), (3,)])
+        with pytest.raises(ValueError):
+            motif.translate((2, 0))

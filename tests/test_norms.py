@@ -139,3 +139,9 @@ class TestWindowConsistency:
         params = NormParams(0.6)
         report = window_norms(spec, box_window([3, 3]), params)
         assert report.interior == pytest.approx(norm_eps_zeta(spec, params), rel=1e-12)
+
+    @pytest.mark.parametrize("nu, extents", [(1, [3, 3]), (2, [4])])
+    def test_window_of_other_dimension_rejected(self, nu, extents):
+        spec = heisenberg_ti(nu, 1.0, 1.0, REP)
+        with pytest.raises(ValueError):
+            window_norms(spec, box_window(extents), NormParams(0.6))
