@@ -14,13 +14,14 @@ threshold 1 / (3 ||phi_bar||_{log 3}).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import InteractionFamily, SpinRep, TIInteractionSpec, operator_norm
-from .norms import NormParams, norm_eps_zeta
+from .norms import NormParams, norm_eps_zeta, norm_function
 
 LOG3 = math.log(3.0)
 
@@ -94,9 +95,11 @@ def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
     tgt = target_fn(eps)
     if norm_eps_zeta(interaction, NormParams(eps + LOG3)) == 0.0:
         return math.inf
+    # eps + log 3 passed the check above and the bracket keeps beta >= 0
+    norm_at = norm_function(interaction)
 
     def g(beta: float) -> float:
-        return beta * norm_eps_zeta(interaction, NormParams(eps + LOG3, 2.0 * beta)) - tgt
+        return beta * norm_at(eps + LOG3, 2.0 * beta) - tgt
 
     hi = 1.0
     while g(hi) <= 0.0:
@@ -157,16 +160,26 @@ def uniqueness_objective(eps: float) -> float:
     return eps * math.exp(-eps) / (1.0 + math.exp(eps))
 
 
+@functools.cache
+def uniqueness_optimum() -> OptResult:
+    """``optimize_eps(uniqueness_objective)``, scanned once per process: the
+    objective is fixed."""
+    return optimize_eps(uniqueness_objective)
+
+
 def beta_u_optimized(interaction) -> EpsBeta:
     """Maximize the commuting-case beta_u over eps for an interaction whose
     eps-dependence is the generic 3 e^eps prefactor (any interaction works:
     the objective is evaluated through the norm)."""
-    def objective(eps):
-        norm = norm_eps_zeta(interaction, NormParams(eps + LOG3))
-        return target_fn(eps) / norm if norm > 0 else 0.0
-
     if norm_eps_zeta(interaction, NormParams(LOG3 + 0.5)) == 0.0:
         return EpsBeta(0.5, math.inf)
+    # optimize_eps only evaluates eps > 0
+    norm_at = norm_function(interaction)
+
+    def objective(eps):
+        norm = norm_at(eps + LOG3, 0.0)
+        return target_fn(eps) / norm if norm > 0 else 0.0
+
     opt = optimize_eps(objective)
     return EpsBeta(opt.eps_star, opt.value)
 
@@ -218,13 +231,13 @@ def ising_beta_fixed(nu: int, coupling: float, eps: float) -> float:
 
 def ising_beta_symbolic(nu: int, coupling: float) -> EpsBeta:
     """``ising_beta_fixed`` at the eps that maximizes it."""
-    eps_star = optimize_eps(uniqueness_objective).eps_star
+    eps_star = uniqueness_optimum().eps_star
     return EpsBeta(eps_star, ising_beta_fixed(nu, coupling, eps_star))
 
 
 def ising_beta_operator_norm(nu: int, coupling: float, rep: SpinRep) -> EpsBeta:
     """Same threshold evaluated with the true bond norm ||S3 S3|| = j^2."""
-    opt = optimize_eps(uniqueness_objective)
+    opt = uniqueness_optimum()
     if coupling == 0.0:
         return EpsBeta(opt.eps_star, math.inf)
     return EpsBeta(
@@ -333,6 +346,9 @@ def _with_ratios(report: BoundReport) -> BoundReport:
     for name, comp in report.comparators.items():
         if math.isinf(report.beta_u):
             report.ratios[name] = math.inf if math.isinf(comp.beta) else 0.0
+        elif report.beta_u == 0.0:
+            # beta_u underflows to 0 only for couplings near the float limit
+            report.ratios[name] = math.inf
         else:
             report.ratios[name] = comp.beta / report.beta_u
     return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -30,9 +31,8 @@ from .bounds import (
     ising_beta_fixed,
     ising_report,
     json_number,
-    optimize_eps,
     target_fn,
-    uniqueness_objective,
+    uniqueness_optimum,
 )
 from .lattice import (
     DimensionCapError,
@@ -52,6 +52,17 @@ EXIT_DIMCAP = 3
 
 #: config keys under "params" whose field name differs from the key
 _RENAMED = {"J": "coupling", "B": "field_strength"}
+
+
+@functools.cache
+def _schema_validator():
+    """Validator of the config schema, built and checked once per process."""
+    schema = json.loads(
+        resources.files("kmsbounds").joinpath("config_schema.json").read_text()
+    )
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @dataclass
@@ -79,10 +90,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        schema = json.loads(
-            resources.files("kmsbounds").joinpath("config_schema.json").read_text()
-        )
-        jsonschema.validate(raw, schema)
+        # the error jsonschema.validate would raise, without rechecking the schema
+        error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
+        if error is not None:
+            raise error
         flat = {**raw, **raw.get("params", {}), **raw.get("truncation", {})}
         names = {f.name for f in dataclasses.fields(cls)}
         values = {_RENAMED.get(key, key): value for key, value in flat.items()}
@@ -93,7 +104,7 @@ class ModelConfig:
 
     def eps_value(self) -> float:
         if self.eps == "auto":
-            return optimize_eps(uniqueness_objective).eps_star
+            return uniqueness_optimum().eps_star
         return float(self.eps)
 
 
@@ -193,7 +204,16 @@ def cmd_norms(config: ModelConfig) -> dict:
         }
         for e in [0.1 * k for k in range(1, 21)]
     ]
-    return out
+    return _json_numbers(out)
+
+
+def _json_numbers(doc):
+    """``doc`` with every number in it passed through ``json_number``."""
+    if isinstance(doc, dict):
+        return {key: _json_numbers(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_json_numbers(value) for value in doc]
+    return json_number(doc)
 
 
 def cmd_beta_u(config: ModelConfig) -> dict:
@@ -209,7 +229,7 @@ def cmd_beta_u(config: ModelConfig) -> dict:
         out = {"eps_star": eps, "eps_mode": "fixed"}
         out.update(model.fixed_eps(config, model.spec(config), eps))
     out["model_id"] = config.model
-    return {key: json_number(value) for key, value in out.items()}
+    return _json_numbers(out)
 
 
 def cmd_compare(config: ModelConfig, paper_table: bool = False) -> dict:

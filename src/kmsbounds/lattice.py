@@ -381,14 +381,18 @@ def build_ising_staggered(coupling: float, field: float, rep: SpinRep, window: R
 class Motif:
     """One translation-invariant interaction term, anchored at the origin.
 
-    Either a bond operator or a precomputed scalar norm (or both, in which
-    case they must agree) describes the term's strength.
+    Either a bond operator or a precomputed scalar norm (or both) describes
+    the term's strength.  Construction computes the scalar norm
+    |coefficient| x bond norm once, taking the bond norm from the operator
+    when there is one (one eigendecomposition), and raises ``ValueError``
+    when a supplied norm disagrees with the operator norm.
     """
 
     region: Region
     coefficient: float
     operator: LocalOperator = None
     bond_norm: float = None
+    _scalar_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         origin = tuple(0 for _ in self.region.sites[0])
@@ -398,19 +402,20 @@ class Motif:
             raise ValueError("motif needs an operator or a scalar norm")
         if not math.isfinite(self.coefficient):
             raise ValueError("motif coefficient must be finite")
-
-    def scalar_norm(self) -> float:
-        """|coefficient| x bond norm; operator and supplied norms must agree."""
+        bond_norm = self.bond_norm
         if self.operator is not None:
-            from_op = operator_norm(self.operator)
+            bond_norm = operator_norm(self.operator)
             if self.bond_norm is not None and not math.isclose(
-                from_op, self.bond_norm, rel_tol=1e-10, abs_tol=1e-12
+                bond_norm, self.bond_norm, rel_tol=1e-10, abs_tol=1e-12
             ):
                 raise ValueError(
-                    f"supplied norm {self.bond_norm} != operator norm {from_op}"
+                    f"supplied norm {self.bond_norm} != operator norm {bond_norm}"
                 )
-            return abs(self.coefficient) * from_op
-        return abs(self.coefficient) * self.bond_norm
+        object.__setattr__(self, "_scalar_norm", abs(self.coefficient) * bond_norm)
+
+    def scalar_norm(self) -> float:
+        """|coefficient| x bond norm, as computed at construction."""
+        return self._scalar_norm
 
     def translate(self, v: Site) -> Region:
         return Region.of(tuple(c + dv for c, dv in zip(s, v, strict=True)) for s in self.region)
@@ -422,11 +427,15 @@ class TIInteractionSpec:
 
     ``psi_site_norm`` is the uniform single-site potential norm ||Psi_x||
     entering the zeta-weighted norms (0 when there is no single-site part).
+    Construction stores ``motif_terms``, the (number of sites, scalar norm)
+    pair of each motif; with ``psi_site_norm`` it is all that the closed-form
+    weighted norm reads.
     """
 
     nu: int
     motifs: tuple
     psi_site_norm: float = 0.0
+    motif_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "motifs", tuple(self.motifs))
@@ -434,6 +443,9 @@ class TIInteractionSpec:
             raise ValueError("lattice dimension must be >= 1")
         if self.psi_site_norm < 0:
             raise ValueError("psi_site_norm must be nonnegative")
+        object.__setattr__(
+            self, "motif_terms", tuple((len(m.region), m.scalar_norm()) for m in self.motifs)
+        )
 
     def window_family(self, window: Region, psi_builder: Callable = None) -> InteractionFamily:
         """Instantiate the multilocal part on a finite window by translating

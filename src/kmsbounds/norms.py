@@ -12,6 +12,7 @@ site-independent, up to window truncation which is reported separately).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,32 +52,45 @@ def site_norm_profile(fam: InteractionFamily, params: NormParams) -> dict:
     return {x: per_site_norm(fam, x, params) for x in fam.sites()}
 
 
-def _norm_finite(fam: InteractionFamily, params: NormParams) -> float:
-    profile = site_norm_profile(fam, params)
+def _norm_finite(fam: InteractionFamily, eps: float, zeta: float) -> float:
+    profile = site_norm_profile(fam, NormParams(eps, zeta))
     return max(profile.values()) if profile else 0.0
 
 
-def _norm_ti(spec: TIInteractionSpec, params: NormParams) -> float:
+def _norm_ti(spec: TIInteractionSpec, eps: float, zeta: float) -> float:
     """Closed-form motif sum: a motif of k sites has k translates containing
     any fixed site, each contributing e^{eps(k-1) + zeta k ||psi||} times its
-    scalar norm."""
+    scalar norm.  A weight beyond the float range is +infinity; a motif of
+    norm 0 contributes 0 whatever its weight."""
     total = 0.0
-    for motif in spec.motifs:
-        k = len(motif.region)
-        weight = params.eps * (k - 1) + params.zeta * k * spec.psi_site_norm
-        total += k * math.exp(weight) * motif.scalar_norm()
+    for k, norm in spec.motif_terms:
+        if norm:
+            try:
+                weight = math.exp(eps * (k - 1) + zeta * k * spec.psi_site_norm)
+            except OverflowError:
+                weight = math.inf
+            total += k * weight * norm
     return total
 
 
-def norm_eps_zeta(interaction, params: NormParams) -> float:
-    """Dispatch on the interaction representation: finite families are summed
-    exactly per site (sup over all sites of the family); translation-invariant
-    specs use the closed form.  An empty family has norm 0, not an error."""
+def norm_function(interaction):
+    """The weighted norm of ``interaction`` as a function of (eps, zeta).
+
+    Finite families are summed exactly per site (sup over all sites of the
+    family); translation-invariant specs use the closed form.  The function
+    does not check its arguments: it serves loops whose eps and zeta are
+    valid by construction, and ``norm_eps_zeta`` is the checked entry point.
+    """
     if isinstance(interaction, InteractionFamily):
-        return _norm_finite(interaction, params)
+        return functools.partial(_norm_finite, interaction)
     if isinstance(interaction, TIInteractionSpec):
-        return _norm_ti(interaction, params)
+        return functools.partial(_norm_ti, interaction)
     raise TypeError(f"unsupported interaction type {type(interaction)!r}")
+
+
+def norm_eps_zeta(interaction, params: NormParams) -> float:
+    """||interaction||_{eps, zeta}; an empty family has norm 0, not an error."""
+    return norm_function(interaction)(params.eps, params.zeta)
 
 
 @dataclass(frozen=True)

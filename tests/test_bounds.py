@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from kmsbounds import lattice
 from kmsbounds.bounds import (
     LOG3,
     CommutationError,
     beta_u_classical,
     beta_u_commuting,
     beta_u_general,
+    beta_u_optimized,
     br_645_beta,
     br_646_beta,
     classical_report,
@@ -282,3 +284,18 @@ class TestReports:
         report = ising_report(REP, 1, 0.0)
         doc = report.to_dict()
         assert doc["beta_u"] == "+inf"
+
+
+def test_one_eigendecomposition_per_motif(monkeypatch):
+    """Motif norms are computed when the spec is built; the eps scan of the
+    threshold reads them and diagonalizes nothing."""
+    calls = []
+    eigvalsh = lattice.np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.np.linalg, "eigvalsh", counting)
+    beta_u_optimized(heisenberg_ti(3, 1.0, 0.5, SpinRep(16)))
+    assert calls == [(289, 289)] * 3

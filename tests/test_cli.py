@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import kmsbounds
 from kmsbounds.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
@@ -71,6 +76,28 @@ class TestConfig:
     def test_truncation_below_minimum_rejected(self, tmp_path, capsys, truncation):
         path = write_config(tmp_path, {**HEISENBERG, "truncation": truncation})
         assert main(["verify", "--config", path, "--suite", "lemma1"]) == EXIT_SCHEMA
+
+    def test_schema_messages_match_fresh_process(self, tmp_path, capsys):
+        """The schema validator built once per process reports the same
+        errors as a fresh interpreter, for every config it rejects."""
+        bad = [{"model": "nonsense"}, {**HEISENBERG, "params": {"J": "strong"}}]
+        paths = [write_config(tmp_path, doc, f"bad{i}.json") for i, doc in enumerate(bad)]
+        in_process = []
+        for path in paths:
+            assert main(["norms", "--config", path]) == EXIT_SCHEMA
+            in_process.append(capsys.readouterr().err)
+        src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
+        run_main = "import sys; from kmsbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = []
+        for path in paths:
+            proc = subprocess.run(
+                [sys.executable, "-c", run_main, "norms", "--config", path],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert proc.returncode == EXIT_SCHEMA
+            fresh.append(proc.stderr)
+        assert in_process == fresh
+        assert all(message.startswith("error: config rejected: ") for message in fresh)
 
 
 class TestNorms:
@@ -186,6 +213,40 @@ class TestCsv:
         assert out.splitlines()[0] == "eps,norm_eps,norm_eps_log3"
 
 
+def _no_bare_constants(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+class TestOverflow:
+    """Schema-valid configs whose weighted norms leave the float range exit 0
+    with valid JSON: overflowing norms are "+inf" and the threshold is 0."""
+
+    BIG_BETA = {"model": "ising_staggered", "beta": 1000, "params": {"B": 1}}
+    HUGE_J = {"model": "heisenberg", "params": {"J": 1e308}}
+
+    def run(self, tmp_path, capsys, config, command):
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path]) == EXIT_OK
+        return json.loads(capsys.readouterr().out, parse_constant=_no_bare_constants)
+
+    @pytest.mark.parametrize("command", ["norms", "beta-u", "compare", "report"])
+    def test_ising_large_beta(self, tmp_path, capsys, command):
+        doc = self.run(tmp_path, capsys, self.BIG_BETA, command)
+        if command == "norms":
+            assert doc["norm_eps_log3_zeta"] == "+inf"
+            assert math.isfinite(doc["norm_eps_log3"])
+
+    @pytest.mark.parametrize("command", ["norms", "beta-u", "compare", "report"])
+    def test_heisenberg_huge_coupling(self, tmp_path, capsys, command):
+        doc = self.run(tmp_path, capsys, self.HUGE_J, command)
+        if command == "norms":
+            assert doc["norm_eps_log3"] == "+inf"
+        else:
+            assert doc["beta_u"] == 0.0
+        if command in ("compare", "report"):
+            assert set(doc["ratios"].values()) == {"+inf"}
+
+
 class TestExitCodes:
     def test_verify_failure_exit_one(self, tmp_path, capsys, monkeypatch):
         from kmsbounds.verify import CheckResult
@@ -259,6 +320,13 @@ class TestReport:
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"] == []
         assert "comparators" in doc
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_verify_dyson_low_orders(self, tmp_path, capsys, order):
+        path = write_config(tmp_path, {**HEISENBERG, "truncation": {"dyson_order": order}})
+        assert main(["verify", "--config", path, "--suite", "dyson"]) == EXIT_OK
+        (check,) = json.loads(capsys.readouterr().out)["suites"]["dyson"]
+        assert check["threshold"] == 11.0 / 16.0 * 2.0 ** (order + 1)
 
     def test_report_honours_truncation(self, tmp_path, capsys):
         config = {

@@ -4,7 +4,9 @@
 
 Regenerate ``golden/cli_outputs.json`` after an intended output change with
 
-    PYTHONPATH=src python tests/test_golden.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+
+(one BLAS thread, as ``conftest.py`` sets for the test run).
 """
 
 import contextlib
@@ -41,6 +43,8 @@ CONFIGS = {
     "heisenberg-2j4": {
         "model": "heisenberg", "two_j": 4, "window": [5], "params": {"J": 2.0, "delta": 0.5},
     },
+    # the largest schema-valid spin in the largest dimension
+    "heisenberg-nu3-2j16": {"model": "heisenberg", "nu": 3, "two_j": 16},
     "heisenberg-zero": {"model": "heisenberg", "params": {"J": 0.0}},
     "heisenberg-zero-fixed": {"model": "heisenberg", "eps": 0.5, "params": {"J": 0.0}},
     "ising": {"model": "ising_staggered", "params": {"J": 1.0, "B": 0.5}},

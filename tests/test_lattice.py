@@ -246,7 +246,7 @@ class TestTISpec:
         motif = Motif(bond.region, -1.0, operator=bond, bond_norm=0.75)
         assert motif.scalar_norm() == pytest.approx(0.75)
         with pytest.raises(ValueError):
-            Motif(bond.region, -1.0, operator=bond, bond_norm=0.5).scalar_norm()
+            Motif(bond.region, -1.0, operator=bond, bond_norm=0.5)
 
     def test_window_family_matches_direct_builder(self):
         rep = SpinRep(1)

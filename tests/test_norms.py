@@ -118,6 +118,14 @@ class TestNormEpsZeta:
                 6 * coupling * nu * max(abs(delta), 1.0), rel=1e-12
             )
 
+    def test_overflowing_weight_is_infinite(self):
+        spec = ising_staggered_ti(1, 1.0, 1.0, REP)
+        assert norm_eps_zeta(spec, NormParams(1.0, 1e4)) == math.inf
+
+    def test_zero_norm_motif_stays_zero_under_overflow(self):
+        spec = ising_staggered_ti(1, 0.0, 1.0, REP)
+        assert norm_eps_zeta(spec, NormParams(1.0, 1e4)) == 0.0
+
 
 class TestWindowConsistency:
     def test_interior_matches_closed_form(self):

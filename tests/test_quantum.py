@@ -499,3 +499,24 @@ class TestDeterminism:
 
         with pytest.raises(DimensionCapError):
             FiniteSystem(box_window([13]), InteractionFamily({}, 2), 1.0)
+
+
+class TestDysonSuite:
+    """The halving check asks for 11/16 of the claimed t^{N+1} rate 2^{N+1}:
+    2.75, 5.5, 11 and 22 for orders 1 to 4."""
+
+    @pytest.mark.parametrize("order, threshold", [(1, 2.75), (2, 5.5), (3, 11.0), (4, 22.0)])
+    def test_threshold_by_order(self, monkeypatch, order, threshold):
+        """An error shrinking exactly like t^{N+1} passes, and one shrinking
+        like t^N fails; the truncated series is replaced by exact evolution
+        plus that error so that order 4 (a minute of quadrature) stays cheap."""
+        from kmsbounds import verify
+
+        for power, passes in ((order + 1, True), (order, False)):
+            def truncated(a, system, t, n, quad, power=power):
+                return evolve(a, hamiltonian(system), t) + a * t ** power
+
+            monkeypatch.setattr(verify, "dyson_truncated", truncated)
+            (check,) = verify.run_dyson_suite(order=order)
+            assert check.threshold == threshold
+            assert bool(check.passed) == passes
