@@ -30,6 +30,7 @@ from .lattice import (
     Region,
     Site,
     embed,
+    is_hermitian_matrix,
     operator_norm,
 )
 
@@ -47,8 +48,7 @@ class NotCenteredError(ValueError):
 def gibbs_single_site(psi: np.ndarray, beta: float) -> np.ndarray:
     """Density matrix e^{-beta psi} / tr e^{-beta psi} of a Hermitian psi."""
     psi = np.asarray(psi, dtype=complex)
-    scale = float(np.linalg.norm(psi)) or 1.0
-    if np.linalg.norm(psi - psi.conj().T) > 1e-12 * scale:
+    if not is_hermitian_matrix(psi):
         raise ValueError("single-site potential must be Hermitian")
     w, v = np.linalg.eigh(psi)
     g = np.exp(-beta * (w - w.min()))
@@ -272,14 +272,25 @@ def decompose_refined(prefactors: Sequence[LocalOperator], a_tilde: LocalOperato
     return decompose_known_free(product, active, eta)
 
 
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix with the
-    R-diagonal phases fixed."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def haar_random_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed unitaries, shape (count, dim, dim), via QR of
+    complex Gaussian matrices with the R-diagonal phases fixed.
+
+    Each sample takes its real and then its imaginary Gaussian block from the
+    stream in turn, so one call for ``count`` samples returns what ``count``
+    calls for one sample would.
+    """
+    g = rng.normal(size=(count, 2, dim, dim))
+    z = g[:, 0] + 1j * g[:, 1]
     q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[:, None, :]
+
+
+def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed unitary (see ``haar_random_unitaries``)."""
+    return haar_random_unitaries(1, dim, rng)[0]
 
 
 def haar_trace_identity_check(a: LocalOperator, samples: int, seed: int) -> float:

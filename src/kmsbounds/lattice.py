@@ -10,6 +10,7 @@ site dimension ``d`` is uniform across a model.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -62,17 +63,24 @@ class Region:
     def index(self, x: Site) -> int:
         return self.sites.index(tuple(x))
 
+    def _check_dimension(self, other: "Region") -> None:
+        if self.sites and other.sites and len(self.sites[0]) != len(other.sites[0]):
+            raise ValueError("all sites must share the lattice dimension")
+
     def issubset(self, other: "Region") -> bool:
+        self._check_dimension(other)
         return set(self.sites) <= set(other.sites)
 
     def union(self, other: "Region") -> "Region":
         return Region.of(self.sites + other.sites)
 
     def difference(self, other: "Region") -> "Region":
+        self._check_dimension(other)
         drop = set(other.sites)
         return Region(tuple(s for s in self.sites if s not in drop))
 
     def intersection(self, other: "Region") -> "Region":
+        self._check_dimension(other)
         keep = set(other.sites)
         return Region(tuple(s for s in self.sites if s in keep))
 
@@ -119,6 +127,18 @@ class SpinRep:
         return self.two_j + 1
 
 
+def is_hermitian_matrix(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
+    """||M - M*||_F <= rtol ||M||_F, evaluated on M divided by its largest
+    entry modulus.  The test is scale-invariant; the division keeps the
+    Frobenius norms finite for entries near the top of the float range."""
+    peak = float(np.abs(mat).max())
+    if peak == 0.0:
+        return True
+    # the reciprocal of a subnormal peak would overflow
+    unit = mat * (1.0 / max(peak, sys.float_info.min))
+    return float(np.linalg.norm(unit - unit.conj().T)) <= rtol * float(np.linalg.norm(unit))
+
+
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Dense complex matrix attached to a finite region.
@@ -141,10 +161,8 @@ class LocalOperator:
                 f"matrix shape {mat.shape} does not match d^|region| = {dim}"
             )
         object.__setattr__(self, "matrix", mat)
-        if self.hermitian:
-            scale = float(np.linalg.norm(mat)) or 1.0
-            if np.linalg.norm(mat - mat.conj().T) > HERMITIAN_RTOL * scale:
-                raise ValueError("operator marked Hermitian fails the check")
+        if self.hermitian and not is_hermitian_matrix(mat):
+            raise ValueError("operator marked Hermitian fails the check")
 
     @classmethod
     def identity(cls, region: Region, site_dim: int) -> "LocalOperator":
@@ -160,8 +178,7 @@ class LocalOperator:
         return LocalOperator(self.region, self.matrix.conj().T, self.site_dim)
 
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
-        scale = float(np.linalg.norm(self.matrix)) or 1.0
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T)) <= rtol * scale
+        return is_hermitian_matrix(self.matrix, rtol)
 
     def norm(self) -> float:
         return operator_norm(self)
@@ -198,7 +215,11 @@ def _on_common_region(a: LocalOperator, b: LocalOperator):
 
 def embed(a: LocalOperator, target: Region) -> LocalOperator:
     """Embed ``a`` into a larger region as a (x) 1, permuting tensor legs to
-    the site order of ``target``.  Unital *-homomorphism, isometric."""
+    the site order of ``target``.  Unital *-homomorphism, isometric.
+
+    The entries are the products a[i, j] * 1[p, q] that ``np.kron`` would
+    form, written by broadcasting into the tensor-leg layout directly.
+    """
     if not a.region.issubset(target):
         raise ValueError(f"{a.region} is not contained in {target}")
     d, k, m = a.site_dim, len(a.region), len(target)
@@ -206,13 +227,24 @@ def embed(a: LocalOperator, target: Region) -> LocalOperator:
         return a
     if d ** m > DIMENSION_CAP:
         raise DimensionCapError(f"embedding dimension {d ** m} exceeds cap")
-    big = np.kron(a.matrix, np.eye(d ** (m - k), dtype=complex))
-    # leg order of `big`: sites of a.region, then the remaining target sites
-    current = list(a.region) + [x for x in target if x not in a.region]
+    return LocalOperator(target, embed_matrices(a.matrix, a.region, target, d), d)
+
+
+def embed_matrices(mats: np.ndarray, region: Region, target: Region, d: int) -> np.ndarray:
+    """``embed`` on the last two axes of a stack of matrices on ``region``
+    (no checks): returns the stack of a (x) 1 on ``target``."""
+    k, m = len(region), len(target)
+    if k == m:
+        return mats
+    eye = np.eye(d ** (m - k), dtype=complex)
+    # legs of `big`: sites of the region, then the remaining target sites
+    big = mats[..., :, None, :, None] * eye[:, None, :]
+    current = list(region) + [x for x in target if x not in region]
     perm = [current.index(x) for x in target]
-    tens = big.reshape((d,) * (2 * m))
-    tens = tens.transpose(perm + [m + p for p in perm])
-    return LocalOperator(target, tens.reshape(d ** m, d ** m), d)
+    batch = mats.ndim - 2
+    tens = big.reshape(mats.shape[:batch] + (d,) * (2 * m))
+    axes = list(range(batch)) + [batch + p for p in perm] + [batch + m + p for p in perm]
+    return tens.transpose(axes).reshape(mats.shape[:batch] + (d ** m, d ** m))
 
 
 def operator_norm(a: LocalOperator, cap: int = DIMENSION_CAP) -> float:
@@ -278,6 +310,7 @@ class InteractionFamily:
                 clean[reg] = op
         self.terms = clean
         self._norm_cache = {}
+        self._psi_eigh = {}
 
     def term_norm(self, region: Region) -> float:
         """Cached spectral norm of the stored term (0 when absent)."""
@@ -288,6 +321,15 @@ class InteractionFamily:
 
     def psi_norm(self, x: Site) -> float:
         return self.term_norm(Region((tuple(x),)))
+
+    def psi_eigh(self, x: Site):
+        """Cached eigendecomposition ``(w, v)`` of the single-site term at
+        ``x``, or ``None`` when the site carries none."""
+        x = tuple(x)
+        if x not in self._psi_eigh:
+            op = self.terms.get(Region((x,)))
+            self._psi_eigh[x] = None if op is None else np.linalg.eigh(op.matrix)
+        return self._psi_eigh[x]
 
     def __iter__(self):
         return iter(sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0].sites)))

@@ -23,7 +23,7 @@ from .centering import (
     ReferenceStates,
     centering_residual,
     decompose_known_free,
-    haar_random_unitary,
+    haar_random_unitaries,
     partial_expectation,
 )
 from .lattice import (
@@ -33,6 +33,7 @@ from .lattice import (
     Region,
     Site,
     embed,
+    embed_matrices,
     operator_norm,
 )
 from .norms import NormParams, norm_eps_zeta, psi_norm_sum
@@ -128,27 +129,31 @@ def evolve(a: LocalOperator, h: LocalOperator, t: complex) -> LocalOperator:
 
 
 def single_site_evolution(fam: InteractionFamily, region: Region, t: complex) -> tuple:
-    """Factors (e^{it Psi_region}, e^{-it Psi_region}) built from single-site
-    eigendecompositions (the single-site Hamiltonian is a sum of commuting
-    one-site terms, so the exponential factorizes over sites)."""
+    """Factors (e^{it Psi_region}, e^{-it Psi_region}) built from the family's
+    cached single-site eigendecompositions (the single-site Hamiltonian is a
+    sum of commuting one-site terms, so the exponential factorizes over
+    sites); a site without a term contributes an identity factor."""
     d = fam.site_dim
     eye = np.eye(d, dtype=complex)
     left = np.array([[1.0]], dtype=complex)
     right = np.array([[1.0]], dtype=complex)
     for x in region:
-        psi = fam.psi(x).matrix
-        if not np.any(psi):
+        eig = fam.psi_eigh(x)
+        if eig is None:
             left = np.kron(left, eye)
             right = np.kron(right, eye)
             continue
-        w, v = np.linalg.eigh(psi)
+        w, v = eig
         left = np.kron(left, (v * np.exp(1j * t * w)) @ v.conj().T)
         right = np.kron(right, (v * np.exp(-1j * t * w)) @ v.conj().T)
     return left, right
 
 
 def tau_psi(a: LocalOperator, fam: InteractionFamily, t: complex) -> LocalOperator:
-    """Interaction-picture (single-site) evolution of ``a``."""
+    """Interaction-picture (single-site) evolution of ``a``; ``a`` itself when
+    no site of its region carries a single-site term."""
+    if all(fam.psi_eigh(x) is None for x in a.region):
+        return a
     left, right = single_site_evolution(fam, a.region, t)
     return LocalOperator(a.region, left @ a.matrix @ right, a.site_dim)
 
@@ -268,23 +273,31 @@ def dyson_truncated(a: LocalOperator, sys: FiniteSystem, t: complex, order: int,
     def picture(op, s):
         return tau_psi(op, sys.fam, 1j * s if imaginary else s)
 
-    total = embed(picture(a, upper), sys.gamma)
+    pictured = {}
+
+    def factor(region, s):
+        """Embedded interaction-picture term, once per (region, node time)."""
+        key = (region, s)
+        if key not in pictured:
+            pictured[key] = embed(picture(sys.fam.terms[region], s), sys.gamma).matrix
+        return pictured[key]
+
+    free = embed(picture(a, upper), sys.gamma)
+    total = free
     for n in range(1, order + 1):
         chains = constrained_chains(sys.fam, n, lam)
         if not chains:
             break
         nodes, weights = quad.rule(n, upper)
-        acc = LocalOperator.zero(sys.gamma, sys.site_dim)
-        free = embed(picture(a, upper), sys.gamma)
+        acc = np.zeros_like(free.matrix)
         for chain in chains:
-            terms = [sys.fam.terms[reg] for reg in chain]
             for s_row, wgt in zip(nodes, weights):
-                current = free
+                current = free.matrix
                 for ell in range(n):
-                    b = embed(picture(terms[ell], s_row[ell]), sys.gamma)
+                    b = factor(chain[ell], s_row[ell])
                     current = b @ current - current @ b
-                acc = acc + wgt * current
-        total = total + (coeff_base ** n) * acc
+                acc = acc + current * complex(wgt)
+        total = total + (coeff_base ** n) * LocalOperator(sys.gamma, acc, sys.site_dim)
     return total
 
 
@@ -415,19 +428,23 @@ def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
                 right = right @ factors[ell]
         sign = -1.0 if (n - sum(mask)) % 2 else 1.0
         acc = acc + sign * (averaged @ right)
-    bound = 2.0 ** n
-    for reg in chain:
-        bound *= math.exp(2 * sys.beta * psi_norm_sum(sys.fam, reg)) * sys.fam.term_norm(reg)
-    if operator_norm(acc) > bound * (1.0 + 1e-9):
+    if operator_norm(acc) > ks_kernel_norm_bound(sys, chain) * (1.0 + 1e-9):
         raise AssertionError("kernel norm bound violated")
     return acc
 
 
 def ks_kernel_norm_bound(sys: FiniteSystem, chain: Sequence[Region]) -> float:
+    """2^n prod_l e^{2 beta ||Psi||_{X_l}} ||Phi_bar_{X_l}|| for a chain of n
+    regions, the bound ``ks_kernel`` holds its result to."""
     bound = 2.0 ** len(chain)
     for reg in chain:
         bound *= math.exp(2 * sys.beta * psi_norm_sum(sys.fam, reg)) * sys.fam.term_norm(reg)
     return bound
+
+
+#: Haar samples drawn and processed per stacked step of ``ks_kernel_haar_mc``;
+#: bounds its intermediates at a few stacks of this many matrices
+HAAR_CHUNK = 256
 
 
 def ks_kernel_haar_mc(sys: FiniteSystem, x: Site, region: Region, time: float,
@@ -436,27 +453,31 @@ def ks_kernel_haar_mc(sys: FiniteSystem, x: Site, region: Region, time: float,
     unitaries at the site: mean of U* [B, e^{-beta Psi_x} U] / c with
     the normalizer c = tr e^{-beta Psi_x} / d.
 
-    Returns (mean matrix on the region, aggregated standard error) so the
-    exact expansion can be checked to a few sigma.
+    The unitaries are drawn and applied in stacks of ``HAAR_CHUNK``; every
+    sample is the same arithmetic, on the same random stream, as drawing and
+    applying them one at a time.  Returns (mean matrix on the region,
+    aggregated standard error) so the exact expansion can be checked to a
+    few sigma.
     """
     x = tuple(x)
     if x not in region:
         raise ValueError("site must lie in the region")
     d = sys.site_dim
     rng = np.random.default_rng(seed)
-    psi = sys.fam.psi(x).matrix
-    w, v = np.linalg.eigh(psi)
+    site = Region((x,))
+    w, v = np.linalg.eigh(sys.fam.psi(x).matrix)
     damp = (v * np.exp(-sys.beta * w)) @ v.conj().T
     normalizer = np.trace(damp).real / d
-    b = embed(tau_psi(sys.fam.terms[region], sys.fam, 1j * time), region)
-    dressed = embed(LocalOperator(Region((x,)), damp, d), region)
+    b = tau_psi(sys.fam.terms[region], sys.fam, 1j * time).matrix
+    dressed = embed_matrices(damp, site, region, d)
+    b_dressed = b @ dressed
     dim = d ** len(region)
     draws = np.empty((samples, dim, dim), dtype=complex)
-    for i in range(samples):
-        u_site = haar_random_unitary(d, rng)
-        u = embed(LocalOperator(Region((x,)), u_site, d), region)
-        m = b @ dressed @ u - dressed @ u @ b
-        draws[i] = (u.dagger() @ m).matrix / normalizer
+    for lo in range(0, samples, HAAR_CHUNK):
+        count = min(HAAR_CHUNK, samples - lo)
+        u = embed_matrices(haar_random_unitaries(count, d, rng), site, region, d)
+        m = b_dressed @ u - dressed @ u @ b
+        draws[lo:lo + count] = (u.conj().transpose(0, 2, 1) @ m) / normalizer
     mean = draws.mean(axis=0)
     if samples > 1:
         var = draws.var(axis=0, ddof=1) / samples

@@ -246,6 +246,11 @@ class TestOverflow:
         if command in ("compare", "report"):
             assert set(doc["ratios"].values()) == {"+inf"}
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["norms", "beta-u", "compare", "report"])
+    def test_heisenberg_huge_coupling_warns_nothing(self, tmp_path, capsys, command):
+        self.run(tmp_path, capsys, self.HUGE_J, command)
+
 
 class TestExitCodes:
     def test_verify_failure_exit_one(self, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Golden CLI outputs: the default JSON and the ``--csv`` bytes of ``norms``,
-``beta-u``, ``compare`` and ``report`` on a fixed config set, and of
-``compare --paper-table``, must not change unless a change is intended.
+``beta-u``, ``compare`` and ``report`` on a fixed config set, of
+``compare --paper-table``, and of ``verify`` on each quantum suite at seed 0,
+must not change unless a change is intended.
 
 Regenerate ``golden/cli_outputs.json`` after an intended output change with
 
@@ -69,9 +70,17 @@ CONFIGS = {
 
 COMMANDS = ("norms", "beta-u", "compare", "report")
 
+#: the suites of exact diagonalization; their check values pin the numerics
+#: of the lattice, centering and quantum modules bit for bit
+QUANTUM_SUITES = ("decompose", "kms", "dyson", "lemma1", "ks")
+
 CASES = {
     **{f"{label} {command}": (label, [command]) for label in CONFIGS for command in COMMANDS},
     "paper-table": ("heisenberg", ["compare", "--paper-table"]),
+    **{
+        f"heisenberg verify {suite}": ("heisenberg", ["verify", "--suite", suite])
+        for suite in QUANTUM_SUITES
+    },
 }
 
 

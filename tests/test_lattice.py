@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmsbounds.lattice import (
+    EMPTY_REGION,
     DimensionCapError,
     InteractionFamily,
     LocalOperator,
@@ -14,8 +15,10 @@ from kmsbounds.lattice import (
     build_heisenberg,
     build_ising_staggered,
     embed,
+    embed_matrices,
     heisenberg_bond,
     heisenberg_ti,
+    is_hermitian_matrix,
     ising_staggered_ti,
     operator_norm,
     spin_matrices,
@@ -60,6 +63,19 @@ class TestRegion:
         r = Region.of([(0,), (1,)])
         sizes = [len(s) for s in r.subsets()]
         assert sizes == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("op", ["issubset", "union", "intersection", "difference"])
+    def test_mixed_dimensions_rejected(self, op):
+        line, plane = Region(((0,),)), Region(((0, 1),))
+        for a, b in ((line, plane), (plane, line)):
+            with pytest.raises(ValueError, match="lattice dimension"):
+                getattr(a, op)(b)
+
+    @pytest.mark.parametrize("op", ["issubset", "union", "intersection", "difference"])
+    def test_empty_region_meets_any_dimension(self, op):
+        plane = Region(((0, 1),))
+        getattr(EMPTY_REGION, op)(plane)
+        getattr(plane, op)(EMPTY_REGION)
 
 
 class TestSpinMatrices:
@@ -126,6 +142,16 @@ class TestEmbed:
                 rhs = embed(a, target) @ embed(b, target)
                 assert np.allclose(lhs.matrix, rhs.matrix)
 
+    def test_stack_matches_kron_reference(self):
+        region, target = Region.of([(0,), (2,)]), box_window([3])
+        mats = np.stack([rand_matrix(4) for _ in range(3)])
+        stacked = embed_matrices(mats, region, target, 2)
+        for mat, out in zip(mats, stacked):
+            # kron legs are sites (0, 2, 1); move site 1 to the middle
+            ref = np.kron(mat, np.eye(2)).reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4)
+            assert np.array_equal(out, ref.reshape(8, 8))
+            assert np.array_equal(out, embed(LocalOperator(region, mat, 2), target).matrix)
+
     def test_not_subset(self):
         a = LocalOperator(Region(((5,),)), rand_matrix(2), 2)
         with pytest.raises(ValueError):
@@ -165,6 +191,14 @@ class TestOperatorNorm:
         big = LocalOperator(box_window([13]), np.eye(2 ** 13), 2)
         with pytest.raises(DimensionCapError):
             operator_norm(big)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1.0, 1e300])
+    def test_hermitian_check_scale_invariant(self, scale):
+        hermitian = np.array([[1, 2j], [-2j, 3]])
+        symmetric = np.array([[1, 2j], [2j, 3]])
+        assert is_hermitian_matrix(scale * hermitian)
+        assert not is_hermitian_matrix(scale * symmetric)
 
     @given(st.floats(-4, 4))
     @settings(max_examples=25, deadline=None)

@@ -290,6 +290,26 @@ class TestDyson:
         exact = evolve(a, h, 1j * sigma)
         assert operator_norm(out - exact) <= 1e-6 * operator_norm(exact)
 
+    def test_tau_psi_without_single_site_part_returns_argument(self):
+        system = heisenberg_system(3, 1.0)
+        a = LocalOperator(box_window([2]), rand_hermitian(4), 2)
+        assert tau_psi(a, system.fam, 0.3) is a
+        assert tau_psi(a, system.fam, 0.3j) is a
+
+    def test_one_eigendecomposition_per_site(self, monkeypatch):
+        system = transverse_system(3, 1.0)
+        _, _, s3 = spin_matrices(REP, at=(0,))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m):
+            shapes.append(np.shape(m))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        dyson_truncated(s3, system, 0.1, 3)
+        assert shapes == [(2, 2)] * len(system.gamma)
+
     def test_convergence_warning(self):
         system = heisenberg_system(2, 1.0)
         a = LocalOperator(Region(((0,),)), rand_hermitian(2), 2)
@@ -410,6 +430,36 @@ class TestKSKernel:
             system, (0,), bond_region, 0.15, samples=10000, seed=13
         )
         assert np.linalg.norm(mean - exact.matrix) <= 3 * sigma
+
+    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 10000])
+    def test_monte_carlo_matches_per_sample_loop(self, samples):
+        system = transverse_system(2, 0.5)
+        bond_region = next(iter(system.fam.multilocal()))
+        x, s, seed = (0,), 0.15, 13
+        mean, sigma = ks_kernel_haar_mc(system, x, bond_region, s, samples=samples, seed=seed)
+        # reference: one Haar draw at a time, embedded at the first site by kron
+        d = system.site_dim
+        rng = np.random.default_rng(seed)
+        w, v = np.linalg.eigh(system.fam.psi(x).matrix)
+        damp = (v * np.exp(-system.beta * w)) @ v.conj().T
+        normalizer = np.trace(damp).real / d
+        b = tau_psi(system.fam.terms[bond_region], system.fam, 1j * s).matrix
+        dressed = np.kron(damp, np.eye(d))
+        draws = np.empty((samples, d * d, d * d), dtype=complex)
+        for i in range(samples):
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            q, r = np.linalg.qr(z)
+            phases = np.diagonal(r).copy()
+            phases /= np.abs(phases)
+            u = np.kron(q * phases, np.eye(d))
+            m = b @ dressed @ u - dressed @ u @ b
+            draws[i] = (u.conj().T @ m) / normalizer
+        assert np.array_equal(mean, draws.mean(axis=0))
+        if samples > 1:
+            var = draws.var(axis=0, ddof=1) / samples
+            assert sigma == math.sqrt(float(np.abs(var).sum()))
+        else:
+            assert sigma == math.inf
 
     def test_chain_must_start_at_site(self):
         system = heisenberg_system(3, 0.5)
