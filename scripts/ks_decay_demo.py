@@ -30,7 +30,7 @@ def centered_element(system, seed):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = (m + m.conj().T) / 2
     a = LocalOperator(system.gamma, m, system.site_dim)
-    return decompose_recursive(a, system.reference_states()).components[system.gamma]
+    return decompose_recursive(a, system.reference_states).components[system.gamma]
 
 
 def main():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,10 +27,6 @@ LOG3 = math.log(3.0)
 
 #: golden-section search shrink factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class BracketError(RuntimeError):
-    """Root bracket grew past 2^60 without a sign change."""
 
 
 class CommutationError(ValueError):
@@ -89,8 +85,9 @@ def optimize_eps(objective, lo: float = 1e-2, hi: float = 10.0,
 def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
     """Solve beta ||Phi_bar||_{eps+log3, 2 beta} = (1/6) eps/(1+e^eps) for beta.
 
-    Returns +infinity when there is no multilocal interaction.  Bracketing by
-    doubling, then bisection to absolute tolerance ``tol``.
+    Returns +infinity when there is no multilocal interaction or the root
+    lies beyond the float range.  Bracketing by doubling, then bisection to
+    absolute tolerance ``tol`` or to adjacent floats, whichever comes first.
     """
     tgt = target_fn(eps)
     if norm_eps_zeta(interaction, NormParams(eps + LOG3)) == 0.0:
@@ -102,13 +99,14 @@ def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
         return beta * norm_at(eps + LOG3, 2.0 * beta) - tgt
 
     hi = 1.0
-    while g(hi) <= 0.0:
+    # once 2 beta overflows to inf, g can be nan (inf * 0 in the zeta weight)
+    while hi < math.inf and not g(hi) > 0.0:
         hi *= 2.0
-        if hi > 2.0 ** 60:
-            raise BracketError("no sign change below 2^60; pathological input")
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if g(mid) <= 0.0:
             lo = mid
         else:
@@ -167,12 +165,33 @@ def uniqueness_optimum() -> OptResult:
     return optimize_eps(uniqueness_objective)
 
 
+#: an interaction whose norm lies below 1 / _TINY_SCALE is scanned scaled up
+#: by this exact power of two
+_TINY_SCALE = 2.0 ** 512
+
+
+def _scaled(interaction, factor: float):
+    """``interaction`` with every term multiplied by ``factor``."""
+    if isinstance(interaction, InteractionFamily):
+        terms = {r: factor * op for r, op in interaction.terms.items()}
+        return InteractionFamily(terms, interaction.site_dim)
+    motifs = [replace(m, coefficient=factor * m.coefficient) for m in interaction.motifs]
+    return replace(interaction, motifs=motifs, psi_site_norm=factor * interaction.psi_site_norm)
+
+
 def beta_u_optimized(interaction) -> EpsBeta:
     """Maximize the commuting-case beta_u over eps for an interaction whose
     eps-dependence is the generic 3 e^eps prefactor (any interaction works:
     the objective is evaluated through the norm)."""
-    if norm_eps_zeta(interaction, NormParams(LOG3 + 0.5)) == 0.0:
+    norm = norm_eps_zeta(interaction, NormParams(LOG3 + 0.5))
+    if norm == 0.0:
         return EpsBeta(0.5, math.inf)
+    # A norm near the subnormal range rounds differently at each eps and
+    # target / norm overflows.  beta_u is inversely proportional to the
+    # interaction: scan it scaled up by an exact power of two (same eps*).
+    factor = 1.0
+    if norm < 1.0 / _TINY_SCALE:
+        factor, interaction = _TINY_SCALE, _scaled(interaction, _TINY_SCALE)
     # optimize_eps only evaluates eps > 0
     norm_at = norm_function(interaction)
 
@@ -181,7 +200,7 @@ def beta_u_optimized(interaction) -> EpsBeta:
         return target_fn(eps) / norm if norm > 0 else 0.0
 
     opt = optimize_eps(objective)
-    return EpsBeta(opt.eps_star, opt.value)
+    return EpsBeta(opt.eps_star, opt.value * factor)
 
 
 def beta_u_general_optimized(interaction) -> EpsBeta:

@@ -146,7 +146,6 @@ class Decomposition:
 
     region: Region
     components: dict  # Region -> LocalOperator on `region`
-    method: str
     base: Region = EMPTY_REGION
 
     def reconstruction(self) -> LocalOperator:
@@ -183,15 +182,6 @@ class Decomposition:
         return True
 
 
-def _expectations_table(a: LocalOperator, eta: ReferenceStates, keep_sets) -> dict:
-    """embed(eta over complement of K applied to a) for each requested K."""
-    table = {}
-    for keep in keep_sets:
-        contracted = partial_expectation(a, a.region.difference(keep), eta)
-        table[keep] = embed(contracted, a.region)
-    return table
-
-
 def decompose_recursive(a: LocalOperator, eta: ReferenceStates) -> Decomposition:
     """Components by the defining recursion: the empty component is the full
     expectation, and each A_X is the complement-expectation minus all proper
@@ -199,34 +189,43 @@ def decompose_recursive(a: LocalOperator, eta: ReferenceStates) -> Decomposition
     lam = a.region
     if len(lam) > SUBSET_CAP:
         raise SubsetCapError(f"|region| = {len(lam)} exceeds cap {SUBSET_CAP}")
-    subsets = list(lam.subsets())
-    table = _expectations_table(a, eta, subsets)
     comps = {}
-    for X in subsets:
-        acc = table[X]
+    for X in lam.subsets():
+        acc = embed(partial_expectation(a, lam.difference(X), eta), lam)
         for Y in X.subsets():
             if Y != X:
                 acc = acc - comps[Y]
         comps[X] = acc
-    return Decomposition(region=lam, components=comps, method="recursive")
+    return Decomposition(region=lam, components=comps)
+
+
+def _moebius(product: LocalOperator, active: Region, eta: ReferenceStates) -> Decomposition:
+    """A_{X ∪ base} = sum over Y ⊆ X of (-1)^{|X| - |Y|} eta_{region - (Y ∪ base)}(A)
+    for X ⊆ active ∩ region, with base the rest of the region."""
+    region = product.region
+    base = region.difference(active)
+    active = region.intersection(active)
+    if len(active) > SUBSET_CAP:
+        raise SubsetCapError(f"|active| = {len(active)} exceeds cap {SUBSET_CAP}")
+    tables = {}
+    for X in active.subsets():
+        keep = X.union(base)
+        contracted = partial_expectation(product, region.difference(keep), eta)
+        tables[X] = embed(contracted, region)
+    comps = {}
+    for X in active.subsets():
+        acc = LocalOperator.zero(region, product.site_dim)
+        for Y in X.subsets():
+            sign = -1.0 if (len(X) - len(Y)) % 2 else 1.0
+            acc = acc + sign * tables[Y]
+        comps[X.union(base)] = acc
+    return Decomposition(region=region, components=comps, base=base)
 
 
 def decompose_moebius(a: LocalOperator, eta: ReferenceStates) -> Decomposition:
     """Components by inclusion-exclusion:
     A_X = sum over Y subset of X of (-1)^{|X| - |Y|} eta_{complement of Y}(a)."""
-    lam = a.region
-    if len(lam) > SUBSET_CAP:
-        raise SubsetCapError(f"|region| = {len(lam)} exceeds cap {SUBSET_CAP}")
-    subsets = list(lam.subsets())
-    table = _expectations_table(a, eta, subsets)
-    comps = {}
-    for X in subsets:
-        acc = LocalOperator.zero(lam, a.site_dim)
-        for Y in X.subsets():
-            sign = -1.0 if (len(X) - len(Y)) % 2 else 1.0
-            acc = acc + sign * table[Y]
-        comps[X] = acc
-    return Decomposition(region=lam, components=comps, method="moebius")
+    return _moebius(a, a.region, eta)
 
 
 def decompose_known_free(product: LocalOperator, active: Region,
@@ -236,24 +235,7 @@ def decompose_known_free(product: LocalOperator, active: Region,
     The element lives on region ∪ active; indices range over X ∪ base with
     X a subset of ``active`` and base the part of the region outside it.
     """
-    region = product.region
-    base = region.difference(active)
-    active = region.intersection(active)
-    if len(active) > SUBSET_CAP:
-        raise SubsetCapError(f"|active| = {len(active)} exceeds cap {SUBSET_CAP}")
-    comps = {}
-    tables = {}
-    for X in active.subsets():
-        keep = X.union(base)
-        contracted = partial_expectation(product, region.difference(keep), eta)
-        tables[X] = embed(contracted, region)
-    for X in active.subsets():
-        acc = LocalOperator.zero(region, product.site_dim)
-        for Y in X.subsets():
-            sign = -1.0 if (len(X) - len(Y)) % 2 else 1.0
-            acc = acc + sign * tables[Y]
-        comps[X.union(base)] = acc
-    return Decomposition(region=region, components=comps, method="refined", base=base)
+    return _moebius(product, active, eta)
 
 
 def decompose_refined(prefactors: Sequence[LocalOperator], a_tilde: LocalOperator,
@@ -263,9 +245,7 @@ def decompose_refined(prefactors: Sequence[LocalOperator], a_tilde: LocalOperato
     support only (the count is independent of A~'s region)."""
     if centering_residual(a_tilde, eta) > tol * max(operator_norm(a_tilde), 1.0):
         raise NotCenteredError("trailing element is not centered on its region")
-    active = EMPTY_REGION
-    for p in prefactors:
-        active = active.union(p.region)
+    active = Region.of(site for p in prefactors for site in p.region)
     product = a_tilde
     for p in reversed(prefactors):
         product = p @ product

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iterproduct
 from typing import Mapping, Sequence
 
@@ -27,7 +28,8 @@ from .centering import (
     partial_expectation,
 )
 from .lattice import (
-    EMPTY_REGION,
+    DIMENSION_CAP,
+    DimensionCapError,
     InteractionFamily,
     LocalOperator,
     Region,
@@ -43,22 +45,20 @@ class ConvergenceWarning(UserWarning):
     """Emitted when a truncated expansion runs outside its convergence regime."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FiniteSystem:
-    """A finite lattice with an interaction supported inside it."""
+    """A finite lattice with an interaction supported inside it.  Its
+    Hamiltonian, eigendecomposition, Gibbs state and reference states are
+    computed once, on first use; the frozen system keeps them valid."""
 
     gamma: Region
     fam: InteractionFamily
     beta: float
 
     def __post_init__(self):
-        from .lattice import DIMENSION_CAP, DimensionCapError
-
-        if self.fam.site_dim ** len(self.gamma) > DIMENSION_CAP:
-            raise DimensionCapError(
-                f"lattice dimension {self.fam.site_dim ** len(self.gamma)} "
-                f"exceeds the dense cap"
-            )
+        dim = self.fam.site_dim ** len(self.gamma)
+        if dim > DIMENSION_CAP:
+            raise DimensionCapError(f"lattice dimension {dim} exceeds the dense cap")
         for region in self.fam.terms:
             if not region.issubset(self.gamma):
                 raise ValueError(f"term on {region} escapes the lattice {self.gamma}")
@@ -67,7 +67,27 @@ class FiniteSystem:
     def site_dim(self) -> int:
         return self.fam.site_dim
 
+    @cached_property
+    def h(self) -> LocalOperator:
+        """The Hamiltonian on the whole lattice."""
+        return hamiltonian(self)
+
+    @cached_property
+    def eigh(self) -> tuple:
+        """Eigenvalues and eigenvectors ``(w, v)`` of the Hamiltonian."""
+        return np.linalg.eigh(self.h.matrix)
+
+    @cached_property
+    def gibbs(self) -> tuple:
+        """e^{-beta H} / tr e^{-beta H} as (eigenbasis, Boltzmann weights)."""
+        w, v = self.eigh
+        weights = np.exp(-self.beta * (w - w.min()))
+        weights /= weights.sum()
+        return v, weights
+
+    @cached_property
     def reference_states(self) -> ReferenceStates:
+        """Single-site Gibbs densities of the system's single-site terms."""
         return ReferenceStates.from_interaction(self.fam, self.gamma, self.beta)
 
 
@@ -84,32 +104,23 @@ def hamiltonian(sys: FiniteSystem, window: Region = None) -> LocalOperator:
     return acc
 
 
-def _eigh(op: LocalOperator):
-    return np.linalg.eigh(op.matrix)
-
-
 def _expm_factor(w: np.ndarray, v: np.ndarray, z: complex) -> np.ndarray:
+    """e^{zH} for H with eigendecomposition ``(w, v)``."""
     return (v * np.exp(z * w)) @ v.conj().T
 
 
-def gibbs_expectation(sys: FiniteSystem, a: LocalOperator) -> complex:
-    """tr(e^{-beta H} A) / tr(e^{-beta H}) on the full finite lattice."""
-    h = hamiltonian(sys)
-    w, v = _eigh(h)
-    weights = np.exp(-sys.beta * (w - w.min()))
-    weights /= weights.sum()
-    a_full = embed(a, sys.gamma)
-    return complex((weights * np.diagonal(v.conj().T @ a_full.matrix @ v)).sum())
+def _conjugate(a: np.ndarray, eig: tuple, t: complex) -> np.ndarray:
+    """e^{itH} a e^{-itH} for H with eigendecomposition ``eig``."""
+    return _expm_factor(*eig, 1j * t) @ a @ _expm_factor(*eig, -1j * t)
 
 
-def gibbs_state_diagonal(sys: FiniteSystem):
-    """Eigenbasis and normalized Boltzmann weights of the full Hamiltonian,
-    for callers evaluating many expectations."""
-    h = hamiltonian(sys)
-    w, v = _eigh(h)
-    weights = np.exp(-sys.beta * (w - w.min()))
-    weights /= weights.sum()
-    return v, weights
+def gibbs_expectation(sys: FiniteSystem, a: LocalOperator, state: tuple = None) -> complex:
+    """tr(rho A) on the full finite lattice for the state rho given by its
+    eigenbasis and weights ``(basis, weights)``; by default the Gibbs state
+    tr(e^{-beta H} A) / tr(e^{-beta H})."""
+    basis, weights = sys.gibbs if state is None else state
+    full = embed(a, sys.gamma).matrix
+    return complex((weights * np.diagonal(basis.conj().T @ full @ basis)).sum())
 
 
 def evolve(a: LocalOperator, h: LocalOperator, t: complex) -> LocalOperator:
@@ -121,11 +132,8 @@ def evolve(a: LocalOperator, h: LocalOperator, t: complex) -> LocalOperator:
     if not h.is_hermitian():
         raise ValueError("generator must be Hermitian")
     target = a.region.union(h.region)
-    a_e, h_e = embed(a, target), embed(h, target)
-    w, v = _eigh(h_e)
-    left = _expm_factor(w, v, 1j * t)
-    right = _expm_factor(w, v, -1j * t)
-    return LocalOperator(target, left @ a_e.matrix @ right, a.site_dim)
+    eig = np.linalg.eigh(embed(h, target).matrix)
+    return LocalOperator(target, _conjugate(embed(a, target).matrix, eig, t), a.site_dim)
 
 
 def single_site_evolution(fam: InteractionFamily, region: Region, t: complex) -> tuple:
@@ -139,13 +147,8 @@ def single_site_evolution(fam: InteractionFamily, region: Region, t: complex) ->
     right = np.array([[1.0]], dtype=complex)
     for x in region:
         eig = fam.psi_eigh(x)
-        if eig is None:
-            left = np.kron(left, eye)
-            right = np.kron(right, eye)
-            continue
-        w, v = eig
-        left = np.kron(left, (v * np.exp(1j * t * w)) @ v.conj().T)
-        right = np.kron(right, (v * np.exp(-1j * t * w)) @ v.conj().T)
+        left = np.kron(left, eye if eig is None else _expm_factor(*eig, 1j * t))
+        right = np.kron(right, eye if eig is None else _expm_factor(*eig, -1j * t))
     return left, right
 
 
@@ -226,23 +229,25 @@ class SimplexQuadrature:
         return nodes, weights
 
 
-def constrained_chains(fam: InteractionFamily, n: int, start: Region):
+def _chains(regions: Sequence[Region], n: int, grown: Region):
+    """Depth-first over ``regions`` in their given order: every tuple of ``n``
+    regions whose first meets ``grown`` and whose each next one meets the
+    union of ``grown`` with the earlier ones."""
+    if n == 0:
+        yield ()
+        return
+    for region in regions:
+        if len(region.intersection(grown)) > 0:
+            for rest in _chains(regions, n - 1, grown.union(region)):
+                yield (region,) + rest
+
+
+def constrained_chains(fam: InteractionFamily, n: int, start: Region) -> list:
     """Tuples (X_1, ..., X_n) of multilocal support regions with the growing
     overlap constraint: X_1 meets `start`, and each X_j meets the union of
     `start` with the earlier X's."""
     support = sorted(fam.multilocal().keys(), key=lambda r: r.sites)
-    out = []
-
-    def rec(prefix, grown):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for region in support:
-            if len(region.intersection(grown)) > 0:
-                rec(prefix + [region], grown.union(region))
-
-    rec([], start)
-    return out
+    return list(_chains(support, n, start))
 
 
 def _dyson_modes(t: complex):
@@ -274,10 +279,15 @@ def dyson_truncated(a: LocalOperator, sys: FiniteSystem, t: complex, order: int,
         return tau_psi(op, sys.fam, 1j * s if imaginary else s)
 
     pictured = {}
+    # a term without a single-site part on its region is its own picture
+    static = {
+        r for r in sys.fam.multilocal() if all(sys.fam.psi_eigh(x) is None for x in r)
+    }
 
     def factor(region, s):
-        """Embedded interaction-picture term, once per (region, node time)."""
-        key = (region, s)
+        """Embedded interaction-picture term, once per (region, node time),
+        or once per region when the picture leaves it unchanged."""
+        key = region if region in static else (region, s)
         if key not in pictured:
             pictured[key] = embed(picture(sys.fam.terms[region], s), sys.gamma).matrix
         return pictured[key]
@@ -313,30 +323,15 @@ def _warn_if_outside_regime(fam: InteractionFamily, duration: float) -> None:
     )
 
 
-def kms_residual(sys: FiniteSystem, a: LocalOperator, b: LocalOperator) -> float:
-    """|omega(A tau_{i beta} B) - omega(B A)| for the finite Gibbs state;
-    zero up to roundoff by cyclicity of the trace."""
-    h = hamiltonian(sys)
-    evolved = evolve(b, h, 1j * sys.beta)
-    lhs = gibbs_expectation(sys, a @ evolved)
-    rhs = gibbs_expectation(sys, b @ a)
+def kms_residual(sys: FiniteSystem, a: LocalOperator, b: LocalOperator,
+                 state: tuple = None) -> float:
+    """|omega(A tau_{i beta} B) - omega(B A)| in a state given as in
+    ``gibbs_expectation``: zero up to roundoff in the Gibbs state (cyclicity
+    of the trace), visibly nonzero in a mismatched one."""
+    evolved = _conjugate(embed(b, sys.gamma).matrix, sys.eigh, 1j * sys.beta)
+    lhs = gibbs_expectation(sys, a @ LocalOperator(sys.gamma, evolved, sys.site_dim), state)
+    rhs = gibbs_expectation(sys, b @ a, state)
     return abs(lhs - rhs)
-
-
-def state_residual(sys: FiniteSystem, state_weights, state_basis,
-                   a: LocalOperator, b: LocalOperator) -> float:
-    """Same functional evaluated in an arbitrary state given by its
-    eigenbasis and weights (used to show mismatched states fail the check)."""
-    h = hamiltonian(sys)
-    evolved = evolve(b, h, 1j * sys.beta)
-
-    def expect(op):
-        full = embed(op, sys.gamma).matrix
-        return complex(
-            (state_weights * np.diagonal(state_basis.conj().T @ full @ state_basis)).sum()
-        )
-
-    return abs(expect(a @ evolved) - expect(b @ a))
 
 
 def lemma_sum_check(alpha: Mapping[Region, float], lam: Region, n: int, eps: float):
@@ -348,27 +343,17 @@ def lemma_sum_check(alpha: Mapping[Region, float], lam: Region, n: int, eps: flo
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    support = [(r, w) for r, w in alpha.items() if w != 0.0]
+    support = {r: w for r, w in alpha.items() if w != 0.0}
     lhs = 0.0
-
-    def rec(depth, grown, weight):
-        nonlocal lhs
-        if depth == n:
-            lhs += weight
-            return
-        for region, w in support:
-            if len(region.intersection(grown)) > 0:
-                rec(depth + 1, grown.union(region), weight * w)
-
-    rec(0, lam, 1.0)
-    sites = EMPTY_REGION
-    for region, _ in support:
-        sites = sites.union(region)
+    for chain in _chains(list(support), n, lam):
+        weight = 1.0
+        for region in chain:
+            weight *= support[region]
+        lhs += weight
+    sites = Region.of(site for region in support for site in region)
     site_sup = 0.0
     for x in sites:
-        s = sum(
-            math.exp(eps * (len(r) - 1)) * w for r, w in support if x in r
-        )
+        s = sum(math.exp(eps * (len(r) - 1)) * w for r, w in support.items() if x in r)
         site_sup = max(site_sup, s)
     rhs = (
         math.factorial(n)
@@ -408,7 +393,7 @@ def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
         if len(region.intersection(grown)) == 0:
             raise ValueError("chain violates the overlap constraint")
         grown = grown.union(region)
-    eta = sys.reference_states()
+    eta = sys.reference_states
     out_region = grown
     factors = [
         embed(tau_psi(sys.fam.terms[reg], sys.fam, 1j * s), out_region)
@@ -465,8 +450,7 @@ def ks_kernel_haar_mc(sys: FiniteSystem, x: Site, region: Region, time: float,
     d = sys.site_dim
     rng = np.random.default_rng(seed)
     site = Region((x,))
-    w, v = np.linalg.eigh(sys.fam.psi(x).matrix)
-    damp = (v * np.exp(-sys.beta * w)) @ v.conj().T
+    damp = _expm_factor(*np.linalg.eigh(sys.fam.psi(x).matrix), -sys.beta)
     normalizer = np.trace(damp).real / d
     b = tau_psi(sys.fam.terms[region], sys.fam, 1j * time).matrix
     dressed = embed_matrices(damp, site, region, d)
@@ -507,13 +491,7 @@ def ks_residual(sys: FiniteSystem, test_elems: Sequence[LocalOperator], order: i
     expectations; the residual decays geometrically with the truncation order
     inside the subcritical regime.
     """
-    eta = sys.reference_states()
-    basis, weights = gibbs_state_diagonal(sys)
-
-    def om(op: LocalOperator) -> complex:
-        full = embed(op, sys.gamma).matrix
-        return complex((weights * np.diagonal(basis.conj().T @ full @ basis)).sum())
-
+    eta = sys.reference_states
     reports = []
     for elem in test_elems:
         scale = max(operator_norm(elem), 1.0)
@@ -528,18 +506,20 @@ def ks_residual(sys: FiniteSystem, test_elems: Sequence[LocalOperator], order: i
             total = 0.0 + 0.0j
             nodes, wgts = quad.rule(n, sys.beta)
             for chain in chains:
-                active = EMPTY_REGION
-                for reg in chain:
-                    active = active.union(reg)
+                active = Region.of(site for reg in chain for site in reg)
                 for s_row, wgt in zip(nodes, wgts):
                     kernel = ks_kernel(sys, x, chain, list(s_row))
                     dressed = elem @ kernel
                     dec = decompose_known_free(dressed, active, eta)
-                    comp_sum = sum(om(op) for op in dec.components.values())
-                    telescope = max(telescope, abs(comp_sum - om(dressed)))
+                    comp_sum = sum(
+                        gibbs_expectation(sys, op) for op in dec.components.values()
+                    )
+                    telescope = max(
+                        telescope, abs(comp_sum - gibbs_expectation(sys, dressed))
+                    )
                     total += wgt * comp_sum
             contributions[n] = (-1.0) ** (n + 1) * total
-        target = om(elem)
+        target = gibbs_expectation(sys, elem)
         residuals = {}
         partial = 0.0 + 0.0j
         for n in range(1, order + 1):

@@ -46,14 +46,12 @@ from .quantum import (
     SimplexQuadrature,
     dyson_truncated,
     evolve,
-    hamiltonian,
     kms_residual,
     ks_kernel,
     ks_kernel_haar_mc,
     ks_kernel_norm_bound,
     ks_residual,
     lemma_sum_check,
-    state_residual,
 )
 
 
@@ -147,13 +145,11 @@ def run_kms_suite(seed: int = 0, draws: int = 50,
             1e-9
             * operator_norm(a)
             * operator_norm(b)
-            * math.exp(2 * beta * operator_norm(hamiltonian(system)))
+            * math.exp(2 * beta * operator_norm(system.h))
         )
         worst_rel = max(worst_rel, kms_residual(system, a, b) / tolerance)
-        mixed = state_residual(
-            system, np.full(dim, 1.0 / dim), np.eye(dim, dtype=complex), a, b
-        )
-        mismatch_hits += mixed > 1e-3
+        maximally_mixed = (np.eye(dim, dtype=complex), np.full(dim, 1.0 / dim))
+        mismatch_hits += kms_residual(system, a, b, maximally_mixed) > 1e-3
     return [
         _le("gibbs_residual_vs_tolerance", worst_rel, 1.0),
         _ge("mismatched_state_detection_rate", mismatch_hits / draws, 0.9),
@@ -174,12 +170,11 @@ def run_dyson_suite(seed: int = 0, order: int = 3,
     fam = build_heisenberg(1.0, 1.0, rep, window)
     system = FiniteSystem(window, fam, beta=1.0)
     _, _, s3 = spin_matrices(rep, at=(0,))
-    h = hamiltonian(system)
     quad = SimplexQuadrature(8)
     errors = []
     for t in times:
         approx = dyson_truncated(s3, system, t, order, quad)
-        errors.append(operator_norm(approx - evolve(s3, h, t)))
+        errors.append(operator_norm(approx - evolve(s3, system.h, t)))
     ratio = errors[0] / errors[1] if errors[1] else math.inf
     return [_ge(f"halving_ratio_order_{order}", ratio, min_ratio)]
 
@@ -226,12 +221,10 @@ def _two_site_benchmark(beta: float):
 
 
 def _centered_test_element(system: FiniteSystem, rng: np.random.Generator) -> LocalOperator:
-    eta = system.reference_states()
     a = LocalOperator(
         system.gamma, _rand_hermitian(2 ** len(system.gamma), rng), system.site_dim
     )
-    dec = decompose_recursive(a, eta)
-    elem = dec.components[system.gamma]
+    elem = decompose_recursive(a, system.reference_states).components[system.gamma]
     if operator_norm(elem) < 1e-6:
         raise RuntimeError("degenerate draw")
     return elem

@@ -84,6 +84,18 @@ class TestBetaUGeneral:
             closed = target_fn(eps) / norm_eps_zeta(spec, NormParams(eps + LOG3))
             assert beta_u_general(spec, eps) == pytest.approx(closed, abs=1e-10)
 
+    @pytest.mark.parametrize("coupling", [1e-9, 1e-25])
+    def test_small_coupling_scales_inversely(self, coupling):
+        """At J = 1e-9 adjacent floats near the root lie wider apart than
+        the tolerance; at J = 1e-25 the root lies past 2^60."""
+        unit = beta_u_general(classical_heisenberg_ti(1, 1.0, 1.0), 0.6, tol=1e-12)
+        small = beta_u_general(classical_heisenberg_ti(1, coupling, 1.0), 0.6, tol=1e-12)
+        assert small * coupling == pytest.approx(unit, rel=1e-9)
+
+    def test_root_past_float_range_infinite(self):
+        spec = classical_heisenberg_ti(1, 1e-320, 1.0)
+        assert beta_u_general(spec, 0.6) == math.inf
+
     def test_root_property_and_monotonicity(self):
         spec = ising_staggered_ti(1, 1.0, 2.0, REP)
         eps = 0.6
@@ -284,6 +296,27 @@ class TestReports:
         report = ising_report(REP, 1, 0.0)
         doc = report.to_dict()
         assert doc["beta_u"] == "+inf"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda coupling: heisenberg_ti(2, coupling, 0.5, REP),
+    lambda coupling: build_heisenberg(coupling, 0.5, REP, box_window([3])),
+])
+def test_optimized_subnormal_coupling(build):
+    """A subnormal coupling keeps the eps* of J = 1 and overflows beta_u to
+    +inf, without a numpy warning."""
+    unit = beta_u_optimized(build(1.0))
+    tiny = beta_u_optimized(build(1e-320))
+    assert tiny.eps_star == pytest.approx(unit.eps_star, abs=1e-9)
+    assert tiny.beta == math.inf
+
+
+def test_optimized_small_coupling_scales_inversely():
+    unit = beta_u_optimized(heisenberg_ti(1, 1.0, 1.0, REP))
+    small = beta_u_optimized(heisenberg_ti(1, 1e-300, 1.0, REP))
+    assert small.eps_star == unit.eps_star
+    assert small.beta * 1e-300 == pytest.approx(unit.beta, rel=1e-12)
 
 
 def test_one_eigendecomposition_per_motif(monkeypatch):

@@ -252,6 +252,49 @@ class TestOverflow:
         self.run(tmp_path, capsys, self.HUGE_J, command)
 
 
+def _betas(doc):
+    return [doc["beta_u"]] + [c["beta"] for c in doc.get("comparators", {}).values()]
+
+
+def _eps_stars(doc):
+    return [doc["eps_star"]] + [c["eps_star"] for c in doc.get("comparators", {}).values()]
+
+
+class TestSmallCoupling:
+    """Couplings far below 1: the classical thresholds scale as 1/J (the
+    bisection once looped forever at J = 1e-9 and its bracket gave up at
+    J = 1e-25), and a subnormal Heisenberg coupling keeps the eps* of J = 1
+    with beta_u past the float range."""
+
+    def run(self, tmp_path, capsys, config, command):
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path]) == EXIT_OK
+        return json.loads(capsys.readouterr().out, parse_constant=_no_bare_constants)
+
+    @pytest.mark.parametrize("coupling", [1e-9, 1e-25])
+    @pytest.mark.parametrize("command", ["beta-u", "compare", "report"])
+    def test_classical_scales_inversely(self, tmp_path, capsys, coupling, command):
+        unit = self.run(tmp_path, capsys, {"model": "classical_heisenberg"}, command)
+        small = self.run(
+            tmp_path, capsys,
+            {"model": "classical_heisenberg", "params": {"J": coupling}}, command,
+        )
+        for got, want in zip(_betas(small), _betas(unit), strict=True):
+            assert got * coupling == pytest.approx(want, rel=1e-9)
+        for got, want in zip(_eps_stars(small), _eps_stars(unit), strict=True):
+            assert got == pytest.approx(want, abs=1e-5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["beta-u", "compare", "report"])
+    def test_heisenberg_subnormal_coupling(self, tmp_path, capsys, command):
+        unit = self.run(tmp_path, capsys, {"model": "heisenberg"}, command)
+        tiny = self.run(
+            tmp_path, capsys, {"model": "heisenberg", "params": {"J": 1e-320}}, command
+        )
+        assert tiny["eps_star"] == unit["eps_star"]
+        assert set(_betas(tiny)) == {"+inf"}
+
+
 class TestExitCodes:
     def test_verify_failure_exit_one(self, tmp_path, capsys, monkeypatch):
         from kmsbounds.verify import CheckResult

@@ -35,7 +35,6 @@ from kmsbounds.quantum import (
     ks_kernel_norm_bound,
     ks_residual,
     lemma_sum_check,
-    state_residual,
     tau_psi,
 )
 
@@ -310,6 +309,27 @@ class TestDyson:
         dyson_truncated(s3, system, 0.1, 3)
         assert shapes == [(2, 2)] * len(system.gamma)
 
+    def test_bond_terms_embedded_once_without_field(self, monkeypatch):
+        """Without a single-site part every pictured bond term is the bond
+        term itself, whatever the node time: one embedding per bond."""
+        from kmsbounds import quantum
+
+        system = heisenberg_system(3, 1.0)
+        bonds = system.fam.multilocal()
+        embedded = []
+        embed_fn = quantum.embed
+
+        def counting_embed(op, target):
+            embedded.append(op.region)
+            return embed_fn(op, target)
+
+        monkeypatch.setattr(quantum, "embed", counting_embed)
+        _, _, s3 = spin_matrices(REP, at=(0,))
+        dyson_truncated(s3, system, 0.1, 3)
+        assert sorted(r.sites for r in embedded if r in bonds) == sorted(
+            r.sites for r in bonds
+        )
+
     def test_convergence_warning(self):
         system = heisenberg_system(2, 1.0)
         a = LocalOperator(Region(((0,),)), rand_hermitian(2), 2)
@@ -353,11 +373,68 @@ class TestKMS:
         for _ in range(10):
             a = LocalOperator(system.gamma, rand_hermitian(4, rng), 2)
             b = LocalOperator(system.gamma, rand_hermitian(4, rng), 2)
-            r = state_residual(
-                system, np.full(4, 0.25), np.eye(4, dtype=complex), a, b
+            r = kms_residual(
+                system, a, b, (np.eye(4, dtype=complex), np.full(4, 0.25))
             )
             hits += r > 1e-3
         assert hits >= 9
+
+
+class TestGibbsState:
+    """Each system diagonalizes its Hamiltonian once and builds its reference
+    states once, however many expectations, residuals and kernels read them."""
+
+    @staticmethod
+    def counting(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_kms_suite_work(self, monkeypatch):
+        from kmsbounds import quantum
+        from kmsbounds.verify import run_kms_suite
+
+        calls = []
+        self.counting(monkeypatch, quantum, "hamiltonian", calls)
+        self.counting(monkeypatch, np.linalg, "eigh", calls)
+        checks = run_kms_suite(0)
+        assert all(c.passed for c in checks)
+        assert calls.count("hamiltonian") <= 50
+        assert calls.count("eigh") <= 50
+
+    def test_ks_suite_reference_states_once_per_system(self, monkeypatch):
+        from kmsbounds.centering import ReferenceStates
+        from kmsbounds.verify import run_ks_suite
+
+        calls = []
+        from_interaction = ReferenceStates.from_interaction.__func__
+        monkeypatch.setattr(
+            ReferenceStates,
+            "from_interaction",
+            classmethod(lambda cls, *a: calls.append(a) or from_interaction(cls, *a)),
+        )
+        run_ks_suite(0, order=2)
+        assert len(calls) <= 2
+
+    def test_cached_facts_match_fresh_computation(self):
+        system = transverse_system(2, 0.8)
+        w, v = np.linalg.eigh(hamiltonian(system).matrix)
+        assert np.array_equal(system.eigh[0], w)
+        assert system.eigh is system.eigh
+        basis, weights = system.gibbs
+        assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+        assert system.reference_states is system.reference_states
+
+    def test_system_is_frozen(self):
+        import dataclasses
+
+        system = heisenberg_system(2, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.beta = 2.0
 
 
 class TestLemma:
@@ -402,7 +479,7 @@ class TestKSKernel:
         system = heisenberg_system(2, 0.8)
         bond_region = next(iter(system.fam.multilocal()))
         kernel = ks_kernel(system, (0,), [bond_region], [0.1])
-        eta = system.reference_states()
+        eta = system.reference_states
         phib = system.fam.terms[bond_region]
         from kmsbounds.centering import partial_expectation
 
@@ -472,7 +549,7 @@ class TestKSKernel:
 class TestKSResidual:
     def centered_element(self, system, seed=3):
         rng = np.random.default_rng(seed)
-        eta = system.reference_states()
+        eta = system.reference_states
         a = LocalOperator(system.gamma, rand_hermitian(2 ** len(system.gamma), rng), 2)
         return decompose_recursive(a, eta).components[system.gamma]
 
