@@ -179,37 +179,40 @@ def _scaled(interaction, factor: float):
     return replace(interaction, motifs=motifs, psi_site_norm=factor * interaction.psi_site_norm)
 
 
+def _optimized_scan(interaction, threshold) -> EpsBeta:
+    """Maximize ``threshold(interaction, eps)`` over eps, for a threshold
+    inversely proportional to the interaction (its single-site norm scaled
+    along); +infinity when there is no multilocal interaction."""
+    norm = norm_eps_zeta(interaction, NormParams(LOG3 + 0.5))
+    if norm == 0.0:
+        return EpsBeta(0.5, math.inf)
+    # A norm near the subnormal range rounds differently at each eps and the
+    # threshold overflows: scan the interaction scaled up by an exact power
+    # of two (same eps*) and scale the threshold back.
+    factor = 1.0
+    if norm < 1.0 / _TINY_SCALE:
+        factor, interaction = _TINY_SCALE, _scaled(interaction, _TINY_SCALE)
+    opt = optimize_eps(functools.partial(threshold, interaction))
+    return EpsBeta(opt.eps_star, opt.value * factor)
+
+
 def beta_u_optimized(interaction) -> EpsBeta:
     """Maximize the commuting-case beta_u over eps for an interaction whose
     eps-dependence is the generic 3 e^eps prefactor (any interaction works:
     the objective is evaluated through the norm)."""
-    norm = norm_eps_zeta(interaction, NormParams(LOG3 + 0.5))
-    if norm == 0.0:
-        return EpsBeta(0.5, math.inf)
-    # A norm near the subnormal range rounds differently at each eps and
-    # target / norm overflows.  beta_u is inversely proportional to the
-    # interaction: scan it scaled up by an exact power of two (same eps*).
-    factor = 1.0
-    if norm < 1.0 / _TINY_SCALE:
-        factor, interaction = _TINY_SCALE, _scaled(interaction, _TINY_SCALE)
-    # optimize_eps only evaluates eps > 0
-    norm_at = norm_function(interaction)
 
-    def objective(eps):
-        norm = norm_at(eps + LOG3, 0.0)
+    def objective(scanned, eps):
+        # optimize_eps only evaluates eps > 0
+        norm = norm_function(scanned)(eps + LOG3, 0.0)
         return target_fn(eps) / norm if norm > 0 else 0.0
 
-    opt = optimize_eps(objective)
-    return EpsBeta(opt.eps_star, opt.value * factor)
+    return _optimized_scan(interaction, objective)
 
 
 def beta_u_general_optimized(interaction) -> EpsBeta:
     """Maximize beta_u over eps with the zeta-coupled norm (eps is fixed first,
     then the equality is solved for beta; the outer scan picks the best eps)."""
-    if norm_eps_zeta(interaction, NormParams(LOG3 + 0.5)) == 0.0:
-        return EpsBeta(0.5, math.inf)
-    opt = optimize_eps(lambda e: beta_u_general(interaction, e, tol=1e-12))
-    return EpsBeta(opt.eps_star, opt.value)
+    return _optimized_scan(interaction, functools.partial(beta_u_general, tol=1e-12))
 
 
 def br_645_beta(rep: SpinRep, bond_strength: float) -> EpsBeta:

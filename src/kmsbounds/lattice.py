@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -488,38 +488,6 @@ class TIInteractionSpec:
         object.__setattr__(
             self, "motif_terms", tuple((len(m.region), m.scalar_norm()) for m in self.motifs)
         )
-
-    def window_family(self, window: Region, psi_builder: Callable = None) -> InteractionFamily:
-        """Instantiate the multilocal part on a finite window by translating
-        every motif whose translate fits inside the window.  Motifs must carry
-        operators.  ``psi_builder(x) -> LocalOperator`` optionally supplies
-        single-site terms."""
-        terms = {}
-        site_dim = None
-        for motif in self.motifs:
-            if motif.operator is None:
-                raise ValueError("window instantiation needs motif operators")
-            site_dim = motif.operator.site_dim
-            for v in window:
-                reg = motif.translate(v)
-                if not reg.issubset(window):
-                    continue
-                shifted = LocalOperator(
-                    reg, motif.coefficient * motif.operator.matrix, site_dim
-                )
-                if reg in terms:
-                    terms[reg] = terms[reg] + shifted
-                else:
-                    terms[reg] = shifted
-        if psi_builder is not None:
-            for x in window:
-                op = psi_builder(x)
-                if op is not None and np.any(op.matrix):
-                    terms[Region((x,))] = op
-                    site_dim = op.site_dim
-        if site_dim is None:
-            raise ValueError("empty specification")
-        return InteractionFamily(terms, site_dim)
 
 
 def _unit_vectors(nu: int):

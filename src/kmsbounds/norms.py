@@ -6,8 +6,8 @@ The central quantity is
 
 with ||Psi||_L = sum_{x in L} ||Psi_x||.  With zeta = 0 this reduces to the
 plain eps-weighted norm.  Finite families are evaluated exactly; translation
-invariant specifications have a closed-form motif sum (the sup over sites is
-site-independent, up to window truncation which is reported separately).
+invariant specifications have a closed-form motif sum, and their per-site
+sums on a finite window are counted from the motifs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .lattice import InteractionFamily, Region, Site, TIInteractionSpec
+from .lattice import InteractionFamily, Region, Site, TIInteractionSpec, operator_norm
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,25 @@ def _norm_finite(fam: InteractionFamily, eps: float, zeta: float) -> float:
     return max(profile.values()) if profile else 0.0
 
 
+def _weight(k: int, eps: float, zeta: float, psi_site_norm: float) -> float:
+    """e^{eps(k-1) + zeta k ||psi||} for a term on k sites of single-site
+    norm ||psi||; the zeta term is dropped when ||psi|| = 0 (no inf * 0 at
+    zeta = inf), and a weight beyond the float range is +infinity."""
+    exponent = eps * (k - 1) + (zeta * k * psi_site_norm if psi_site_norm else 0.0)
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
+
+
 def _norm_ti(spec: TIInteractionSpec, eps: float, zeta: float) -> float:
     """Closed-form motif sum: a motif of k sites has k translates containing
-    any fixed site, each contributing e^{eps(k-1) + zeta k ||psi||} times its
-    scalar norm.  A weight beyond the float range is +infinity; a motif of
-    norm 0 contributes 0 whatever its weight."""
+    any fixed site, each contributing its weight times its scalar norm.  A
+    motif of norm 0 contributes 0 whatever its weight."""
     total = 0.0
     for k, norm in spec.motif_terms:
         if norm:
-            try:
-                weight = math.exp(eps * (k - 1) + zeta * k * spec.psi_site_norm)
-            except OverflowError:
-                weight = math.inf
-            total += k * weight * norm
+            total += k * _weight(k, eps, zeta, spec.psi_site_norm) * norm
     return total
 
 
@@ -108,32 +114,32 @@ class WindowNorms:
 
 
 def window_norms(spec: TIInteractionSpec, window: Region, params: NormParams) -> WindowNorms:
-    fam = spec.window_family(window)
-    # zeta-weighting uses the spec's uniform single-site norm, matching the
-    # infinite-lattice family the window approximates
-    values = {}
-    for x in window:
-        total = 0.0
-        for region in fam.multilocal():
-            if x in region:
-                k = len(region)
-                weight = params.eps * (k - 1) + params.zeta * k * spec.psi_site_norm
-                total += math.exp(weight) * fam.term_norm(region)
-        values[x] = total
-    interior, boundary = 0.0, 0.0
-    for x in window:
-        if _is_interior(spec, window, x):
-            interior = max(interior, values[x])
-        else:
-            boundary = max(boundary, values[x])
-    return WindowNorms(interior=interior, boundary=boundary, per_site=values)
+    """Per-site sums of the motif translates inside ``window``.
 
-
-def _is_interior(spec: TIInteractionSpec, window: Region, x: Site) -> bool:
+    Each motif's weighted term norm is computed once (motifs must carry
+    operators) and added at x once per anchor whose translate onto x fits
+    in the window; x is a boundary site when one does not fit.  Motifs whose
+    regions are translates of each other count separately, as in the closed
+    form.  A window of another lattice dimension raises ``ValueError``.
+    """
+    values = []
     for motif in spec.motifs:
-        for anchor in motif.region:
-            # translate placing `anchor` at x
-            v = tuple(c - a for c, a in zip(x, anchor, strict=True))
-            if not motif.translate(v).issubset(window):
-                return False
-    return True
+        norm = operator_norm(motif.coefficient * motif.operator)
+        weight = _weight(len(motif.region), params.eps, params.zeta, spec.psi_site_norm)
+        values.append(weight * norm if norm else 0.0)
+    per_site, interior, boundary = {}, 0.0, 0.0
+    for x in window:
+        total, inside = 0.0, True
+        for motif, value in zip(spec.motifs, values):
+            for anchor in motif.region:
+                v = tuple(c - a for c, a in zip(x, anchor, strict=True))
+                if motif.translate(v).issubset(window):
+                    total += value
+                else:
+                    inside = False
+        per_site[x] = total
+        if inside:
+            interior = max(interior, total)
+        else:
+            boundary = max(boundary, total)
+    return WindowNorms(interior=interior, boundary=boundary, per_site=per_site)

@@ -90,6 +90,12 @@ class FiniteSystem:
         """Single-site Gibbs densities of the system's single-site terms."""
         return ReferenceStates.from_interaction(self.fam, self.gamma, self.beta)
 
+    def evolve(self, a: LocalOperator, t: complex) -> LocalOperator:
+        """e^{itH} A e^{-itH} on the whole lattice, from the cached
+        eigendecomposition of the Hamiltonian (see ``evolve``)."""
+        evolved = _conjugate(embed(a, self.gamma).matrix, self.eigh, t)
+        return LocalOperator(self.gamma, evolved, self.site_dim)
+
 
 def hamiltonian(sys: FiniteSystem, window: Region = None) -> LocalOperator:
     """Sum of all potential terms supported inside the window (default: the
@@ -328,8 +334,7 @@ def kms_residual(sys: FiniteSystem, a: LocalOperator, b: LocalOperator,
     """|omega(A tau_{i beta} B) - omega(B A)| in a state given as in
     ``gibbs_expectation``: zero up to roundoff in the Gibbs state (cyclicity
     of the trace), visibly nonzero in a mismatched one."""
-    evolved = _conjugate(embed(b, sys.gamma).matrix, sys.eigh, 1j * sys.beta)
-    lhs = gibbs_expectation(sys, a @ LocalOperator(sys.gamma, evolved, sys.site_dim), state)
+    lhs = gibbs_expectation(sys, a @ sys.evolve(b, 1j * sys.beta), state)
     rhs = gibbs_expectation(sys, b @ a, state)
     return abs(lhs - rhs)
 
@@ -450,7 +455,8 @@ def ks_kernel_haar_mc(sys: FiniteSystem, x: Site, region: Region, time: float,
     d = sys.site_dim
     rng = np.random.default_rng(seed)
     site = Region((x,))
-    damp = _expm_factor(*np.linalg.eigh(sys.fam.psi(x).matrix), -sys.beta)
+    eig = sys.fam.psi_eigh(x)
+    damp = np.eye(d, dtype=complex) if eig is None else _expm_factor(*eig, -sys.beta)
     normalizer = np.trace(damp).real / d
     b = tau_psi(sys.fam.terms[region], sys.fam, 1j * time).matrix
     dressed = embed_matrices(damp, site, region, d)

@@ -45,7 +45,6 @@ from .quantum import (
     FiniteSystem,
     SimplexQuadrature,
     dyson_truncated,
-    evolve,
     kms_residual,
     ks_kernel,
     ks_kernel_haar_mc,
@@ -174,7 +173,7 @@ def run_dyson_suite(seed: int = 0, order: int = 3,
     errors = []
     for t in times:
         approx = dyson_truncated(s3, system, t, order, quad)
-        errors.append(operator_norm(approx - evolve(s3, system.h, t)))
+        errors.append(operator_norm(approx - system.evolve(s3, t)))
     ratio = errors[0] / errors[1] if errors[1] else math.inf
     return [_ge(f"halving_ratio_order_{order}", ratio, min_ratio)]
 

@@ -251,6 +251,16 @@ class TestOverflow:
     def test_heisenberg_huge_coupling_warns_nothing(self, tmp_path, capsys, command):
         self.run(tmp_path, capsys, self.HUGE_J, command)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", ["heisenberg", "ising_staggered", "classical_heisenberg"])
+    def test_huge_beta_without_single_site_part(self, tmp_path, capsys, model):
+        """zeta = 2 beta overflows to inf, but e^{zeta 0} is 1: with no
+        single-site part the zeta-weighted norm is the plain one, not NaN."""
+        doc = self.run(tmp_path, capsys, {"model": model, "beta": 1e308}, "norms")
+        assert doc["zeta"] == "+inf"
+        assert doc["psi_site_norm"] == 0.0
+        assert doc["norm_eps_log3_zeta"] == doc["norm_eps_log3"]
+
 
 def _betas(doc):
     return [doc["beta_u"]] + [c["beta"] for c in doc.get("comparators", {}).values()]
@@ -292,6 +302,20 @@ class TestSmallCoupling:
             tmp_path, capsys, {"model": "heisenberg", "params": {"J": 1e-320}}, command
         )
         assert tiny["eps_star"] == unit["eps_star"]
+        assert set(_betas(tiny)) == {"+inf"}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["beta-u", "compare"])
+    def test_classical_subnormal_coupling(self, tmp_path, capsys, command):
+        """The zeta-coupled optimizer scans a subnormal interaction scaled up,
+        so it keeps the eps* of J = 1 instead of the first grid point."""
+        unit = self.run(tmp_path, capsys, {"model": "classical_heisenberg"}, command)
+        tiny = self.run(
+            tmp_path, capsys,
+            {"model": "classical_heisenberg", "params": {"J": 1e-320}}, command,
+        )
+        for got, want in zip(_eps_stars(tiny), _eps_stars(unit), strict=True):
+            assert got == pytest.approx(want, abs=1e-5)
         assert set(_betas(tiny)) == {"+inf"}
 
 

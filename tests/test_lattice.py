@@ -282,18 +282,6 @@ class TestTISpec:
         with pytest.raises(ValueError):
             Motif(bond.region, -1.0, operator=bond, bond_norm=0.5)
 
-    def test_window_family_matches_direct_builder(self):
-        rep = SpinRep(1)
-        spec = heisenberg_ti(1, 1.3, 0.6, rep)
-        window = box_window([4])
-        fam_spec = spec.window_family(window)
-        fam_direct = build_heisenberg(1.3, 0.6, rep, window)
-        assert set(fam_spec.terms) == set(fam_direct.terms)
-        for reg in fam_spec.terms:
-            assert np.allclose(
-                fam_spec.terms[reg].matrix, fam_direct.terms[reg].matrix
-            )
-
     def test_ising_spec_psi_norm(self):
         spec = ising_staggered_ti(2, 1.0, 3.0, SpinRep(1))
         assert spec.psi_site_norm == pytest.approx(1.5)  # |B| j

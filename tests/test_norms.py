@@ -153,3 +153,41 @@ class TestWindowConsistency:
         spec = heisenberg_ti(nu, 1.0, 1.0, REP)
         with pytest.raises(ValueError):
             window_norms(spec, box_window(extents), NormParams(0.6))
+
+    @pytest.mark.parametrize("extents", [[4], [3, 2], [2, 3, 2]])
+    @pytest.mark.parametrize("model", ["heisenberg", "ising_staggered"])
+    def test_counted_sums_match_instantiated_family(self, extents, model):
+        """Counting motif translates gives the per-site sums of the family
+        built term by term on the window, zeta weight included."""
+        nu, rep, window = len(extents), SpinRep(2), box_window(extents)
+        params = NormParams(0.7, 0.4)
+        if model == "heisenberg":
+            spec = heisenberg_ti(nu, 1.3, 0.6, rep)
+            fam = build_heisenberg(1.3, 0.6, rep, window)
+        else:
+            spec = ising_staggered_ti(nu, -0.9, 1.7, rep)
+            fam = build_ising_staggered(-0.9, 1.7, rep, window)
+        report = window_norms(spec, window, params)
+        oracle = site_norm_profile(fam, params)
+        assert list(report.per_site) == list(window)
+        assert set(oracle) == set(window)
+        for x, value in report.per_site.items():
+            assert value == pytest.approx(oracle[x], rel=1e-12)
+
+    def test_one_eigendecomposition_per_motif(self, monkeypatch):
+        """Every translate carries its motif's term: the window costs one
+        operator norm per motif, not one per translate."""
+        from kmsbounds import lattice
+
+        spec = heisenberg_ti(3, 1.0, 0.5, SpinRep(16))
+        calls = []
+        eigvalsh = lattice.np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(lattice.np.linalg, "eigvalsh", counting)
+        report = window_norms(spec, box_window([4, 4, 4]), NormParams(0.6))
+        assert calls == [(289, 289)] * 3
+        assert report.interior == pytest.approx(norm_eps_zeta(spec, NormParams(0.6)), rel=1e-12)

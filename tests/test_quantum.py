@@ -420,6 +420,33 @@ class TestGibbsState:
         run_ks_suite(0, order=2)
         assert len(calls) <= 2
 
+    def test_dyson_suite_diagonalizes_once(self, monkeypatch):
+        """The exact evolution at each time reads the system's cached
+        eigendecomposition."""
+        from kmsbounds.verify import run_dyson_suite
+
+        calls = []
+        self.counting(monkeypatch, np.linalg, "eigh", calls)
+        assert all(c.passed for c in run_dyson_suite(0))
+        assert len(calls) == 1
+
+    def test_ks_suite_eigendecompositions(self, monkeypatch):
+        """The Haar Monte-Carlo kernel reads the family's cached single-site
+        eigendecomposition instead of diagonalizing the site term again."""
+        from kmsbounds.verify import run_ks_suite
+
+        calls = []
+        self.counting(monkeypatch, np.linalg, "eigh", calls)
+        assert all(c.passed for c in run_ks_suite(0, order=2))
+        assert len(calls) == 5
+
+    def test_system_evolve_matches_evolve(self):
+        system = transverse_system(2, 0.8)
+        a = LocalOperator(Region(((0,),)), rand_hermitian(2), 2)
+        for t in (0.3, 0.5j):
+            expected = evolve(a, system.h, t)
+            assert np.array_equal(system.evolve(a, t).matrix, expected.matrix)
+
     def test_cached_facts_match_fresh_computation(self):
         system = transverse_system(2, 0.8)
         w, v = np.linalg.eigh(hamiltonian(system).matrix)
