@@ -4,7 +4,9 @@ Configurations assign a unit 3-vector to each site; potentials are bounded
 functions of the configuration restricted to their region.  Expectations use
 a product quadrature per site (Gauss-Legendre in cos(theta) crossed with a
 uniform angular rule), normalized so the sphere has measure one.  Rotations
-act on a single marked site by pulling back observables.
+act on a single marked site by pulling back observables.  Sup norms come
+from a grid search, except for potentials that carry a closed form, which
+bypass it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class ClassicalPotential:
     def restrict(self, window: Region, configs: np.ndarray) -> np.ndarray:
         """Evaluate on configurations given over a larger window."""
         idx = [window.index(x) for x in self.region]
+        if idx and idx == list(range(idx[0], idx[-1] + 1)):
+            # a contiguous run of window sites: a view, not a copy
+            return self.fn(configs[..., idx[0] : idx[-1] + 1, :])
         return self.fn(configs[..., idx, :])
 
 
@@ -50,7 +55,7 @@ def heisenberg_bond_potential(x: Site, y: Site, coupling: float, delta: float) -
             + u[..., 2] * w[..., 2]
         )
 
-    return ClassicalPotential(region, fn)
+    return ClassicalPotential(region, fn, sup_norm=abs(coupling) * max(abs(delta), 1.0))
 
 
 def site_field_potential(x: Site, fn_single: Callable) -> ClassicalPotential:
@@ -81,52 +86,44 @@ class SphereGrid:
         return float(self.weights @ values)
 
 
+def _product(*site_vectors: np.ndarray) -> np.ndarray:
+    """Configurations of the Cartesian product of per-site vector lists,
+    first site slowest: shape (n_1 ... n_k, k, 3)."""
+    shape = tuple(len(v) for v in site_vectors)
+    k = len(shape)
+    out = np.empty(shape + (k, 3))
+    for s, v in enumerate(site_vectors):
+        out[..., s, :] = v.reshape((1,) * s + (len(v),) + (1,) * (k - s - 1) + (3,))
+    return out.reshape(math.prod(shape), k, 3)
+
+
 def _window_chunks(grid: SphereGrid, nsites: int):
     """Yield (configs, weights) chunks covering the product grid over the
-    window; the outermost site is chunked to bound memory on three sites."""
-    m = len(grid.weights)
-    if nsites == 0:
-        yield np.zeros((1, 0, 3)), np.ones(1)
+    window; the outermost of three sites is chunked to bound memory."""
+    if nsites > 3:
+        raise ValueError("quadrature windows are limited to three sites")
+    v, w = grid.vectors, grid.weights
+    weights = np.ones(1)
+    for _ in range(min(nsites, 2)):
+        weights = np.outer(weights, w).ravel()
+    if nsites < 3:
+        yield _product(*[v] * nsites), weights
         return
-    if nsites == 1:
-        yield grid.vectors[:, None, :], grid.weights
-        return
-    if nsites == 2:
-        v, w = grid.vectors, grid.weights
-        configs = np.empty((m * m, 2, 3))
-        configs[:, 0, :] = np.repeat(v, m, axis=0)
-        configs[:, 1, :] = np.tile(v, (m, 1))
-        weights = np.repeat(w, m) * np.tile(w, m)
-        yield configs, weights
-        return
-    if nsites == 3:
-        v, w = grid.vectors, grid.weights
-        inner = np.empty((m * m, 2, 3))
-        inner[:, 0, :] = np.repeat(v, m, axis=0)
-        inner[:, 1, :] = np.tile(v, (m, 1))
-        inner_w = np.repeat(w, m) * np.tile(w, m)
-        for i in range(m):
-            configs = np.empty((m * m, 3, 3))
-            configs[:, 0, :] = v[i]
-            configs[:, 1:, :] = inner
-            yield configs, w[i] * inner_w
-        return
-    raise ValueError("quadrature windows are limited to three sites")
+    for i in range(len(w)):
+        yield _product(v[i : i + 1], v, v), w[i] * weights
 
 
-def classical_gibbs_expectation(window: Region, potentials: Sequence[ClassicalPotential],
-                                beta: float, observable: Callable,
-                                grid: SphereGrid = None) -> float:
-    """Quadrature evaluation of the finite-volume Gibbs average
-    int e^{-beta h} a dmu / int e^{-beta h} dmu with h the sum of the given
-    potentials.  ``observable`` takes configs of shape (..., |window|, 3)."""
-    grid = grid or SphereGrid()
+def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
+                    beta: float, observables: Sequence[Callable],
+                    grid: SphereGrid) -> list:
+    """Gibbs averages of several observables from one quadrature pass that
+    shares the energy h of each chunk."""
     for pot in potentials:
         if not pot.region.issubset(window):
             raise ValueError(f"potential on {pot.region} escapes the window")
     # streaming accumulation with a running energy shift so the Boltzmann
     # factors stay bounded regardless of chunk order
-    num, den, shift = 0.0, 0.0, None
+    nums, den, shift = [0.0] * len(observables), 0.0, None
     for configs, weights in _window_chunks(grid, len(window)):
         h = np.zeros(configs.shape[0])
         for pot in potentials:
@@ -136,13 +133,23 @@ def classical_gibbs_expectation(window: Region, potentials: Sequence[ClassicalPo
             shift = local
         elif local < shift:
             rescale = math.exp(-beta * (shift - local))
-            num *= rescale
+            nums = [num * rescale for num in nums]
             den *= rescale
             shift = local
         boltz = weights * np.exp(-beta * (h - shift))
-        num += float(boltz @ np.asarray(observable(configs), dtype=float))
+        nums = [num + float(boltz @ np.asarray(obs(configs), dtype=float))
+                for num, obs in zip(nums, observables)]
         den += float(boltz.sum())
-    return num / den
+    return [num / den for num in nums]
+
+
+def classical_gibbs_expectation(window: Region, potentials: Sequence[ClassicalPotential],
+                                beta: float, observable: Callable,
+                                grid: SphereGrid = None) -> float:
+    """Quadrature evaluation of the finite-volume Gibbs average
+    int e^{-beta h} a dmu / int e^{-beta h} dmu with h the sum of the given
+    potentials.  ``observable`` takes configs of shape (..., |window|, 3)."""
+    return _gibbs_averages(window, potentials, beta, [observable], grid or SphereGrid())[0]
 
 
 def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3) -> float:
@@ -166,60 +173,36 @@ def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3
             [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1
         ).reshape(-1, 3), t.reshape(-1), p.reshape(-1)
 
+    def search(grids):
+        # first argmax of |phi| over the product of the per-site grids,
+        # blocked over the first site; returns it with its angles per site
+        vecs, tfs, pfs = zip(*grids)
+        rest = [len(v) for v in vecs[1:]]
+        block = max(1, (1 << 20) // math.prod(rest))
+        best_val, best = -1.0, None
+        for i0 in range(0, len(vecs[0]), block):
+            left = vecs[0][i0 : i0 + block]
+            vals = np.abs(pot.fn(_product(left, *vecs[1:])))
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val = float(vals[j])
+                first, *others = np.unravel_index(j, (len(left), *rest))
+                best = (first + i0, *others)
+        return best_val, [(tf[i], pf[i]) for tf, pf, i in zip(tfs, pfs, best)]
+
     thetas = (np.arange(coarse) + 0.5) * math.pi / coarse
     phis = 2.0 * math.pi * np.arange(coarse) / coarse
-    vecs, tflat, pflat = directions(thetas, phis)
-    m = len(vecs)
-    if k == 1:
-        vals = np.abs(pot.fn(vecs[:, None, :]))
-        best = int(np.argmax(vals))
-        best_angles = [(tflat[best], pflat[best])]
-        best_val = float(vals[best])
-    else:
-        best_val = -1.0
-        best_angles = None
-        block = max(1, (1 << 20) // m)
-        for i0 in range(0, m, block):
-            left = vecs[i0 : i0 + block]
-            nb = len(left)
-            configs = np.empty((nb * m, 2, 3))
-            configs[:, 0, :] = np.repeat(left, m, axis=0)
-            configs[:, 1, :] = np.tile(vecs, (nb, 1))
-            vals = np.abs(pot.fn(configs))
-            jstar = int(np.argmax(vals))
-            if vals[jstar] > best_val:
-                best_val = float(vals[jstar])
-                bi, bj = divmod(jstar, m)
-                bi += i0
-                best_angles = [(tflat[bi], pflat[bi]), (tflat[bj], pflat[bj])]
+    best_val, best_angles = search([directions(thetas, phis)] * k)
     step_t = math.pi / coarse
     step_p = 2.0 * math.pi / coarse
     for _ in range(rounds):
         step_t /= 2.0
         step_p /= 2.0
-        local = []
-        for (t0, p0) in best_angles:
-            ts = t0 + step_t * np.linspace(-2, 2, 9)
-            ps = p0 + step_p * np.linspace(-2, 2, 9)
-            v, tf, pf = directions(ts, ps)
-            local.append((v, tf, pf))
-        if k == 1:
-            v, tf, pf = local[0]
-            vals = np.abs(pot.fn(v[:, None, :]))
-            b = int(np.argmax(vals))
-            best_val = max(best_val, float(vals[b]))
-            best_angles = [(tf[b], pf[b])]
-        else:
-            (v1, tf1, pf1), (v2, tf2, pf2) = local
-            n1, n2 = len(v1), len(v2)
-            configs = np.empty((n1 * n2, 2, 3))
-            configs[:, 0, :] = np.repeat(v1, n2, axis=0)
-            configs[:, 1, :] = np.tile(v2, (n1, 1))
-            vals = np.abs(pot.fn(configs))
-            b = int(np.argmax(vals))
-            best_val = max(best_val, float(vals[b]))
-            i1, i2 = divmod(b, n2)
-            best_angles = [(tf1[i1], pf1[i1]), (tf2[i2], pf2[i2])]
+        val, best_angles = search([
+            directions(t0 + step_t * np.linspace(-2, 2, 9), p0 + step_p * np.linspace(-2, 2, 9))
+            for t0, p0 in best_angles
+        ])
+        best_val = max(best_val, val)
     return best_val
 
 
@@ -265,12 +248,9 @@ def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential]
     an exact identity for the finite Gibbs state (change of variables), so the
     returned value reflects quadrature error only.
     """
-    grid = grid or SphereGrid()
     r = require_rotation(r)
     xi = window.index(x)
     touching = [p for p in potentials if x in p.region]
-
-    lhs = classical_gibbs_expectation(window, potentials, beta, observable, grid)
 
     def dressed(configs):
         rotated = rotate_site(configs, xi, r)
@@ -279,7 +259,8 @@ def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential]
             exponent += pot.restrict(window, configs) - pot.restrict(window, rotated)
         return np.exp(beta * exponent) * np.asarray(observable(rotated), dtype=float)
 
-    rhs = classical_gibbs_expectation(window, potentials, beta, dressed, grid)
+    lhs, rhs = _gibbs_averages(window, potentials, beta, [observable, dressed],
+                               grid or SphereGrid())
     return abs(lhs - rhs)
 
 

@@ -160,11 +160,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number or constant as a float; NaN, infinities and numbers
+    beyond the float range raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _load_config(path: str) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
+        # ValueError covers malformed JSON and non-finite numbers
         raise CliError(f"cannot read config: {exc}", EXIT_SCHEMA)
     try:
         return ModelConfig.from_dict(raw)

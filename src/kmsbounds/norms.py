@@ -37,14 +37,15 @@ def psi_norm_sum(fam: InteractionFamily, region: Region) -> float:
 
 
 def per_site_norm(fam: InteractionFamily, x: Site, params: NormParams) -> float:
-    """Weighted sum over multilocal terms containing ``x``."""
+    """Weighted sum over multilocal terms containing ``x``; a term of norm 0
+    contributes 0 whatever its weight."""
     total = 0.0
     for region in fam.multilocal():
         if x in region:
-            weight = params.eps * (len(region) - 1)
-            if params.zeta:
-                weight += params.zeta * psi_norm_sum(fam, region)
-            total += math.exp(weight) * fam.term_norm(region)
+            norm = fam.term_norm(region)
+            if norm:
+                psi = psi_norm_sum(fam, region) if params.zeta else 0.0
+                total += _weight(len(region), params.eps, params.zeta, psi) * norm
     return total
 
 
@@ -57,11 +58,11 @@ def _norm_finite(fam: InteractionFamily, eps: float, zeta: float) -> float:
     return max(profile.values()) if profile else 0.0
 
 
-def _weight(k: int, eps: float, zeta: float, psi_site_norm: float) -> float:
-    """e^{eps(k-1) + zeta k ||psi||} for a term on k sites of single-site
-    norm ||psi||; the zeta term is dropped when ||psi|| = 0 (no inf * 0 at
+def _weight(k: int, eps: float, zeta: float, psi: float) -> float:
+    """e^{eps(k-1) + zeta psi} for a term on k sites whose single-site norms
+    sum to psi; the zeta term is dropped when psi = 0 (no inf * 0 at
     zeta = inf), and a weight beyond the float range is +infinity."""
-    exponent = eps * (k - 1) + (zeta * k * psi_site_norm if psi_site_norm else 0.0)
+    exponent = eps * (k - 1) + (zeta * psi if psi else 0.0)
     try:
         return math.exp(exponent)
     except OverflowError:
@@ -71,11 +72,12 @@ def _weight(k: int, eps: float, zeta: float, psi_site_norm: float) -> float:
 def _norm_ti(spec: TIInteractionSpec, eps: float, zeta: float) -> float:
     """Closed-form motif sum: a motif of k sites has k translates containing
     any fixed site, each contributing its weight times its scalar norm.  A
-    motif of norm 0 contributes 0 whatever its weight."""
+    motif of norm 0 contributes 0 whatever its weight.  The single-site sum
+    k ||psi|| enters as (zeta k) ||psi||."""
     total = 0.0
     for k, norm in spec.motif_terms:
         if norm:
-            total += k * _weight(k, eps, zeta, spec.psi_site_norm) * norm
+            total += k * _weight(k, eps, zeta * k, spec.psi_site_norm) * norm
     return total
 
 
@@ -125,7 +127,8 @@ def window_norms(spec: TIInteractionSpec, window: Region, params: NormParams) ->
     values = []
     for motif in spec.motifs:
         norm = operator_norm(motif.coefficient * motif.operator)
-        weight = _weight(len(motif.region), params.eps, params.zeta, spec.psi_site_norm)
+        k = len(motif.region)
+        weight = _weight(k, params.eps, params.zeta * k, spec.psi_site_norm)
         values.append(weight * norm if norm else 0.0)
     per_site, interior, boundary = {}, 0.0, 0.0
     for x in window:

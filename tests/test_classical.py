@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,16 +7,18 @@ import pytest
 from kmsbounds.classical import (
     ClassicalPotential,
     SphereGrid,
+    _window_chunks,
     classical_gibbs_expectation,
     classical_kernel_bound_check,
     classical_supnorm,
     heisenberg_bond_potential,
     invariance_residual,
     random_rotation,
+    rotate_site,
     rotation_about_z,
     site_field_potential,
 )
-from kmsbounds.lattice import Region, box_window
+from kmsbounds.lattice import Region, box_window, classical_heisenberg_ti
 
 GRID = SphereGrid(16)
 W1 = Region(((0,),))
@@ -43,6 +46,19 @@ class TestSphereGrid:
     def test_small_order_rejected(self):
         with pytest.raises(ValueError):
             SphereGrid(1)
+
+
+@pytest.mark.parametrize("nsites", [0, 1, 2, 3])
+def test_window_chunks_cover_product_grid(nsites):
+    grid = SphereGrid(4)
+    m = len(grid.weights)
+    rows, total = 0, 0.0
+    for configs, weights in _window_chunks(grid, nsites):
+        assert configs.shape == (len(weights), nsites, 3)
+        rows += len(weights)
+        total += weights.sum()
+    assert rows == m ** nsites
+    assert total == pytest.approx(1.0, abs=1e-13)
 
 
 class TestGibbsExpectation:
@@ -94,6 +110,12 @@ class TestGibbsExpectation:
             )
 
 
+def _grid_bond(coupling, delta):
+    """The Heisenberg bond without its closed form, so the grid search runs."""
+    bond = heisenberg_bond_potential((0,), (1,), coupling, delta)
+    return dataclasses.replace(bond, sup_norm=None)
+
+
 class TestSupNorm:
     def test_coordinate_function(self):
         pot = site_field_potential((0,), lambda v: v[..., 2])
@@ -103,16 +125,19 @@ class TestSupNorm:
         "coupling,delta", [(1.0, 2.0), (3.0, 0.5), (1.0, 1.0), (0.7, -1.8)]
     )
     def test_heisenberg_bond(self, coupling, delta):
-        pot = heisenberg_bond_potential((0,), (1,), coupling, delta)
-        expected = abs(coupling) * max(abs(delta), 1.0)
-        assert classical_supnorm(pot) == pytest.approx(expected, abs=1e-4)
+        # one closed form for the bond potential and the classical motif
+        # norm, and the grid search finds it
+        closed = heisenberg_bond_potential((0,), (1,), coupling, delta).sup_norm
+        assert closed == abs(coupling) * max(abs(delta), 1.0)
+        assert closed == classical_heisenberg_ti(1, coupling, delta).motifs[0].scalar_norm()
+        assert classical_supnorm(_grid_bond(coupling, delta)) == pytest.approx(closed, abs=1e-4)
 
     def test_dense_grid_oracle(self):
         # the bond is bilinear, phi = -J u^T D v with D = diag(delta, delta, 1),
         # so sup over v at fixed u is J ||D u||; maximize that over a dense
         # 256^2 u-grid that includes the poles
         coupling, delta = 3.0, 0.5
-        pot = heisenberg_bond_potential((0,), (1,), coupling, delta)
+        pot = _grid_bond(coupling, delta)
         thetas = np.linspace(0.0, math.pi, 256)
         phis = 2 * math.pi * np.arange(256) / 256
         t, p = np.meshgrid(thetas, phis, indexing="ij")
@@ -164,6 +189,23 @@ class TestInvariance:
             W2, [], 0.9, self.observable, (0,), rotation_about_z(1.0), GRID
         )
         assert resid < 1e-10
+
+    def test_one_pass_matches_two_expectations(self):
+        # the shared pass gives the same bits as two separate Gibbs averages
+        bond = heisenberg_bond_potential((0,), (1,), 0.8, 1.4)
+        field = site_field_potential((1,), lambda v: 0.3 * v[..., 0])
+        beta, r = 0.9, random_rotation(np.random.default_rng(4))
+
+        def dressed(c):
+            rotated = rotate_site(c, 0, r)
+            exponent = np.zeros(c.shape[0])
+            exponent += bond.restrict(W2, c) - bond.restrict(W2, rotated)
+            return np.exp(beta * exponent) * self.observable(rotated)
+
+        lhs = classical_gibbs_expectation(W2, [bond, field], beta, self.observable, GRID)
+        rhs = classical_gibbs_expectation(W2, [bond, field], beta, dressed, GRID)
+        resid = invariance_residual(W2, [bond, field], beta, self.observable, (0,), r, GRID)
+        assert resid == abs(lhs - rhs)
 
     def test_rejects_non_rotation(self):
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.0)

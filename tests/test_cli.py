@@ -66,6 +66,23 @@ class TestConfig:
     def test_missing_file_exit_code(self, capsys):
         assert main(["beta-u", "--config", "/nonexistent.json"]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("text", [
+        b'{"model": "ising_staggered", "params": {"J": NaN}}',
+        b'{"model": "heisenberg", "eps": Infinity}',
+        b'{"model": "heisenberg", "params": {"J": 1e400}}',
+        b'{"model": "heis\xff"}',
+    ])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, text):
+        # Python's json module accepts non-finite numbers; the config loader
+        # must not, nor fail on bytes that are not UTF-8
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert main(["beta-u", "--config", str(path)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read config: ")
+        assert captured.err.count("\n") == 1
+
     def test_schema_models_match_table(self):
         schema = json.loads(
             resources.files("kmsbounds").joinpath("config_schema.json").read_text()

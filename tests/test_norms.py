@@ -126,6 +126,17 @@ class TestNormEpsZeta:
         spec = ising_staggered_ti(1, 0.0, 1.0, REP)
         assert norm_eps_zeta(spec, NormParams(1.0, 1e4)) == 0.0
 
+    def test_finite_family_without_field_at_infinite_zeta(self):
+        # no single-site term: the zeta term drops out, as in the TI closed form
+        fam = build_heisenberg(1.0, 1.0, REP, box_window([3]))
+        value = norm_eps_zeta(fam, NormParams(1.0, math.inf))
+        assert value == norm_eps_zeta(fam, NormParams(1.0))
+        assert value == pytest.approx(norm_eps_zeta(heisenberg_ti(1, 1.0, 1.0, REP), NormParams(1.0)))
+
+    def test_finite_family_overflowing_weight_is_infinite(self):
+        fam = build_ising_staggered(1.0, 1.0, REP, box_window([3]))
+        assert norm_eps_zeta(fam, NormParams(1.0, 1e308)) == math.inf
+
 
 class TestWindowConsistency:
     def test_interior_matches_closed_form(self):
