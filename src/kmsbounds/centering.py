@@ -161,14 +161,11 @@ class Decomposition:
         return operator_norm(self.reconstruction() - embed(original, self.region))
 
     def centering_residual(self, eta: ReferenceStates) -> float:
-        worst = 0.0
-        for index, op in self.components.items():
-            for x in index:
-                worst = max(
-                    worst,
-                    operator_norm(partial_expectation(op, Region((x,)), eta)),
-                )
-        return worst
+        """max over components A_X and sites x in X of ||eta_x(A_X)||."""
+        return max(
+            (centering_residual(op, eta, index) for index, op in self.components.items()),
+            default=0.0,
+        )
 
     def bound_exponent(self, index: Region) -> int:
         return len(index) - len(index.intersection(self.base))

@@ -1,8 +1,8 @@
 """Batch front-end: read a model config, compute norms and thresholds, run
 verification suites, and emit deterministic JSON or CSV reports.
 
-Exit codes: 0 success, 1 verification failure, 2 config/schema violation,
-3 dimension cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 unreadable or rejected
+config, 3 dimension cap exceeded.
 """
 
 from __future__ import annotations
@@ -10,16 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Callable
-
-import jsonschema
 
 from .bounds import (
     LOG3,
@@ -54,17 +50,6 @@ EXIT_DIMCAP = 3
 _RENAMED = {"J": "coupling", "B": "field_strength"}
 
 
-@functools.cache
-def _schema_validator():
-    """Validator of the config schema, built and checked once per process."""
-    schema = json.loads(
-        resources.files("kmsbounds").joinpath("config_schema.json").read_text()
-    )
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 @dataclass
 class ModelConfig:
     model: str
@@ -90,10 +75,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        # the error jsonschema.validate would raise, without rechecking the schema
-        error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
-        if error is not None:
-            raise error
+        """The config of a parsed JSON document; ValueError names the first
+        key that breaks the rules in ``_CONFIG_KEYS``."""
+        _check_keys(raw, _CONFIG_KEYS, None)
+        if "model" not in raw:
+            raise ValueError("model is required")
         flat = {**raw, **raw.get("params", {}), **raw.get("truncation", {})}
         names = {f.name for f in dataclasses.fields(cls)}
         values = {_RENAMED.get(key, key): value for key, value in flat.items()}
@@ -154,6 +140,66 @@ MODELS = {
 }
 
 
+def _number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _integer(low: int, high: float = math.inf) -> tuple:
+    """Rule for a JSON integer (not a bool, not 1.0) in [low, high]."""
+    wants = f"an integer from {low} to {high}" if high < math.inf else f"an integer >= {low}"
+    return lambda value: type(value) is int and low <= value <= high, wants
+
+
+_SUITE_NAMES = (*SUITES, "all")
+
+#: every config key with its rule: (test of the value, what the value must
+#: be), or the rules of a nested object's keys
+_CONFIG_KEYS = {
+    "model": (lambda v: isinstance(v, str) and v in MODELS, "one of " + ", ".join(MODELS)),
+    "nu": _integer(1, 3),
+    "two_j": _integer(1, 16),
+    "params": {key: (_number, "a finite number") for key in ("J", "delta", "B")},
+    "beta": (lambda v: _number(v) and v > 0, "a finite number > 0"),
+    "eps": (lambda v: v == "auto" or (_number(v) and 0 < v <= 10),
+            '"auto" or a finite number in (0, 10]'),
+    "window": (
+        lambda v: isinstance(v, list) and 1 <= len(v) <= 3
+        and all(type(x) is int and 1 <= x <= 8 for x in v),
+        "a list of 1 to 3 integers from 1 to 8",
+    ),
+    "truncation": {
+        "dyson_order": _integer(1, 4),
+        "ks_order": _integer(2, 3),
+        "quad_points": _integer(2, 32),
+    },
+    "seed": _integer(0),
+    "verify_suites": (
+        lambda v: isinstance(v, list) and all(isinstance(s, str) and s in _SUITE_NAMES for s in v),
+        "a list of suite names from " + ", ".join(_SUITE_NAMES),
+    ),
+}
+
+
+def _check_keys(doc, rules: dict, where) -> None:
+    """Raise ValueError naming the first key of ``doc`` that breaks ``rules``
+    (``where`` names the nested object, None at the top level)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where or 'the config'} must be a JSON object")
+    for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
+        rule = rules.get(key)
+        if rule is None:
+            raise ValueError(f"unknown key {name!r}")
+        if isinstance(rule, dict):
+            _check_keys(value, rule, name)
+        elif not rule[0](value):
+            raise ValueError(f"{name} must be {rule[1]}")
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -178,8 +224,6 @@ def _load_config(path: str) -> ModelConfig:
         raise CliError(f"cannot read config: {exc}", EXIT_SCHEMA)
     try:
         return ModelConfig.from_dict(raw)
-    except jsonschema.ValidationError as exc:
-        raise CliError(f"config rejected: {exc.message}", EXIT_SCHEMA)
     except ValueError as exc:
         raise CliError(f"config rejected: {exc}", EXIT_SCHEMA)
 
@@ -365,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--suite",
                 default="all",
-                choices=[*SUITES, "all"],
+                choices=_SUITE_NAMES,
                 help="which verification suite to run",
             )
     return parser

@@ -29,10 +29,6 @@ class DimensionCapError(ValueError):
     """Raised when a dense matrix would exceed the configured dimension cap."""
 
 
-def site(*coords: int) -> Site:
-    return tuple(int(c) for c in coords)
-
-
 @dataclass(frozen=True)
 class Region:
     """Finite set of lattice sites, kept sorted and duplicate-free."""
@@ -337,11 +333,6 @@ class InteractionFamily:
     def psi(self, x: Site) -> LocalOperator:
         reg = Region((tuple(x),))
         return self.terms.get(reg, LocalOperator.zero(reg, self.site_dim))
-
-    def phibar(self, region: Region) -> LocalOperator:
-        if len(region) < 2:
-            return LocalOperator.zero(region, self.site_dim)
-        return self.terms.get(region, LocalOperator.zero(region, self.site_dim))
 
     def multilocal(self) -> dict:
         return {r: op for r, op in self.terms.items() if len(r) >= 2}

@@ -60,9 +60,10 @@ def _norm_finite(fam: InteractionFamily, eps: float, zeta: float) -> float:
 
 def _weight(k: int, eps: float, zeta: float, psi: float) -> float:
     """e^{eps(k-1) + zeta psi} for a term on k sites whose single-site norms
-    sum to psi; the zeta term is dropped when psi = 0 (no inf * 0 at
-    zeta = inf), and a weight beyond the float range is +infinity."""
-    exponent = eps * (k - 1) + (zeta * psi if psi else 0.0)
+    sum to psi; the zeta term is dropped when zeta or psi is 0 (no inf * 0
+    at zeta = inf or psi = inf), and a weight beyond the float range is
+    +infinity."""
+    exponent = eps * (k - 1) + (zeta * psi if zeta and psi else 0.0)
     try:
         return math.exp(exponent)
     except OverflowError:

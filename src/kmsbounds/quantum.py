@@ -238,14 +238,20 @@ class SimplexQuadrature:
 def _chains(regions: Sequence[Region], n: int, grown: Region):
     """Depth-first over ``regions`` in their given order: every tuple of ``n``
     regions whose first meets ``grown`` and whose each next one meets the
-    union of ``grown`` with the earlier ones."""
-    if n == 0:
-        yield ()
-        return
-    for region in regions:
-        if len(region.intersection(grown)) > 0:
-            for rest in _chains(regions, n - 1, grown.union(region)):
-                yield (region,) + rest
+    union of ``grown`` with the earlier ones.  The walk grows a frozenset of
+    sites, not a ``Region``."""
+    site_sets = [frozenset(region.sites) for region in regions]
+
+    def walk(n: int, grown: frozenset):
+        if n == 0:
+            yield ()
+            return
+        for region, sites in zip(regions, site_sets):
+            if not sites.isdisjoint(grown):
+                for rest in walk(n - 1, grown | sites):
+                    yield (region,) + rest
+
+    return walk(n, frozenset(grown.sites))
 
 
 def constrained_chains(fam: InteractionFamily, n: int, start: Region) -> list:

@@ -4,16 +4,19 @@ import os
 import pathlib
 import subprocess
 import sys
-from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kmsbounds
 from kmsbounds.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     MODELS,
+    SUITES,
     ModelConfig,
+    build_parser,
     cmd_beta_u,
     cmd_compare,
     cmd_norms,
@@ -84,10 +87,19 @@ class TestConfig:
         assert captured.err.count("\n") == 1
 
     def test_schema_models_match_table(self):
-        schema = json.loads(
-            resources.files("kmsbounds").joinpath("config_schema.json").read_text()
-        )
-        assert set(schema["properties"]["model"]["enum"]) == set(MODELS)
+        """The config accepts exactly the models of ``MODELS`` and the suite
+        names of ``SUITES`` plus "all", the names ``verify --suite`` takes."""
+        for model in MODELS:
+            assert ModelConfig.from_dict({"model": model}).model == model
+        names = [*SUITES, "all"]
+        config = ModelConfig.from_dict({"model": "heisenberg", "verify_suites": names})
+        assert config.verify_suites == names
+        for name in names:
+            argv = ["verify", "--config", "config.json", "--suite", name]
+            assert build_parser().parse_args(argv).suite == name
+        for bad in ({"model": "Heisenberg"}, {"model": "heisenberg", "verify_suites": ["ALL"]}):
+            with pytest.raises(ValueError):
+                ModelConfig.from_dict(bad)
 
     @pytest.mark.parametrize("truncation", [{"ks_order": 1}, {"dyson_order": 0}])
     def test_truncation_below_minimum_rejected(self, tmp_path, capsys, truncation):
@@ -95,8 +107,8 @@ class TestConfig:
         assert main(["verify", "--config", path, "--suite", "lemma1"]) == EXIT_SCHEMA
 
     def test_schema_messages_match_fresh_process(self, tmp_path, capsys):
-        """The schema validator built once per process reports the same
-        errors as a fresh interpreter, for every config it rejects."""
+        """The config checks report the same errors in this process as in a
+        fresh interpreter, for every config they reject."""
         bad = [{"model": "nonsense"}, {**HEISENBERG, "params": {"J": "strong"}}]
         paths = [write_config(tmp_path, doc, f"bad{i}.json") for i, doc in enumerate(bad)]
         in_process = []
@@ -115,6 +127,186 @@ class TestConfig:
             fresh.append(proc.stderr)
         assert in_process == fresh
         assert all(message.startswith("error: config rejected: ") for message in fresh)
+
+
+#: (key, least, greatest) of every integer key; None: no greatest
+_INTEGER_KEYS = [
+    ("nu", 1, 3),
+    ("two_j", 1, 16),
+    ("seed", 0, None),
+    ("truncation.dyson_order", 1, 4),
+    ("truncation.ks_order", 2, 3),
+    ("truncation.quad_points", 2, 32),
+]
+
+
+def _rule_cases():
+    """(key, value, accepted) for every config key: values at and past each
+    bound, and values of the wrong type."""
+    cases = []
+    for key, low, high in _INTEGER_KEYS:
+        cases += [(key, low, True), (key, low - 1, False), (key, True, False),
+                  (key, float(low), False), (key, str(low), False), (key, None, False)]
+        if high is None:
+            cases.append((key, 10 ** 30, True))
+        else:
+            cases += [(key, high, True), (key, high + 1, False), (key, float(high), False)]
+    for key in ("params.J", "params.delta", "params.B"):
+        cases += [(key, 1, True), (key, -2.5, True), (key, 1e308, True), (key, 0, True),
+                  (key, True, False), (key, "1", False), (key, None, False), (key, [1], False),
+                  (key, 10 ** 400, False)]
+    cases += [
+        ("beta", 5e-324, True), ("beta", 1000, True), ("beta", 0, False), ("beta", -1.0, False),
+        ("beta", True, False), ("beta", "1", False), ("beta", 10 ** 400, False),
+        ("eps", "auto", True), ("eps", 10, True), ("eps", 1e-300, True), ("eps", 0, False),
+        ("eps", 10.000000000000002, False), ("eps", -1, False), ("eps", True, False),
+        ("eps", "AUTO", False), ("eps", None, False),
+        ("window", [8], True), ("window", [1], True), ("window", [0], False),
+        ("window", [9], False), ("window", [4.0], False), ("window", [True], False),
+        ("window", ["4"], False), ("window", [], False), ("window", [4, 4], False),
+        ("window", [1, 2, 3, 4], False), ("window", 4, False),
+        ("verify_suites", [], True), ("verify_suites", ["all"], True),
+        ("verify_suites", ["ks", "lemma1"], True), ("verify_suites", ["nonsense"], False),
+        ("verify_suites", "all", False), ("verify_suites", [1], False),
+        ("model", "nonsense", False), ("model", ["heisenberg"], False),
+        ("model", {"name": "heisenberg"}, False), ("model", None, False),
+        ("params", {}, True), ("params", [], False), ("params", "J", False),
+        ("truncation", {}, True), ("truncation", [], False), ("truncation", 3, False),
+        ("unknown", 1, False), ("params.K", 1.0, False), ("truncation.order", 2, False),
+    ]
+    return cases
+
+
+def _with_key(key, value):
+    doc = {"model": "heisenberg"}
+    group, _, sub = key.rpartition(".")
+    if group:
+        doc[group] = {sub: value}
+    else:
+        doc[key] = value
+    return doc
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(10 ** 400)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBERS = st.integers() | st.floats() | st.just(10 ** 400)
+
+
+def _integers(low, high):
+    """Integers from ``low`` to ``high``, some of them as floats (2.0)."""
+    return st.integers(low, high) | st.integers(low, high).map(float)
+
+
+def _near(values):
+    """Values of one key: mostly from around its valid domain, else any JSON
+    value."""
+    return st.one_of(values, values, values, _JSON)
+
+
+#: documents shaped like configs, with values in and out of every rule, or
+#: any JSON value
+_DOCUMENTS = _JSON | st.fixed_dictionaries(
+    {"model": _near(st.sampled_from([*MODELS]))},
+    optional={
+        "nu": _near(_integers(0, 4)),
+        "two_j": _near(_integers(0, 17)),
+        "params": _near(st.dictionaries(
+            st.sampled_from(["J", "delta", "B", "K"]), _near(_NUMBERS), max_size=3,
+        )),
+        "beta": _near(_NUMBERS),
+        "eps": _near(_NUMBERS | st.just("auto")),
+        "window": _near(st.lists(_integers(0, 9), max_size=4)),
+        "truncation": _near(st.dictionaries(
+            st.sampled_from(["dyson_order", "ks_order", "quad_points", "order"]),
+            _near(_integers(0, 33)), max_size=3,
+        )),
+        "seed": _near(_integers(-1, 2 ** 70)),
+        "verify_suites": _near(st.lists(st.sampled_from([*SUITES, "all", "none"]), max_size=3)),
+    },
+)
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize(
+        "key, value, accepted",
+        [pytest.param(*case, id=f"{case[0]}={case[1]!r:.24}") for case in _rule_cases()],
+    )
+    def test_key_rule(self, key, value, accepted):
+        doc = _with_key(key, value)
+        if accepted:
+            config = ModelConfig.from_dict(doc)
+            field = key.rpartition(".")[2]
+            if not isinstance(value, dict):  # an empty group sets no field
+                name = {"J": "coupling", "B": "field_strength"}.get(field, field)
+                assert getattr(config, name) == value
+        else:
+            with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+                ModelConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, reason", [
+        ({"nu": 2}, "model is required"),
+        ([{"model": "heisenberg"}], "the config must be a JSON object"),
+        ("heisenberg", "the config must be a JSON object"),
+        (None, "the config must be a JSON object"),
+    ])
+    def test_document_rule(self, doc, reason):
+        with pytest.raises(ValueError, match=reason):
+            ModelConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("command, text", [
+        ("norms", '{"model": "heisenberg", "nu": 1.0}'),
+        ("beta-u", '{"model": "heisenberg", "nu": 1.0}'),
+        ("beta-u", '{"model": "heisenberg", "two_j": 2.0}'),
+        ("verify", '{"model": "heisenberg", "seed": 3.0}'),
+        ("verify", '{"model": "heisenberg", "seed": 1e308}'),
+        ("verify", '{"model": "heisenberg", "truncation": {"quad_points": 4.0}}'),
+        ("verify", '{"model": "heisenberg", "truncation": {"dyson_order": 2.0}}'),
+        ("norms", '{"model": "heisenberg", "window": [4.0]}'),
+        ("beta-u", '{"model": "heisenberg", "params": {"J": 1' + "0" * 400 + "}}"),
+        ("beta-u", '{"model": ["heisenberg"]}'),
+    ])
+    def test_rejected_with_one_line(self, tmp_path, capsys, command, text):
+        """Configs that once passed the checks and then ended in tracebacks
+        (or, for the float window, printed "extents": [4.0])."""
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        suite = {"verify": ["--suite", "kms"]}.get(command, [])
+        assert main([command, "--config", str(path), *suite]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config rejected: ")
+        assert captured.err.count("\n") == 1
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_document_loads_or_raises_value_error(self, doc):
+        """Integer fields of a loaded config are ints and its number fields
+        finite; any other document raises ValueError, never another error."""
+        try:
+            config = ModelConfig.from_dict(doc)
+        except ValueError:
+            return
+        integers = [config.nu, config.two_j, config.dyson_order, config.ks_order,
+                    config.quad_points, config.seed, *config.window]
+        assert all(type(value) is int for value in integers)
+        numbers = [config.coupling, config.delta, config.field_strength, config.beta]
+        if config.eps != "auto":
+            numbers.append(config.eps)
+        assert all(not isinstance(value, bool) and math.isfinite(value) for value in numbers)
+
+    def test_import_leaves_jsonschema_out(self):
+        src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kmsbounds.cli; print('jsonschema' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout == "False\n"
 
 
 class TestNorms:
@@ -277,6 +469,23 @@ class TestOverflow:
         assert doc["zeta"] == "+inf"
         assert doc["psi_site_norm"] == 0.0
         assert doc["norm_eps_log3_zeta"] == doc["norm_eps_log3"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, config", [
+        ("norms", {"model": "ising_staggered", "nu": 1, "two_j": 16, "beta": 7.0,
+                   "params": {"B": -1.7e308}}),
+        ("beta-u", {"model": "ising_staggered", "nu": 3, "two_j": 3, "eps": 1.0,
+                    "params": {"B": 1.7e308}}),
+    ])
+    def test_single_site_norm_past_float_range(self, tmp_path, capsys, command, config):
+        """||psi|| = inf: where zeta = 0 the field drops out (no 0 * inf = NaN),
+        so every value but the zeta-weighted norm is the field-free one."""
+        doc = self.run(tmp_path, capsys, config, command)
+        field_free = self.run(tmp_path, capsys, {**config, "params": {}}, command)
+        if command == "norms":
+            assert doc.pop("psi_site_norm") == doc.pop("norm_eps_log3_zeta") == "+inf"
+            del field_free["psi_site_norm"], field_free["norm_eps_log3_zeta"]
+        assert doc == field_free
 
 
 def _betas(doc):

@@ -44,7 +44,7 @@ CONFIGS = {
     "heisenberg-2j4": {
         "model": "heisenberg", "two_j": 4, "window": [5], "params": {"J": 2.0, "delta": 0.5},
     },
-    # the largest schema-valid spin in the largest dimension
+    # the largest accepted spin in the largest dimension
     "heisenberg-nu3-2j16": {"model": "heisenberg", "nu": 3, "two_j": 16},
     "heisenberg-zero": {"model": "heisenberg", "params": {"J": 0.0}},
     "heisenberg-zero-fixed": {"model": "heisenberg", "eps": 0.5, "params": {"J": 0.0}},
