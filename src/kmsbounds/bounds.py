@@ -10,6 +10,13 @@ divergent, which makes bracketing + bisection unconditionally safe.  When the
 multilocal part commutes with the single-site part the zeta-weight drops and
 beta_u is available in closed form.  Classical spin systems have the simpler
 threshold 1 / (3 ||phi_bar||_{log 3}).
+
+The weighted norm is evaluated once per eps, not once per bisection step,
+whenever the interaction has no single-site part: every weight then drops
+its zeta term, so the norm at zeta = 2 beta is the norm at zeta = 0 for
+every beta, the same float.  ``beta_u_general`` bisects on beta times that
+float, bit for bit the values of a fresh evaluation at each step; this is
+the case of every classical Heisenberg spec.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lattice import InteractionFamily, SpinRep, TIInteractionSpec, operator_norm
-from .norms import NormParams, norm_eps_zeta, norm_function
+from .norms import NormParams, norm_eps_zeta, norm_function, zeta_free
 
 LOG3 = math.log(3.0)
 
@@ -88,15 +95,25 @@ def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
     Returns +infinity when there is no multilocal interaction or the root
     lies beyond the float range.  Bracketing by doubling, then bisection to
     absolute tolerance ``tol`` or to adjacent floats, whichever comes first.
+
+    The norm at zeta = 0 is evaluated once: it decides the zero-norm case,
+    and without a single-site part (``zeta_free``) it is the norm at every
+    zeta, because the weights then drop their zeta term.  The bisection then
+    runs on beta times that one float, which is bit for bit the value a
+    fresh evaluation at each step would give.
     """
     tgt = target_fn(eps)
-    if norm_eps_zeta(interaction, NormParams(eps + LOG3)) == 0.0:
-        return math.inf
-    # eps + log 3 passed the check above and the bracket keeps beta >= 0
+    # eps > 0 passed target_fn and the bracket keeps beta >= 0
     norm_at = norm_function(interaction)
-
-    def g(beta: float) -> float:
-        return beta * norm_at(eps + LOG3, 2.0 * beta) - tgt
+    base = norm_at(eps + LOG3, 0.0)
+    if base == 0.0:
+        return math.inf
+    if zeta_free(interaction):
+        def g(beta: float) -> float:
+            return beta * base - tgt
+    else:
+        def g(beta: float) -> float:
+            return beta * norm_at(eps + LOG3, 2.0 * beta) - tgt
 
     hi = 1.0
     # once 2 beta overflows to inf, g can be nan (inf * 0 in the zeta weight)
@@ -179,10 +196,11 @@ def _scaled(interaction, factor: float):
     return replace(interaction, motifs=motifs, psi_site_norm=factor * interaction.psi_site_norm)
 
 
-def _optimized_scan(interaction, threshold) -> EpsBeta:
-    """Maximize ``threshold(interaction, eps)`` over eps, for a threshold
-    inversely proportional to the interaction (its single-site norm scaled
-    along); +infinity when there is no multilocal interaction."""
+def _optimized_scan(interaction, objective_for) -> EpsBeta:
+    """Maximize ``objective_for(interaction)``, a threshold as a function of
+    eps, over eps; the threshold must be inversely proportional to the
+    interaction (its single-site norm scaled along).  +infinity when there
+    is no multilocal interaction."""
     norm = norm_eps_zeta(interaction, NormParams(LOG3 + 0.5))
     if norm == 0.0:
         return EpsBeta(0.5, math.inf)
@@ -192,7 +210,7 @@ def _optimized_scan(interaction, threshold) -> EpsBeta:
     factor = 1.0
     if norm < 1.0 / _TINY_SCALE:
         factor, interaction = _TINY_SCALE, _scaled(interaction, _TINY_SCALE)
-    opt = optimize_eps(functools.partial(threshold, interaction))
+    opt = optimize_eps(objective_for(interaction))
     return EpsBeta(opt.eps_star, opt.value * factor)
 
 
@@ -201,18 +219,25 @@ def beta_u_optimized(interaction) -> EpsBeta:
     eps-dependence is the generic 3 e^eps prefactor (any interaction works:
     the objective is evaluated through the norm)."""
 
-    def objective(scanned, eps):
-        # optimize_eps only evaluates eps > 0
-        norm = norm_function(scanned)(eps + LOG3, 0.0)
-        return target_fn(eps) / norm if norm > 0 else 0.0
+    def objective_for(scanned):
+        norm_at = norm_function(scanned)
 
-    return _optimized_scan(interaction, objective)
+        def objective(eps):
+            # optimize_eps only evaluates eps > 0
+            norm = norm_at(eps + LOG3, 0.0)
+            return target_fn(eps) / norm if norm > 0 else 0.0
+
+        return objective
+
+    return _optimized_scan(interaction, objective_for)
 
 
 def beta_u_general_optimized(interaction) -> EpsBeta:
     """Maximize beta_u over eps with the zeta-coupled norm (eps is fixed first,
     then the equality is solved for beta; the outer scan picks the best eps)."""
-    return _optimized_scan(interaction, functools.partial(beta_u_general, tol=1e-12))
+    return _optimized_scan(
+        interaction, lambda scanned: functools.partial(beta_u_general, scanned, tol=1e-12)
+    )
 
 
 def br_645_beta(rep: SpinRep, bond_strength: float) -> EpsBeta:

@@ -32,6 +32,7 @@ from .bounds import (
 )
 from .lattice import (
     DimensionCapError,
+    FloatRangeError,
     SpinRep,
     box_window,
     classical_heisenberg_ti,
@@ -228,6 +229,15 @@ def _load_config(path: str) -> ModelConfig:
         raise CliError(f"config rejected: {exc}", EXIT_SCHEMA)
 
 
+def _override_seed(config: ModelConfig, seed: int) -> None:
+    """Set ``config.seed`` from ``--seed``, under the config file's rule."""
+    try:
+        _check_keys({"seed": seed}, _CONFIG_KEYS, None)
+    except ValueError as exc:
+        raise CliError(f"config rejected: {exc}", EXIT_SCHEMA)
+    config.seed = seed
+
+
 def cmd_norms(config: ModelConfig) -> dict:
     spec = MODELS[config.model].spec(config)
     eps = config.eps_value()
@@ -420,7 +430,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         if args.seed is not None:
-            config.seed = args.seed
+            _override_seed(config, args.seed)
         if args.command == "norms":
             doc = cmd_norms(config)
         elif args.command == "beta-u":
@@ -434,6 +444,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except FloatRangeError as exc:
+        # the config's numbers are finite, but a term built from them is not
+        print(f"error: config rejected: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMCAP

@@ -29,6 +29,16 @@ class DimensionCapError(ValueError):
     """Raised when a dense matrix would exceed the configured dimension cap."""
 
 
+class FloatRangeError(ValueError):
+    """Raised when an interaction term has entries beyond the float range."""
+
+
+def _require_finite(mat: np.ndarray, what: str) -> None:
+    """Raise FloatRangeError when an entry of ``mat`` is infinite or NaN."""
+    if not np.isfinite(mat).all():
+        raise FloatRangeError(f"{what} has entries beyond the float range")
+
+
 @dataclass(frozen=True)
 class Region:
     """Finite set of lattice sites, kept sorted and duplicate-free."""
@@ -370,10 +380,13 @@ def heisenberg_bond(rep: SpinRep, delta: float, x: Site, y: Site) -> LocalOperat
     s1, s2, s3 = spin_matrices(rep)
     reg = Region.of([x, y])
     acc = LocalOperator.zero(reg, rep.dim)
-    for s, w in ((s1, delta), (s2, delta), (s3, 1.0)):
-        left = LocalOperator(Region((tuple(x),)), s.matrix, rep.dim)
-        right = LocalOperator(Region((tuple(y),)), s.matrix, rep.dim)
-        acc = acc + w * (embed(left, reg) @ embed(right, reg))
+    # a huge delta overflows here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, w in ((s1, delta), (s2, delta), (s3, 1.0)):
+            left = LocalOperator(Region((tuple(x),)), s.matrix, rep.dim)
+            right = LocalOperator(Region((tuple(y),)), s.matrix, rep.dim)
+            acc = acc + w * (embed(left, reg) @ embed(right, reg))
+    _require_finite(acc.matrix, f"the Heisenberg bond at delta = {delta}")
     return acc
 
 
@@ -437,6 +450,11 @@ class Motif:
             raise ValueError("motif coefficient must be finite")
         bond_norm = self.bond_norm
         if self.operator is not None:
+            # the term coefficient x operator, as window norms form it, must
+            # be finite before any eigendecomposition sees it
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = self.operator.matrix * complex(self.coefficient)
+            _require_finite(term, f"the motif term {self.coefficient} x bond")
             bond_norm = operator_norm(self.operator)
             if self.bond_norm is not None and not math.isclose(
                 bond_norm, self.bond_norm, rel_tol=1e-10, abs_tol=1e-12

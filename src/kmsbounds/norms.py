@@ -97,6 +97,15 @@ def norm_function(interaction):
     raise TypeError(f"unsupported interaction type {type(interaction)!r}")
 
 
+def zeta_free(interaction) -> bool:
+    """True when ``interaction`` has no single-site part.  ``_weight`` then
+    drops the zeta term of every weight, so ``norm_function(interaction)``
+    returns the same float for every zeta."""
+    if isinstance(interaction, InteractionFamily):
+        return not any(interaction.term_norm(region) for region in interaction.singletons())
+    return interaction.psi_site_norm == 0
+
+
 def norm_eps_zeta(interaction, params: NormParams) -> float:
     """||interaction||_{eps, zeta}; an empty family has norm 0, not an error."""
     return norm_function(interaction)(params.eps, params.zeta)

@@ -1,15 +1,18 @@
+import functools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from kmsbounds import lattice
+from kmsbounds import bounds, lattice, norms
 from kmsbounds.bounds import (
     LOG3,
     CommutationError,
     beta_u_classical,
     beta_u_commuting,
     beta_u_general,
+    beta_u_general_optimized,
     beta_u_optimized,
     br_645_beta,
     br_646_beta,
@@ -35,7 +38,7 @@ from kmsbounds.lattice import (
     ising_staggered_ti,
     spin_matrices,
 )
-from kmsbounds.norms import NormParams, norm_eps_zeta
+from kmsbounds.norms import NormParams, norm_eps_zeta, norm_function, zeta_free
 
 REP = SpinRep(1)
 
@@ -332,3 +335,94 @@ def test_one_eigendecomposition_per_motif(monkeypatch):
     monkeypatch.setattr(lattice.np.linalg, "eigvalsh", counting)
     beta_u_optimized(heisenberg_ti(3, 1.0, 0.5, SpinRep(16)))
     assert calls == [(289, 289)] * 3
+
+
+def _per_step_beta_u_general(interaction, eps, tol=1e-10):
+    """``beta_u_general`` as it was before the norm was evaluated once per
+    eps: a fresh weighted norm at every bracketing and bisection step."""
+    tgt = target_fn(eps)
+    if norm_eps_zeta(interaction, NormParams(eps + LOG3)) == 0.0:
+        return math.inf
+    norm_at = norm_function(interaction)
+
+    def g(beta):
+        return beta * norm_at(eps + LOG3, 2.0 * beta) - tgt
+
+    hi = 1.0
+    while hi < math.inf and not g(hi) > 0.0:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _oracle_cases():
+    """(interaction, eps): random TI specs with and without a single-site
+    part, the couplings 0, 1e-320 and 1e300, and finite families."""
+    rng = random.Random(9)
+    cases = []
+    for _ in range(120):
+        nu = rng.randint(1, 3)
+        coupling = rng.choice([0.0, 1e-320, 1e300, rng.uniform(-4, 4), 10 ** rng.uniform(-40, 40)])
+        delta = rng.choice([0.0, 1.0, rng.uniform(-3, 3), 10 ** rng.uniform(-5, 5)])
+        eps = rng.uniform(0.01, 10.0)
+        cases.append((classical_heisenberg_ti(nu, coupling, delta), eps))
+        field = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+        cases.append((ising_staggered_ti(nu, rng.uniform(-4, 4), field, REP), eps))
+    window = box_window([3])
+    for eps in (0.05, 0.607, 2.5):
+        cases.append((build_heisenberg(0.8, 1.3, REP, window), eps))
+        cases.append((build_ising_staggered(1.0, 0.7, REP, window), eps))
+    return cases
+
+
+class TestNormOncePerEps:
+    def test_bit_identical_to_per_step_norms(self):
+        for interaction, eps in _oracle_cases():
+            for tol in (1e-10, 1e-12):
+                got = beta_u_general(interaction, eps, tol=tol)
+                assert got == _per_step_beta_u_general(interaction, eps, tol=tol)
+
+    @pytest.mark.parametrize("spec", [
+        classical_heisenberg_ti(2, 1e-320, 1.0),
+        classical_heisenberg_ti(3, 1.0, 1.0),
+        classical_heisenberg_ti(1, -1e300, 2.0),
+        ising_staggered_ti(1, 1.0, 0.5, REP),
+    ])
+    def test_optimized_scan_bit_identical(self, spec):
+        """Same eps* and threshold as a scan of the per-step root, through
+        the 2^512 scaled path at J = 1e-320."""
+        per_step = bounds._optimized_scan(
+            spec, lambda scanned: functools.partial(_per_step_beta_u_general, scanned, tol=1e-12)
+        )
+        assert beta_u_general_optimized(spec) == per_step
+
+    def test_zeta_free(self):
+        window = box_window([3])
+        assert zeta_free(classical_heisenberg_ti(2, 1.0, 1.0))
+        assert zeta_free(ising_staggered_ti(1, 1.0, 0.0, REP))
+        assert not zeta_free(ising_staggered_ti(1, 1.0, 0.5, REP))
+        assert zeta_free(build_heisenberg(1.0, 1.0, REP, window))
+        assert zeta_free(build_ising_staggered(1.0, 0.0, REP, window))
+        assert not zeta_free(build_ising_staggered(1.0, 0.5, REP, window))
+
+    def test_classical_report_sums_one_norm_per_eps(self, monkeypatch):
+        """About one closed-form norm per scanned eps (~1,030 of them); a
+        norm per bisection step made 43,010."""
+        calls = []
+        norm_ti = norms._norm_ti
+
+        def counting(*args):
+            calls.append(args[1:])
+            return norm_ti(*args)
+
+        monkeypatch.setattr(norms, "_norm_ti", counting)
+        classical_report(3, 1.0, 1.0)
+        assert len(calls) <= 1100

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kmsbounds
@@ -22,6 +25,7 @@ from kmsbounds.cli import (
     cmd_norms,
     main,
 )
+from kmsbounds.lattice import FloatRangeError, SpinRep, ising_staggered_ti
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -405,6 +409,16 @@ class TestDeterminism:
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 7
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, seed):
+        """``--seed`` follows the config's rule for ``seed``; a negative one
+        once reached numpy's generator and ended in a traceback."""
+        path = write_config(tmp_path, {"model": "heisenberg"})
+        assert main(["verify", "--config", path, "--suite", "kms", "--seed", seed]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config rejected: seed must be an integer >= 0\n"
+
 
 class TestCsv:
     def test_compare_csv(self, tmp_path, capsys):
@@ -486,6 +500,114 @@ class TestOverflow:
             assert doc.pop("psi_site_norm") == doc.pop("norm_eps_log3_zeta") == "+inf"
             del field_free["psi_site_norm"], field_free["norm_eps_log3_zeta"]
         assert doc == field_free
+
+
+#: configs whose numbers are finite but whose Heisenberg bond, or a motif
+#: term coefficient x bond, is not
+TERMS_PAST_FLOAT_RANGE = [
+    {"model": "heisenberg", "nu": 2, "two_j": 3, "params": {"delta": 1.7e308}},
+    {"model": "heisenberg", "nu": 2, "two_j": 16, "params": {"J": -1e300, "delta": 1e154}},
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["norms", "beta-u", "compare", "report"])
+@pytest.mark.parametrize("config", TERMS_PAST_FLOAT_RANGE)
+def test_term_past_float_range_rejected(tmp_path, capsys, command, config):
+    """Such a term once reached LAPACK (DLASCL lines on stdout, eps* at the
+    first grid point) or raised numpy overflow warnings."""
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", path]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config rejected: ")
+    assert "beyond the float range" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_staggered_ising_term_past_float_range():
+    """The staggered-Ising bond J S3 S3 overflows at J = 1e308, 2j = 16:
+    building its motif raises; the field-independent threshold never
+    builds it."""
+    with pytest.raises(FloatRangeError):
+        ising_staggered_ti(1, 1e308, 0.0, SpinRep(16))
+
+
+#: finite JSON numbers that stress the arithmetic: zeros, subnormals, the
+#: ends of the float range, and large integers
+_EDGE_NUMBERS = st.sampled_from([
+    0, 0.0, -0.0, 1, -1, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 1e-154,
+    1e154, -1e154, 1e300, -1e300, 1.7e308, -1.7976931348623157e308, 10 ** 30,
+])
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-(10 ** 308), 10 ** 308) | _EDGE_NUMBERS)
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308) | st.sampled_from(
+    [5e-324, 1e-300, 1, 1000, 1e308, 1.7976931348623157e308]
+)
+_EPS = st.just("auto") | st.floats(min_value=5e-324, max_value=10.0) | st.sampled_from(
+    [5e-324, 1e-300, 0.607, 10]
+)
+
+
+@st.composite
+def _accepted_configs(draw):
+    """Configs the CLI accepts, over all three models; no verify suites."""
+    nu = draw(st.integers(1, 3))
+    params = st.fixed_dictionaries({}, optional=dict.fromkeys(("J", "delta", "B"), _FINITE))
+    doc = {"model": draw(st.sampled_from(sorted(MODELS))), "nu": nu,
+           "two_j": draw(st.integers(1, 16)), "params": draw(params)}
+    for key, values in (("beta", _POSITIVE), ("eps", _EPS),
+                        ("window", st.lists(st.integers(1, 8), min_size=nu, max_size=nu))):
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    return doc
+
+
+def _strict_numbers(doc):
+    """Every number in ``doc`` is finite; the only other scalars are strings
+    (such as "+inf"), bools and null."""
+    if isinstance(doc, dict):
+        return all(_strict_numbers(value) for value in doc.values())
+    if isinstance(doc, list):
+        return all(_strict_numbers(value) for value in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("error")
+@given(_accepted_configs())
+@settings(max_examples=40, deadline=None)
+@example(TERMS_PAST_FLOAT_RANGE[0])
+@example(TERMS_PAST_FLOAT_RANGE[1])
+@example({"model": "ising_staggered", "nu": 1, "two_j": 16, "params": {"J": 1e308}})
+@example({"model": "classical_heisenberg", "nu": 3, "two_j": 1, "beta": 1e308,
+          "params": {"J": 1e-320, "delta": -1.7e308}})
+def test_threshold_commands_on_accepted_configs(config):
+    """``norms``, ``beta-u``, ``compare`` and ``report`` on any accepted
+    config, with warnings as errors: no exception, an exit code in
+    {0, 2, 3}, strict JSON with finite numbers or "+inf" on success, one
+    stderr line otherwise, and the same bytes on a second run."""
+    ModelConfig.from_dict(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        for command in ("norms", "beta-u", "compare", "report"):
+            code, out, err = first = _run_main([command, "--config", path])
+            assert code in (0, 2, 3)
+            if code == 0:
+                assert err == ""
+                assert _strict_numbers(json.loads(out, parse_constant=_no_bare_constants))
+            else:
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+            assert _run_main([command, "--config", path]) == first
 
 
 def _betas(doc):
