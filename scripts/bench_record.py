@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Record benchmark runs of one or more source trees into a BENCH_*.json file.
 
-    python3 scripts/bench_record.py --out BENCH_N.json --seeds 1 2 3 \\
+    python3 scripts/bench_record.py --out BENCH_N.json \\
         --tree parent=../parent-checkout --tree change=.
 
-For each workload and seed the trees run ``kmsbench/run.py --trace 0`` in
-turn, in the given order at the first seed and reversed at the next, so host
-drift falls on both alike; each tree then runs one ``--trace 1`` pass.  The
-file holds, per tree and workload, every run's end-to-end metrics, their
-medians and interquartile ranges, the per-layer metrics of the traced pass
-and the provenance that ``run.py`` reports.  The benchmark itself lives in ``kmsbench/``; this
-script only runs it and writes down what it prints.
+The workloads, the run length and the command come from ``BENCHMARK.json``
+at the root of this repository.  For each workload and seed (ten by default,
+as many pairs as a claimed gain is judged on) the trees run the command with
+``--trace 0`` in turn, in the given order at the first seed and reversed at
+the next, so host drift falls on both alike; each tree then runs one
+``--trace 1`` pass.  The file holds, per tree and workload, every run's
+end-to-end metrics, their medians and interquartile ranges, the per-layer
+metrics of the traced pass and the provenance that ``run.py`` reports.  The
+benchmark itself lives in ``kmsbench/``; this script only runs it and writes
+down what it prints.
 """
 
 import argparse
@@ -20,14 +23,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("thresholds", "verify-quantum", "verify-classical")
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``kmsbench/run.py`` run in ``tree``: its report and result lines."""
+def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run in ``tree``: its report and result lines."""
     proc = subprocess.run(
-        [sys.executable, "kmsbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     report_line, result_line = proc.stdout.splitlines()[-2:]
@@ -74,25 +77,22 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH",
                         help="a source checkout to run, repeatable")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run, repeatable (default: all three)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     args = parser.parse_args()
     trees = {}
     for item in args.tree:
         label, _, path = item.partition("=")
         trees[label] = Path(path).resolve()
-    doc = {"seconds": args.seconds, "trees": {label: {} for label in trees}}
-    for workload in args.workload or WORKLOADS:
+    doc = {"seconds": BENCHMARK["run_seconds"], "trees": {label: {} for label in trees}}
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
         runs = {label: [] for label in trees}
         for k, seed in enumerate(args.seeds):
             for label, tree in list(trees.items())[::-1 if k % 2 else 1]:
-                runs[label].append(run_bench(tree, workload, seed, args.seconds, 0))
+                runs[label].append(run_bench(tree, workload, seed, 0))
                 wall = runs[label][-1]["result"]["metrics"]["wall_s"]["value"]
                 print(f"{workload} seed {seed} {label}: wall_s {wall:.3f}", file=sys.stderr)
         for label, tree in trees.items():
-            traced = run_bench(tree, workload, args.seeds[0], args.seconds, 1)
+            traced = run_bench(tree, workload, args.seeds[0], 1)
             doc["trees"][label][workload] = summarize(runs[label], traced)
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -196,11 +196,10 @@ def _scaled(interaction, factor: float):
     return replace(interaction, motifs=motifs, psi_site_norm=factor * interaction.psi_site_norm)
 
 
-def _optimized_scan(interaction, objective_for) -> EpsBeta:
-    """Maximize ``objective_for(interaction)``, a threshold as a function of
-    eps, over eps; the threshold must be inversely proportional to the
-    interaction (its single-site norm scaled along).  +infinity when there
-    is no multilocal interaction."""
+def _optimized_scan(interaction, threshold) -> EpsBeta:
+    """Maximize ``threshold(interaction, eps)`` over eps, for a threshold
+    inversely proportional to the interaction (its single-site norm scaled
+    along); +infinity when there is no multilocal interaction."""
     norm = norm_eps_zeta(interaction, NormParams(LOG3 + 0.5))
     if norm == 0.0:
         return EpsBeta(0.5, math.inf)
@@ -210,7 +209,7 @@ def _optimized_scan(interaction, objective_for) -> EpsBeta:
     factor = 1.0
     if norm < 1.0 / _TINY_SCALE:
         factor, interaction = _TINY_SCALE, _scaled(interaction, _TINY_SCALE)
-    opt = optimize_eps(objective_for(interaction))
+    opt = optimize_eps(functools.partial(threshold, interaction))
     return EpsBeta(opt.eps_star, opt.value * factor)
 
 
@@ -219,25 +218,18 @@ def beta_u_optimized(interaction) -> EpsBeta:
     eps-dependence is the generic 3 e^eps prefactor (any interaction works:
     the objective is evaluated through the norm)."""
 
-    def objective_for(scanned):
-        norm_at = norm_function(scanned)
+    def objective(scanned, eps):
+        # optimize_eps only evaluates eps > 0
+        norm = norm_function(scanned)(eps + LOG3, 0.0)
+        return target_fn(eps) / norm if norm > 0 else 0.0
 
-        def objective(eps):
-            # optimize_eps only evaluates eps > 0
-            norm = norm_at(eps + LOG3, 0.0)
-            return target_fn(eps) / norm if norm > 0 else 0.0
-
-        return objective
-
-    return _optimized_scan(interaction, objective_for)
+    return _optimized_scan(interaction, objective)
 
 
 def beta_u_general_optimized(interaction) -> EpsBeta:
     """Maximize beta_u over eps with the zeta-coupled norm (eps is fixed first,
     then the equality is solved for beta; the outer scan picks the best eps)."""
-    return _optimized_scan(
-        interaction, lambda scanned: functools.partial(beta_u_general, scanned, tol=1e-12)
-    )
+    return _optimized_scan(interaction, functools.partial(beta_u_general, tol=1e-12))
 
 
 def br_645_beta(rep: SpinRep, bond_strength: float) -> EpsBeta:

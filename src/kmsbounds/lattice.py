@@ -30,13 +30,7 @@ class DimensionCapError(ValueError):
 
 
 class FloatRangeError(ValueError):
-    """Raised when an interaction term has entries beyond the float range."""
-
-
-def _require_finite(mat: np.ndarray, what: str) -> None:
-    """Raise FloatRangeError when an entry of ``mat`` is infinite or NaN."""
-    if not np.isfinite(mat).all():
-        raise FloatRangeError(f"{what} has entries beyond the float range")
+    """Raised when an interaction term, or its norm, is beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -386,7 +380,10 @@ def heisenberg_bond(rep: SpinRep, delta: float, x: Site, y: Site) -> LocalOperat
             left = LocalOperator(Region((tuple(x),)), s.matrix, rep.dim)
             right = LocalOperator(Region((tuple(y),)), s.matrix, rep.dim)
             acc = acc + w * (embed(left, reg) @ embed(right, reg))
-    _require_finite(acc.matrix, f"the Heisenberg bond at delta = {delta}")
+    if not np.isfinite(acc.matrix).all():
+        raise FloatRangeError(
+            f"the Heisenberg bond at delta = {delta} has entries beyond the float range"
+        )
     return acc
 
 
@@ -430,8 +427,9 @@ class Motif:
     Either a bond operator or a precomputed scalar norm (or both) describes
     the term's strength.  Construction computes the scalar norm
     |coefficient| x bond norm once, taking the bond norm from the operator
-    when there is one (one eigendecomposition), and raises ``ValueError``
-    when a supplied norm disagrees with the operator norm.
+    when there is one (one eigendecomposition).  It raises ``ValueError``
+    when a supplied norm disagrees with the operator norm, and
+    ``FloatRangeError`` when the scalar norm is beyond the float range.
     """
 
     region: Region
@@ -450,11 +448,6 @@ class Motif:
             raise ValueError("motif coefficient must be finite")
         bond_norm = self.bond_norm
         if self.operator is not None:
-            # the term coefficient x operator, as window norms form it, must
-            # be finite before any eigendecomposition sees it
-            with np.errstate(over="ignore", invalid="ignore"):
-                term = self.operator.matrix * complex(self.coefficient)
-            _require_finite(term, f"the motif term {self.coefficient} x bond")
             bond_norm = operator_norm(self.operator)
             if self.bond_norm is not None and not math.isclose(
                 bond_norm, self.bond_norm, rel_tol=1e-10, abs_tol=1e-12
@@ -462,7 +455,13 @@ class Motif:
                 raise ValueError(
                     f"supplied norm {self.bond_norm} != operator norm {bond_norm}"
                 )
-        object.__setattr__(self, "_scalar_norm", abs(self.coefficient) * bond_norm)
+        scalar_norm = abs(self.coefficient) * bond_norm
+        # no entry of the term coefficient x operator exceeds this norm
+        if not math.isfinite(scalar_norm):
+            raise FloatRangeError(
+                f"the motif term {self.coefficient} x bond has a norm beyond the float range"
+            )
+        object.__setattr__(self, "_scalar_norm", scalar_norm)
 
     def scalar_norm(self) -> float:
         """|coefficient| x bond norm, as computed at construction."""

@@ -400,7 +400,7 @@ class TestNormOncePerEps:
         """Same eps* and threshold as a scan of the per-step root, through
         the 2^512 scaled path at J = 1e-320."""
         per_step = bounds._optimized_scan(
-            spec, lambda scanned: functools.partial(_per_step_beta_u_general, scanned, tol=1e-12)
+            spec, functools.partial(_per_step_beta_u_general, tol=1e-12)
         )
         assert beta_u_general_optimized(spec) == per_step
 

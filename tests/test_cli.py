@@ -502,11 +502,13 @@ class TestOverflow:
         assert doc == field_free
 
 
-#: configs whose numbers are finite but whose Heisenberg bond, or a motif
-#: term coefficient x bond, is not
+#: configs whose numbers are finite but whose Heisenberg bond, or a motif's
+#: norm |coefficient| x bond norm, is not
 TERMS_PAST_FLOAT_RANGE = [
     {"model": "heisenberg", "nu": 2, "two_j": 3, "params": {"delta": 1.7e308}},
     {"model": "heisenberg", "nu": 2, "two_j": 16, "params": {"J": -1e300, "delta": 1e154}},
+    {"model": "heisenberg", "two_j": 16, "params": {"J": 2.6e306}},
+    {"model": "classical_heisenberg", "params": {"J": 1e300, "delta": 1e300}},
 ]
 
 
@@ -515,7 +517,8 @@ TERMS_PAST_FLOAT_RANGE = [
 @pytest.mark.parametrize("config", TERMS_PAST_FLOAT_RANGE)
 def test_term_past_float_range_rejected(tmp_path, capsys, command, config):
     """Such a term once reached LAPACK (DLASCL lines on stdout, eps* at the
-    first grid point) or raised numpy overflow warnings."""
+    first grid point), raised numpy overflow warnings or, with an infinite
+    motif norm, gave eps* at the first grid point and a meaningless beta."""
     path = write_config(tmp_path, config)
     assert main([command, "--config", path]) == EXIT_SCHEMA
     captured = capsys.readouterr()
