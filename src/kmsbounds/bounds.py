@@ -17,6 +17,14 @@ its zeta term, so the norm at zeta = 2 beta is the norm at zeta = 0 for
 every beta, the same float.  ``beta_u_general`` bisects on beta times that
 float, bit for bit the values of a fresh evaluation at each step; this is
 the case of every classical Heisenberg spec.
+
+With one float for the norm, the bisection need not start at [0, hi]: the
+predicate fl(beta * norm) <= target is monotone in beta, so the search from
+[0, hi] passes, at each width hi / 2^k, through the one aligned node
+[a, a + w] on which the predicate flips.  ``beta_u_general`` computes that
+node from target / norm at a width w a few halvings above the tolerance,
+checks its two ends and bisects on from there: the same loop from the same
+bracket ends at the same float.  An infinite norm gives the root 0.
 """
 
 from __future__ import annotations
@@ -100,7 +108,18 @@ def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
     and without a single-site part (``zeta_free``) it is the norm at every
     zeta, because the weights then drop their zeta term.  The bisection then
     runs on beta times that one float, which is bit for bit the value a
-    fresh evaluation at each step would give.
+    fresh evaluation at each step would give.  An infinite norm at zeta = 0
+    is infinite at every zeta, and the root is 0.
+
+    On that one float the bisection starts at the node of width w (a power
+    of two in (8 tol, 16 tol]) that holds target / norm, when its ends
+    straddle the root: fl(beta * norm) <= target is monotone in beta, so
+    that node is the one the search from [0, hi] visits at width w, and the
+    search goes on from it to the same float.  The search runs from [0, hi]
+    when the check fails (target / norm rounded across a node boundary),
+    when floats near hi are coarser than tol / 4 (a midpoint on the way
+    down could round onto an end and stop the search early) and when the
+    interaction has a single-site part.
     """
     tgt = target_fn(eps)
     # eps > 0 passed target_fn and the bracket keeps beta >= 0
@@ -108,7 +127,11 @@ def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
     base = norm_at(eps + LOG3, 0.0)
     if base == 0.0:
         return math.inf
-    if zeta_free(interaction):
+    if base == math.inf:
+        # the norm only grows with zeta, so the root of beta * inf = tgt is 0
+        return 0.0
+    fixed = zeta_free(interaction)
+    if fixed:
         def g(beta: float) -> float:
             return beta * base - tgt
     else:
@@ -120,6 +143,11 @@ def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
     while hi < math.inf and not g(hi) > 0.0:
         hi *= 2.0
     lo = 0.0
+    w = math.ldexp(1.0, math.frexp(tol)[1] + 3)
+    if fixed and 4.0 * math.ulp(hi) <= tol < w < hi:
+        a = (tgt / base) // w * w
+        if g(a) <= 0.0 < g(a + w):
+            lo, hi = a, a + w
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -365,7 +365,9 @@ def _per_step_beta_u_general(interaction, eps, tol=1e-10):
 
 def _oracle_cases():
     """(interaction, eps): random TI specs with and without a single-site
-    part, the couplings 0, 1e-320 and 1e300, and finite families."""
+    part, the couplings 0, 1e-320 and 1e300, finite families, and classical
+    roots from 2^8 to 2^18, across the size where floats near the root
+    become coarser than either tolerance (2^11 at 1e-12, 2^17 at 1e-10)."""
     rng = random.Random(9)
     cases = []
     for _ in range(120):
@@ -376,6 +378,11 @@ def _oracle_cases():
         cases.append((classical_heisenberg_ti(nu, coupling, delta), eps))
         field = rng.choice([0.0, rng.uniform(0.0, 3.0)])
         cases.append((ising_staggered_ti(nu, rng.uniform(-4, 4), field, REP), eps))
+    unit = norm_eps_zeta(classical_heisenberg_ti(1, 1.0, 1.0), NormParams(0.607 + LOG3))
+    for _ in range(60):
+        root = 2.0 ** rng.uniform(8.0, 18.0)
+        coupling = target_fn(0.607) / (unit * root)
+        cases.append((classical_heisenberg_ti(1, coupling, 1.0), 0.607))
     window = box_window([3])
     for eps in (0.05, 0.607, 2.5):
         cases.append((build_heisenberg(0.8, 1.3, REP, window), eps))
@@ -383,12 +390,55 @@ def _oracle_cases():
     return cases
 
 
+def _count_products(monkeypatch, spec, eps, tol):
+    """``beta_u_general(spec, eps, tol)`` and how many products beta * norm
+    it forms, counted on a float subclass returned by the closed-form norm."""
+    products = []
+
+    class Counted(float):
+        def __rmul__(self, beta):
+            products.append(beta)
+            return beta * float(self)
+
+    norm_ti = norms._norm_ti
+    monkeypatch.setattr(norms, "_norm_ti", lambda *args: Counted(norm_ti(*args)))
+    return beta_u_general(spec, eps, tol=tol), len(products)
+
+
 class TestNormOncePerEps:
     def test_bit_identical_to_per_step_norms(self):
+        """The per-step reference bisects an infinite norm down to ~tol / 2;
+        the root of beta * inf = target is 0."""
         for interaction, eps in _oracle_cases():
+            infinite = norm_function(interaction)(eps + LOG3, 0.0) == math.inf
             for tol in (1e-10, 1e-12):
                 got = beta_u_general(interaction, eps, tol=tol)
-                assert got == _per_step_beta_u_general(interaction, eps, tol=tol)
+                if infinite:
+                    assert got == 0.0
+                else:
+                    assert got == _per_step_beta_u_general(interaction, eps, tol=tol)
+
+    def test_bisection_starts_near_the_root(self, monkeypatch):
+        """One product to bracket, two to check the node of width ~16 tol and
+        four halvings to tol; the search from [0, 1] formed 41."""
+        spec = classical_heisenberg_ti(3, 1.0, 1.0)
+        got, products = _count_products(monkeypatch, spec, 0.607, 1e-12)
+        assert products <= 12
+        assert got == _per_step_beta_u_general(spec, 0.607, tol=1e-12)
+
+    @pytest.mark.parametrize("spec, eps", [
+        # target / norm rounds one float below a multiple of the node width,
+        # so the node below it is checked and rejected
+        (classical_heisenberg_ti(3, float.fromhex("0x1.79c58fea4aabep-4"), 1.0), 0.649),
+        # the root ~2^14 lies where floats are coarser than tol
+        (classical_heisenberg_ti(1, 2e-7, 1.0), 0.607),
+        # a single-site part, however small, keeps the norm at each step
+        (ising_staggered_ti(1, 1.0, 1e-20, REP), 0.607),
+    ])
+    def test_full_search_when_the_node_is_not_taken(self, monkeypatch, spec, eps):
+        got, products = _count_products(monkeypatch, spec, eps, 1e-12)
+        assert products > 40
+        assert got == _per_step_beta_u_general(spec, eps, tol=1e-12)
 
     @pytest.mark.parametrize("spec", [
         classical_heisenberg_ti(2, 1e-320, 1.0),

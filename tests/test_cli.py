@@ -475,6 +475,18 @@ class TestOverflow:
         self.run(tmp_path, capsys, self.HUGE_J, command)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["beta-u", "compare", "report"])
+    def test_classical_weighted_norm_past_float_range(self, tmp_path, capsys, command):
+        """Every motif norm is finite but the weighted norm is not: the
+        combined threshold is 0 (was ~tol / 2), as beta_u is."""
+        config = {"model": "classical_heisenberg", "nu": 3, "params": {"J": 1e308}}
+        doc = self.run(tmp_path, capsys, config, command)
+        assert doc["beta_u"] == 0.0
+        if command != "beta-u":
+            assert doc["comparators"]["combined_quantum_classical"]["beta"] == 0.0
+            assert set(doc["ratios"].values()) == {"+inf"}
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("model", ["heisenberg", "ising_staggered", "classical_heisenberg"])
     def test_huge_beta_without_single_site_part(self, tmp_path, capsys, model):
         """zeta = 2 beta overflows to inf, but e^{zeta 0} is 1: with no
