@@ -2,76 +2,11 @@
 lattice systems, plus finite-volume verification of every algebraic
 ingredient behind them: the centered decomposition of local observables,
 interaction-picture (Dyson) expansions, the KMS condition for finite Gibbs
-states, and the Kirkwood-Salzburg-type linear equation."""
+states, and the Kirkwood-Salzburg-type linear equation.
 
-from .lattice import (
-    DIMENSION_CAP,
-    DimensionCapError,
-    InteractionFamily,
-    LocalOperator,
-    Motif,
-    Region,
-    SpinRep,
-    TIInteractionSpec,
-    box_window,
-    build_heisenberg,
-    build_ising_staggered,
-    classical_heisenberg_ti,
-    embed,
-    heisenberg_bond,
-    heisenberg_ti,
-    ising_staggered_ti,
-    operator_norm,
-    spin_matrices,
-)
-from .norms import NormParams, norm_eps_zeta, psi_norm_sum, window_norms
-from .bounds import (
-    BoundReport,
-    EpsBeta,
-    beta_u_classical,
-    beta_u_commuting,
-    beta_u_general,
-    br_645_beta,
-    br_646_beta,
-    classical_report,
-    combined_report,
-    fv_beta,
-    heisenberg_report,
-    ising_report,
-    optimize_eps,
-    target_fn,
-)
-from .centering import (
-    Decomposition,
-    ReferenceStates,
-    decompose_moebius,
-    decompose_recursive,
-    decompose_refined,
-    gibbs_single_site,
-    haar_trace_identity_check,
-    partial_expectation,
-)
-from .quantum import (
-    FiniteSystem,
-    SimplexQuadrature,
-    dyson_truncated,
-    evolve,
-    generator_delta,
-    gibbs_expectation,
-    hamiltonian,
-    kms_residual,
-    ks_kernel,
-    ks_residual,
-    lemma_sum_check,
-)
-from .classical import (
-    ClassicalPotential,
-    SphereGrid,
-    classical_gibbs_expectation,
-    classical_kernel_bound_check,
-    classical_supnorm,
-    heisenberg_bond_potential,
-    invariance_residual,
-)
+The package root exports only ``__version__``; import the modules by name.
+``lattice``, ``norms`` and ``bounds`` compute the thresholds; ``centering``,
+``quantum``, ``classical`` and ``verify`` check their algebra in finite
+volume, and the CLI loads them only to run a suite."""
 
 __version__ = "0.1.0"

@@ -35,7 +35,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import InteractionFamily, SpinRep, TIInteractionSpec, operator_norm
+from .lattice import (
+    InteractionFamily,
+    SpinRep,
+    TIInteractionSpec,
+    classical_heisenberg_ti,
+    heisenberg_ti,
+    operator_norm,
+)
 from .norms import NormParams, norm_eps_zeta, norm_function, zeta_free
 
 LOG3 = math.log(3.0)
@@ -422,8 +429,13 @@ def _with_ratios(report: BoundReport) -> BoundReport:
 
 
 def heisenberg_report(rep: SpinRep, nu: int, coupling: float, delta: float) -> BoundReport:
-    from .lattice import heisenberg_ti
-
+    """Threshold of the quantum Heisenberg model on Z^nu at the optimized
+    eps, against two comparators: Bratteli-Robinson (6.45) on the bond
+    strength 2 nu ||J bond||, and "classical", the threshold
+    beta_u_classical(6 |J| nu max(|delta|, 1)) of the same couplings
+    between unit-length spins.  The classical comparator does not depend on
+    the spin j, so its ratio to ours grows with 2j (1234 at 2j = 16 and
+    delta = 1, for any J != 0 and nu)."""
     spec = heisenberg_ti(nu, coupling, delta, rep)
     ours = beta_u_optimized(spec)
     bond = spec.motifs[0].scalar_norm()
@@ -450,8 +462,6 @@ def ising_report(rep: SpinRep, nu: int, coupling: float) -> BoundReport:
 
 
 def classical_report(nu: int, coupling: float, delta: float) -> BoundReport:
-    from .lattice import classical_heisenberg_ti
-
     spec = classical_heisenberg_ti(nu, coupling, delta)
     combined = combined_report(spec)
     report = BoundReport(

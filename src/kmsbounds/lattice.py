@@ -180,9 +180,6 @@ class LocalOperator:
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         return is_hermitian_matrix(self.matrix, rtol)
 
-    def norm(self) -> float:
-        return operator_norm(self)
-
     def __add__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
         return LocalOperator(a.region, a.matrix + b.matrix, a.site_dim)
@@ -350,12 +347,6 @@ class InteractionFamily:
             out = out.union(r)
         return out
 
-    def scaled_multilocal(self, c: float) -> "InteractionFamily":
-        terms = dict(self.singletons())
-        for r, op in self.multilocal().items():
-            terms[r] = LocalOperator(r, c * op.matrix, self.site_dim)
-        return InteractionFamily(terms, self.site_dim)
-
 
 def graph_distance(x: Site, y: Site) -> int:
     return int(sum(abs(a - b) for a, b in zip(x, y)))
@@ -369,17 +360,22 @@ def _bonds(window: Region):
                 yield x, y
 
 
+def _bond_product(s: np.ndarray, d: int, x: Site, y: Site) -> LocalOperator:
+    """S_x S_y on the bond {x, y} for the single-site matrix ``s``."""
+    reg = Region.of([x, y])
+    left = embed(LocalOperator(Region((tuple(x),)), s, d), reg)
+    right = embed(LocalOperator(Region((tuple(y),)), s, d), reg)
+    return left @ right
+
+
 def heisenberg_bond(rep: SpinRep, delta: float, x: Site, y: Site) -> LocalOperator:
     """delta (S1 S1 + S2 S2) + S3 S3 on the bond {x, y}."""
     s1, s2, s3 = spin_matrices(rep)
-    reg = Region.of([x, y])
-    acc = LocalOperator.zero(reg, rep.dim)
+    acc = LocalOperator.zero(Region.of([x, y]), rep.dim)
     # a huge delta overflows here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for s, w in ((s1, delta), (s2, delta), (s3, 1.0)):
-            left = LocalOperator(Region((tuple(x),)), s.matrix, rep.dim)
-            right = LocalOperator(Region((tuple(y),)), s.matrix, rep.dim)
-            acc = acc + w * (embed(left, reg) @ embed(right, reg))
+            acc = acc + w * _bond_product(s.matrix, rep.dim, x, y)
     if not np.isfinite(acc.matrix).all():
         raise FloatRangeError(
             f"the Heisenberg bond at delta = {delta} has entries beyond the float range"
@@ -408,10 +404,8 @@ def build_ising_staggered(coupling: float, field: float, rep: SpinRep, window: R
     origin = tuple(0 for _ in next(iter(window), (0,)))
     terms = {}
     for x, y in _bonds(window):
-        reg = Region.of([x, y])
-        left = embed(LocalOperator(Region((x,)), s3.matrix, rep.dim), reg)
-        right = embed(LocalOperator(Region((y,)), s3.matrix, rep.dim), reg)
-        terms[reg] = coupling * (left @ right)
+        bond = _bond_product(s3.matrix, rep.dim, x, y)
+        terms[bond.region] = coupling * bond
     if field != 0.0:
         for x in window:
             sign = -1.0 if graph_distance(x, origin) % 2 else 1.0
@@ -521,10 +515,8 @@ def ising_staggered_ti(nu: int, coupling: float, field: float, rep: SpinRep) -> 
     origin = tuple(0 for _ in range(nu))
     motifs = []
     for e in _unit_vectors(nu):
-        reg = Region.of([origin, e])
-        left = embed(LocalOperator(Region((origin,)), s3.matrix, rep.dim), reg)
-        right = embed(LocalOperator(Region((e,)), s3.matrix, rep.dim), reg)
-        motifs.append(Motif(reg, coupling, operator=left @ right))
+        bond = _bond_product(s3.matrix, rep.dim, origin, e)
+        motifs.append(Motif(bond.region, coupling, operator=bond))
     return TIInteractionSpec(nu, tuple(motifs), psi_site_norm=abs(field) * rep.j)
 
 

@@ -97,16 +97,11 @@ class FiniteSystem:
         return LocalOperator(self.gamma, evolved, self.site_dim)
 
 
-def hamiltonian(sys: FiniteSystem, window: Region = None) -> LocalOperator:
-    """Sum of all potential terms supported inside the window (default: the
-    whole lattice), embedded and Hermitian."""
-    window = sys.gamma if window is None else window
-    if not window.issubset(sys.gamma):
-        raise ValueError("window escapes the lattice")
-    acc = LocalOperator.zero(window, sys.site_dim)
-    for region, op in sys.fam.terms.items():
-        if region.issubset(window):
-            acc = acc + embed(op, window)
+def hamiltonian(sys: FiniteSystem) -> LocalOperator:
+    """Sum of all potential terms, embedded in the whole lattice; Hermitian."""
+    acc = LocalOperator.zero(sys.gamma, sys.site_dim)
+    for op in sys.fam.terms.values():
+        acc = acc + embed(op, sys.gamma)
     return acc
 
 

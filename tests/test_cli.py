@@ -17,7 +17,7 @@ from kmsbounds.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     MODELS,
-    SUITES,
+    _SUITE_NAMES,
     ModelConfig,
     build_parser,
     cmd_beta_u,
@@ -26,6 +26,7 @@ from kmsbounds.cli import (
     main,
 )
 from kmsbounds.lattice import FloatRangeError, SpinRep, ising_staggered_ti
+from kmsbounds.verify import SUITES
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -92,9 +93,11 @@ class TestConfig:
 
     def test_schema_models_match_table(self):
         """The config accepts exactly the models of ``MODELS`` and the suite
-        names of ``SUITES`` plus "all", the names ``verify --suite`` takes."""
+        names of ``SUITES`` plus "all", the names ``verify --suite`` takes.
+        The CLI spells the names out; they must stay those of ``SUITES``."""
         for model in MODELS:
             assert ModelConfig.from_dict({"model": model}).model == model
+        assert _SUITE_NAMES == (*SUITES, "all")
         names = [*SUITES, "all"]
         config = ModelConfig.from_dict({"model": "heisenberg", "verify_suites": names})
         assert config.verify_suites == names
@@ -303,14 +306,30 @@ class TestConfigRules:
             numbers.append(config.eps)
         assert all(not isinstance(value, bool) and math.isfinite(value) for value in numbers)
 
-    def test_import_leaves_jsonschema_out(self):
+    def test_import_leaves_jsonschema_out(self, tmp_path):
+        """A fresh interpreter loads neither jsonschema nor the verification
+        stack to import the CLI, nor to run a threshold command on each
+        model (``report`` without ``verify_suites``)."""
         src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
+        paths = [write_config(tmp_path, {"model": m}, f"{m}.json") for m in MODELS]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import kmsbounds.cli as cli\n"
+            "unused = ('jsonschema', 'kmsbounds.verify', 'kmsbounds.quantum',\n"
+            "          'kmsbounds.centering', 'kmsbounds.classical', 'numpy.polynomial')\n"
+            "def loaded(): return [name for name in unused if name in sys.modules]\n"
+            "at_import = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main([command, '--config', path]) for path in sys.argv[1:]\n"
+            "             for command in ('norms', 'beta-u', 'compare', 'report')]\n"
+            "print(json.dumps([at_import, loaded(), codes]))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, kmsbounds.cli; print('jsonschema' in sys.modules)"],
+            [sys.executable, "-c", script, *paths],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert proc.stdout == "False\n"
+        assert json.loads(proc.stdout) == [[], [], [EXIT_OK] * 4 * len(MODELS)]
 
 
 class TestNorms:
@@ -685,10 +704,9 @@ class TestSmallCoupling:
 class TestExitCodes:
     def test_verify_failure_exit_one(self, tmp_path, capsys, monkeypatch):
         from kmsbounds.verify import CheckResult
-        import kmsbounds.cli as cli_mod
 
         monkeypatch.setitem(
-            cli_mod.SUITES, "lemma1", lambda seed=0: [CheckResult("stub", False, 1.0, 0.0)]
+            SUITES, "lemma1", lambda seed=0: [CheckResult("stub", False, 1.0, 0.0)]
         )
         path = write_config(tmp_path, HEISENBERG)
         assert main(["verify", "--config", path, "--suite", "lemma1"]) == 1

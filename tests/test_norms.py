@@ -104,7 +104,7 @@ class TestNormEpsZeta:
     @settings(max_examples=20, deadline=None)
     def test_scaling(self, c):
         fam = build_heisenberg(1.0, 1.0, REP, box_window([3]))
-        scaled = fam.scaled_multilocal(c)
+        scaled = build_heisenberg(c, 1.0, REP, box_window([3]))
         p = NormParams(0.7, 0.2)
         assert norm_eps_zeta(scaled, p) == pytest.approx(
             c * norm_eps_zeta(fam, p), rel=1e-12, abs=1e-300

@@ -94,12 +94,6 @@ class TestHamiltonian:
         )
         assert np.allclose(hamiltonian(system).matrix, expected)
 
-    def test_window_restriction(self):
-        system = heisenberg_system(3, 1.0)
-        sub = hamiltonian(system, box_window([2]))
-        assert sub.region == box_window([2])
-        assert operator_norm(sub) == pytest.approx(0.75)
-
 
 class TestGibbsExpectation:
     def test_identity(self):
