@@ -25,6 +25,25 @@ predicate fl(beta * norm) <= target is monotone in beta, so the search from
 node from target / norm at a width w a few halvings above the tolerance,
 checks its two ends and bisects on from there: the same loop from the same
 bracket ends at the same float.  An infinite norm gives the root 0.
+
+Each threshold is a maximum over eps on the grid 0.01, 0.02, ..., 10, and
+``optimize_eps`` finds the scan's first grid argmax without evaluating the
+whole grid.  Every objective here is log-concave in eps (the proof is in its
+docstring), so its grid values are weakly unimodal: they rise, possibly
+through plateaus, to a peak and then fall.  A ternary search over grid
+indices compares the values at two interior indices and drops the third of
+the range behind the smaller one; a strict comparison never drops the first
+argmax of such a sequence.  Once at most 8 indices remain, the first argmax
+over them and 3 more indices on each side is the scan's.
+
+Only near-ties are unsafe: two values within 16 ulps of the larger one may
+be ordered by rounding alone.  They arise from the rounding of the closed
+forms, from the staircase of a root bisected without a single-site part
+(adjacent grid points share a step when the root is near the tolerance,
+classical J ~ 1e11) and from objectives that are 0 on the whole grid (a
+norm that overflows at every eps).  A near-tie, or any comparison with an
+infinity or a nan, widens the window to the whole grid: the full scan is
+the same code path, and it is logged at DEBUG on the ``kmsbounds`` logger.
 """
 
 from __future__ import annotations
@@ -66,26 +85,72 @@ def target_fn(eps: float) -> float:
 class OptResult:
     eps_star: float
     value: float
-    unimodal: bool
+
+
+#: two objective values closer than this many ulps of the larger one are a
+#: near-tie, which the search over grid indices does not decide
+_TIE_ULPS = 16
 
 
 def optimize_eps(objective, lo: float = 1e-2, hi: float = 10.0,
                  step: float = 1e-2, tol: float = 1e-6) -> OptResult:
-    """Maximize a continuous unimodal objective on (0, hi].
+    """Maximize a log-concave objective on the grid lo, lo + step, ..., hi,
+    then refine by golden section around the grid maximizer.
 
-    Coarse grid scan (guards against non-unimodal surprises) followed by
-    golden-section refinement around the grid maximizer.  A non-unimodal scan
-    returns the global grid maximum with ``unimodal=False``.
+    The result is that of scanning every grid point: the first grid argmax,
+    then the unchanged golden-section step on its two neighbours.  The
+    search finds that argmax from about 25 evaluations at the grid points
+    the scan would pass (see the module docstring).
+
+    Every objective of this module is log-concave in eps, so its exact grid
+    values rise to one peak and then fall.  N(eps, zeta) below is the
+    weighted norm at eps + log 3, a maximum over sites of sums of
+    exponentials e^{eps (k - 1) + zeta psi} with nonnegative coefficients:
+    - target / N(eps, 0): log target = log eps - log(1 + e^eps) is concave,
+      and log N(eps, 0) is a maximum of log-sum-exps of functions affine in
+      eps, so it is convex;
+    - the root with a single-site part: with u = log beta, the function
+      F(eps, u) = u + log N(eps, 2 e^u) - log target(eps) is jointly convex
+      (each exponent eps (k - 1) + 2 psi e^u is convex in (eps, u)) and
+      increasing in u, so {(eps, u) : u <= log beta(eps)} = {F <= 0} is
+      convex and log beta is concave;
+    - the root without a single-site part is target / N(eps, 0), rounded by
+      the bisection to a staircase that is monotone in it;
+    - the comparators eps e^{-eps} / (1 + c e^eps) with c > 0: log eps - eps
+      is concave and log(1 + c e^eps) is convex.
     """
     grid = np.arange(lo, hi + step / 2, step)
-    vals = np.array([objective(x) for x in grid])
-    imax = int(np.argmax(vals))
-    diffs = np.diff(vals)
-    scale = max(abs(float(vals.max())), 1e-300)
-    rises_after_peak = np.any(diffs[imax:] > 1e-12 * scale)
-    falls_before_peak = np.any(diffs[:imax] < -1e-12 * scale)
-    if rises_after_peak or falls_before_peak:
-        return OptResult(float(grid[imax]), float(vals[imax]), unimodal=False)
+    seen = {}
+
+    def value(i: int) -> float:
+        if i not in seen:
+            seen[i] = objective(grid[i])
+        return seen[i]
+
+    left, right = 0, len(grid) - 1
+    while right - left >= 8:
+        third = (right - left) // 3
+        m1, m2 = left + third, right - third
+        f1, f2 = value(m1), value(m2)
+        # also true when either value is an infinity or a nan
+        if not abs(f1 - f2) > _TIE_ULPS * math.ulp(max(abs(f1), abs(f2))):
+            # importing logging adds ~0.5 MB to the resident set of every
+            # threshold command; only a scan that falls back needs it
+            import logging
+
+            logging.getLogger("kmsbounds").debug(
+                "eps scan falls back to the full grid: objective(eps[%d]) = %r "
+                "and objective(eps[%d]) = %r tie within %d ulps",
+                m1, float(f1), m2, float(f2), _TIE_ULPS,
+            )
+            left, right = 0, len(grid) - 1
+            break
+        if f1 < f2:
+            left = m1 + 1
+        else:
+            right = m2 - 1
+    window = range(max(left - 3, 0), min(right + 4, len(grid)))
+    imax = window.start + int(np.argmax([value(i) for i in window]))
     a = float(grid[max(imax - 1, 0)])
     b = float(grid[min(imax + 1, len(grid) - 1)])
     x1 = b - _INVPHI * (b - a)
@@ -101,7 +166,7 @@ def optimize_eps(objective, lo: float = 1e-2, hi: float = 10.0,
             x1 = b - _INVPHI * (b - a)
             f1 = objective(x1)
     xs = 0.5 * (a + b)
-    return OptResult(xs, float(objective(xs)), unimodal=True)
+    return OptResult(xs, float(objective(xs)))
 
 
 def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:

@@ -58,11 +58,6 @@ def heisenberg_bond_potential(x: Site, y: Site, coupling: float, delta: float) -
     return ClassicalPotential(region, fn, sup_norm=abs(coupling) * max(abs(delta), 1.0))
 
 
-def site_field_potential(x: Site, fn_single: Callable) -> ClassicalPotential:
-    region = Region.of([x])
-    return ClassicalPotential(region, lambda v: fn_single(v[..., 0, :]))
-
-
 class SphereGrid:
     """Product quadrature on the unit sphere: Gauss-Legendre of the given
     order in cos(theta) crossed with 2*order uniform azimuthal points; the
@@ -213,11 +208,6 @@ def require_rotation(r: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if np.linalg.norm(r @ r.T - np.eye(3)) > tol or abs(np.linalg.det(r) - 1.0) > tol:
         raise ValueError("matrix is not a rotation")
     return r
-
-
-def rotation_about_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

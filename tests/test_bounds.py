@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 import random
 
@@ -57,10 +58,13 @@ class TestTarget:
             target_fn(-1.0)
 
 
+#: the grid that ``optimize_eps`` searches
+GRID = np.arange(1e-2, 10.0 + 5e-3, 1e-2)
+
+
 class TestOptimizeEps:
     def test_uniqueness_objective_peak(self):
         opt = optimize_eps(uniqueness_objective)
-        assert opt.unimodal
         assert opt.eps_star == pytest.approx(0.607, abs=2e-3)
         assert opt.value == pytest.approx(0.117, abs=1e-3)
 
@@ -70,11 +74,244 @@ class TestOptimizeEps:
         vals = dense * np.exp(-dense) / (1 + np.exp(dense))
         assert abs(opt.eps_star - dense[np.argmax(vals)]) < 1e-4
 
-    def test_non_unimodal_flagged(self):
-        opt = optimize_eps(lambda e: math.sin(3 * e))
-        assert not opt.unimodal
-        # global grid max still returned
-        assert math.sin(3 * opt.eps_star) == pytest.approx(1.0, abs=1e-3)
+    def test_search_evaluates_few_grid_points(self):
+        """About 25 grid points, a few more in the final window and ~22
+        golden-section steps; the full scan made 1,025 calls."""
+        calls = []
+
+        def counted(eps):
+            calls.append(eps)
+            return uniqueness_objective(eps)
+
+        assert optimize_eps(counted) == optimize_eps(uniqueness_objective)
+        assert len(calls) <= 64
+
+    def test_near_tie_scans_every_grid_point_once(self):
+        """J = 1e11 rounds the root to the same float at every grid point:
+        the first comparison ties and the window becomes the whole grid."""
+        calls = []
+        threshold = functools.partial(
+            beta_u_general, classical_heisenberg_ti(1, 1e11, 1.0), tol=1e-12
+        )
+
+        def counted(eps):
+            calls.append(eps)
+            return threshold(eps)
+
+        opt = optimize_eps(counted)
+        assert calls[:2] == [GRID[333], GRID[666]]
+        assert calls[2:len(GRID)] == [x for i, x in enumerate(GRID) if i not in (333, 666)]
+        assert len(calls) - len(GRID) <= 40  # golden section
+        assert opt == _full_scan(threshold)
+
+
+#: a bound on rounding in the second differences of log f on the grid, six
+#: orders below the smallest exact one of the families below (~ -1e-6, at
+#: eps = 10)
+ROUNDING = 1e-12
+
+
+def _second_differences_of_log(values) -> np.ndarray:
+    return np.diff(np.log(np.asarray(values, dtype=float)), 2)
+
+
+def _target_over_norm(interaction, eps):
+    return target_fn(eps) / norm_function(interaction)(eps + LOG3, 0.0)
+
+
+class TestLogConcave:
+    """The search over grid indices relies on each objective being
+    log-concave in eps: second differences of log f on the grid are <= 0
+    up to rounding."""
+
+    def test_comparators(self):
+        rng = random.Random(12)
+        for c in [1.0, 27 / 2, 2 * 2 ** 4, 17 ** 3 / 16, 2 * 17 ** 4] + [
+            10 ** rng.uniform(-3, 8) for _ in range(40)
+        ]:
+            vals = GRID * np.exp(-GRID) / (1 + c * np.exp(GRID))
+            assert _second_differences_of_log(vals).max() <= ROUNDING, c
+
+    def test_target_over_norm(self):
+        rng = random.Random(13)
+        specs = [classical_heisenberg_ti(3, 1e300, 2.0)]
+        for _ in range(30):
+            nu, rep = rng.randint(1, 3), SpinRep(rng.randint(1, 8))
+            coupling = rng.choice([rng.uniform(-4, 4), 10 ** rng.uniform(-12, 16)])
+            delta = rng.uniform(-3, 3)
+            specs.append(heisenberg_ti(nu, coupling, delta, rep))
+            specs.append(classical_heisenberg_ti(nu, coupling, delta))
+        specs.append(build_heisenberg(0.8, 1.3, REP, box_window([3])))
+        for spec in specs:
+            vals = [_target_over_norm(spec, eps) for eps in GRID]
+            assert _second_differences_of_log(vals).max() <= ROUNDING, spec
+
+    def test_root_with_single_site_part(self):
+        """Roots bisected to adjacent floats (tol = 0), so their error is a
+        few ulps."""
+        rng = random.Random(14)
+        specs = [ising_staggered_ti(1, 1.0, 2.0, REP)]
+        for _ in range(3):
+            rep = SpinRep(rng.randint(1, 4))
+            coupling = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3)
+            specs.append(ising_staggered_ti(rng.randint(1, 3), coupling, 10 ** rng.uniform(-2, 1), rep))
+        for spec in specs:
+            vals = [beta_u_general(spec, eps, tol=0.0) for eps in GRID]
+            assert _second_differences_of_log(vals).max() <= ROUNDING, spec
+
+    def test_root_without_single_site_part_is_monotone_in_target_over_norm(self):
+        """Bisected to tol, the root is a staircase, and it never falls
+        where target / norm rises, also where several grid points share a
+        step (J from 1e5 to 1e11)."""
+        for coupling in (1.0, 1e5, 1e8, 1e9, 1e11, 1e13):
+            spec = classical_heisenberg_ti(2, coupling, 1.0)
+            exact = np.array([_target_over_norm(spec, eps) for eps in GRID])
+            roots = np.array([beta_u_general(spec, eps, tol=1e-12) for eps in GRID])
+            assert np.all(np.diff(roots[np.argsort(exact, kind="stable")]) >= 0.0), coupling
+
+
+def _full_scan(objective, lo=1e-2, hi=10.0, step=1e-2, tol=1e-6):
+    """``optimize_eps`` as it was before the search over grid indices: the
+    objective at every grid point, then golden section around the first
+    argmax; a grid that is not unimodal returned its argmax unrefined."""
+    grid = np.arange(lo, hi + step / 2, step)
+    vals = np.array([objective(x) for x in grid])
+    imax = int(np.argmax(vals))
+    diffs = np.diff(vals)
+    scale = max(abs(float(vals.max())), 1e-300)
+    rises_after_peak = np.any(diffs[imax:] > 1e-12 * scale)
+    falls_before_peak = np.any(diffs[:imax] < -1e-12 * scale)
+    if rises_after_peak or falls_before_peak:
+        return bounds.OptResult(float(grid[imax]), float(vals[imax]))
+    a = float(grid[max(imax - 1, 0)])
+    b = float(grid[min(imax + 1, len(grid) - 1)])
+    x1 = b - bounds._INVPHI * (b - a)
+    x2 = a + bounds._INVPHI * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + bounds._INVPHI * (b - a)
+            f2 = objective(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - bounds._INVPHI * (b - a)
+            f1 = objective(x1)
+    xs = 0.5 * (a + b)
+    return bounds.OptResult(xs, float(objective(xs)))
+
+
+def _hex(opt):
+    return float(opt.eps_star).hex(), float(opt.value).hex()
+
+
+@pytest.fixture
+def against_full_scan(monkeypatch):
+    """Every ``optimize_eps`` call in ``bounds`` runs both the search and
+    the full scan on one memo of its objective (so the full scan costs one
+    evaluation per grid point in all); the fixture holds their results as
+    float.hex."""
+    pairs = []
+    search = bounds.optimize_eps
+
+    def both(objective, *args, **kwargs):
+        memo = functools.cache(objective)
+        got = search(memo, *args, **kwargs)
+        pairs.append((_hex(_full_scan(memo, *args, **kwargs)), _hex(got)))
+        return got
+
+    monkeypatch.setattr(bounds, "optimize_eps", both)
+    bounds.uniqueness_optimum.cache_clear()
+    yield pairs
+    bounds.uniqueness_optimum.cache_clear()
+
+
+#: couplings where rounding, the bisection tolerance or the float range
+#: shape the objective
+EXTREME_COUPLINGS = (0.0, 1e-320, 1e-25, 1e-9, 1e11, 1e300, 5e307, 1e308)
+
+
+def _random_coupling(rng):
+    return rng.choice([
+        rng.uniform(-4, 4), 10 ** rng.uniform(-12, 16), 10 ** rng.uniform(5, 16),
+        rng.choice(EXTREME_COUPLINGS),
+    ])
+
+
+class TestSearchMatchesFullScan:
+    """``float.hex`` of eps* and of the value equal the full scan's."""
+
+    def _check(self, pairs, minimum):
+        assert len(pairs) >= minimum
+        mismatched = [(want, got) for want, got in pairs if want != got]
+        assert not mismatched
+
+    def test_comparators(self, against_full_scan):
+        rng = random.Random(21)
+        for _ in range(1000):
+            c = 10 ** rng.uniform(-3, 8)
+            bounds.optimize_eps(lambda eps: eps * math.exp(-eps) / (1.0 + c * math.exp(eps)))
+        for two_j in range(1, 17):
+            br_645_beta(SpinRep(two_j), 10 ** rng.uniform(-5, 5))
+            br_646_beta(SpinRep(two_j), rng.randint(1, 3), rng.uniform(-4, 4) or 1.0)
+        bounds.uniqueness_optimum()
+        self._check(against_full_scan, 1033)
+
+    def test_target_over_norm(self, against_full_scan):
+        """``heisenberg_report``: ours (target / norm) and its comparator."""
+        rng = random.Random(22)
+        for i in range(400):
+            # 2j = 16 takes 20 ms to build its 289 x 289 bond norm
+            rep, nu = SpinRep(rng.randint(1, 16 if i % 40 == 0 else 8)), rng.randint(1, 3)
+            try:
+                heisenberg_report(rep, nu, _random_coupling(rng), rng.choice([1.0, rng.uniform(-3, 3)]))
+            except lattice.FloatRangeError:
+                pass
+        self._check(against_full_scan, 600)
+
+    def test_root_without_single_site_part(self, against_full_scan):
+        """``classical_report``, with J from 1e5 to 1e16 where the bisection
+        staircase ties grid points, and the extreme couplings."""
+        rng = random.Random(23)
+        for _ in range(300):
+            try:
+                classical_report(rng.randint(1, 3), _random_coupling(rng), rng.choice([1.0, rng.uniform(-3, 3)]))
+            except lattice.FloatRangeError:
+                pass
+        self._check(against_full_scan, 250)
+
+    @pytest.mark.parametrize("nu, coupling", [(3, 1182456308.21756), (1, 1778315371.0506048)])
+    def test_staircase_near_tie(self, against_full_scan, nu, coupling):
+        """Roots near 1e-11, where grid points share the bisection's steps:
+        a tied comparison taken as a strict one keeps the wrong third."""
+        classical_report(nu, coupling, 1.0)
+        self._check(against_full_scan, 1)
+
+    def test_root_with_single_site_part(self, against_full_scan):
+        rng = random.Random(24)
+        for _ in range(16):
+            rep = SpinRep(rng.randint(1, 4))
+            coupling = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 8)
+            beta_u_general_optimized(ising_staggered_ti(rng.randint(1, 3), coupling, rng.uniform(0.01, 3.0), rep))
+        self._check(against_full_scan, 16)
+
+
+def test_fallback_logged(caplog, capsys):
+    """A near-tie is logged once at DEBUG on the kmsbounds logger, with
+    the tied indices and values; nothing reaches stdout or stderr."""
+    with caplog.at_level(logging.DEBUG, logger="kmsbounds"):
+        classical_report(1, 1.0, 1.0)
+        assert not caplog.records
+        classical_report(1, 1e11, 1.0)
+    (record,) = caplog.records
+    assert record.name == "kmsbounds" and record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        "eps scan falls back to the full grid: objective(eps[333]) = "
+        "4.547473508864641e-13 and objective(eps[666]) = 4.547473508864641e-13 "
+        "tie within 16 ulps"
+    )
+    classical_report(1, 1e11, 1.0)
+    assert capsys.readouterr() == ("", "")
 
 
 class TestBetaUGeneral:

@@ -15,14 +15,22 @@ from kmsbounds.classical import (
     invariance_residual,
     random_rotation,
     rotate_site,
-    rotation_about_z,
-    site_field_potential,
 )
 from kmsbounds.lattice import Region, box_window, classical_heisenberg_ti
 
 GRID = SphereGrid(16)
 W1 = Region(((0,),))
 W2 = box_window([2])
+
+
+def site_field_potential(x, fn_single) -> ClassicalPotential:
+    """A potential on the one site ``x``: ``fn_single`` of its spin."""
+    return ClassicalPotential(Region.of([x]), lambda v: fn_single(v[..., 0, :]))
+
+
+def rotation_about_z(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 class TestSphereGrid:

@@ -309,14 +309,16 @@ class TestConfigRules:
     def test_import_leaves_jsonschema_out(self, tmp_path):
         """A fresh interpreter loads neither jsonschema nor the verification
         stack to import the CLI, nor to run a threshold command on each
-        model (``report`` without ``verify_suites``)."""
+        model (``report`` without ``verify_suites``); nor ``logging``, which
+        only an eps scan that falls back to the full grid imports."""
         src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
         paths = [write_config(tmp_path, {"model": m}, f"{m}.json") for m in MODELS]
         script = (
             "import contextlib, io, json, sys\n"
             "import kmsbounds.cli as cli\n"
             "unused = ('jsonschema', 'kmsbounds.verify', 'kmsbounds.quantum',\n"
-            "          'kmsbounds.centering', 'kmsbounds.classical', 'numpy.polynomial')\n"
+            "          'kmsbounds.centering', 'kmsbounds.classical', 'numpy.polynomial',\n"
+            "          'logging')\n"
             "def loaded(): return [name for name in unused if name in sys.modules]\n"
             "at_import = loaded()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
