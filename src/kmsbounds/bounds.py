@@ -11,20 +11,11 @@ multilocal part commutes with the single-site part the zeta-weight drops and
 beta_u is available in closed form.  Classical spin systems have the simpler
 threshold 1 / (3 ||phi_bar||_{log 3}).
 
-The weighted norm is evaluated once per eps, not once per bisection step,
-whenever the interaction has no single-site part: every weight then drops
-its zeta term, so the norm at zeta = 2 beta is the norm at zeta = 0 for
-every beta, the same float.  ``beta_u_general`` bisects on beta times that
-float, bit for bit the values of a fresh evaluation at each step; this is
-the case of every classical Heisenberg spec.
-
-With one float for the norm, the bisection need not start at [0, hi]: the
-predicate fl(beta * norm) <= target is monotone in beta, so the search from
-[0, hi] passes, at each width hi / 2^k, through the one aligned node
-[a, a + w] on which the predicate flips.  ``beta_u_general`` computes that
-node from target / norm at a width w a few halvings above the tolerance,
-checks its two ends and bisects on from there: the same loop from the same
-bracket ends at the same float.  An infinite norm gives the root 0.
+When the interaction has no single-site part every weight drops its zeta
+term, so the norm at zeta = 2 beta is the norm at zeta = 0 for every beta
+and the root is target / norm, one division per eps; this is the case of
+every Heisenberg and classical Heisenberg spec.  With a single-site part
+``beta_u_general`` bisects to adjacent floats.
 
 Each threshold is a maximum over eps on the grid 0.01, 0.02, ..., 10, and
 ``optimize_eps`` finds the scan's first grid argmax without evaluating the
@@ -38,10 +29,8 @@ over them and 3 more indices on each side is the scan's.
 
 Only near-ties are unsafe: two values within 16 ulps of the larger one may
 be ordered by rounding alone.  They arise from the rounding of the closed
-forms, from the staircase of a root bisected without a single-site part
-(adjacent grid points share a step when the root is near the tolerance,
-classical J ~ 1e11) and from objectives that are 0 on the whole grid (a
-norm that overflows at every eps).  A near-tie, or any comparison with an
+forms and from objectives that are 0 on the whole grid (a norm that
+overflows at every eps).  A near-tie, or any comparison with an
 infinity or a nan, widens the window to the whole grid: the full scan is
 the same code path, and it is logged at DEBUG on the ``kmsbounds`` logger.
 """
@@ -91,11 +80,14 @@ class OptResult:
 #: near-tie, which the search over grid indices does not decide
 _TIE_ULPS = 16
 
+#: the eps grid of every threshold (first point, last point, spacing) and
+#: the width to which golden section refines its maximizer
+_EPS_LO, _EPS_HI, _EPS_STEP, _EPS_TOL = 1e-2, 10.0, 1e-2, 1e-6
 
-def optimize_eps(objective, lo: float = 1e-2, hi: float = 10.0,
-                 step: float = 1e-2, tol: float = 1e-6) -> OptResult:
-    """Maximize a log-concave objective on the grid lo, lo + step, ..., hi,
-    then refine by golden section around the grid maximizer.
+
+def optimize_eps(objective) -> OptResult:
+    """Maximize a log-concave objective on the eps grid, then refine by
+    golden section around the grid maximizer.
 
     The result is that of scanning every grid point: the first grid argmax,
     then the unchanged golden-section step on its two neighbours.  The
@@ -114,12 +106,10 @@ def optimize_eps(objective, lo: float = 1e-2, hi: float = 10.0,
       (each exponent eps (k - 1) + 2 psi e^u is convex in (eps, u)) and
       increasing in u, so {(eps, u) : u <= log beta(eps)} = {F <= 0} is
       convex and log beta is concave;
-    - the root without a single-site part is target / N(eps, 0), rounded by
-      the bisection to a staircase that is monotone in it;
     - the comparators eps e^{-eps} / (1 + c e^eps) with c > 0: log eps - eps
       is concave and log(1 + c e^eps) is convex.
     """
-    grid = np.arange(lo, hi + step / 2, step)
+    grid = np.arange(_EPS_LO, _EPS_HI + _EPS_STEP / 2, _EPS_STEP)
     seen = {}
 
     def value(i: int) -> float:
@@ -156,7 +146,7 @@ def optimize_eps(objective, lo: float = 1e-2, hi: float = 10.0,
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    while b - a > tol:
+    while b - a > _EPS_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -169,29 +159,17 @@ def optimize_eps(objective, lo: float = 1e-2, hi: float = 10.0,
     return OptResult(xs, float(objective(xs)))
 
 
-def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
+def beta_u_general(interaction, eps: float) -> float:
     """Solve beta ||Phi_bar||_{eps+log3, 2 beta} = (1/6) eps/(1+e^eps) for beta.
 
     Returns +infinity when there is no multilocal interaction or the root
-    lies beyond the float range.  Bracketing by doubling, then bisection to
-    absolute tolerance ``tol`` or to adjacent floats, whichever comes first.
+    lies beyond the float range.
 
-    The norm at zeta = 0 is evaluated once: it decides the zero-norm case,
-    and without a single-site part (``zeta_free``) it is the norm at every
-    zeta, because the weights then drop their zeta term.  The bisection then
-    runs on beta times that one float, which is bit for bit the value a
-    fresh evaluation at each step would give.  An infinite norm at zeta = 0
-    is infinite at every zeta, and the root is 0.
-
-    On that one float the bisection starts at the node of width w (a power
-    of two in (8 tol, 16 tol]) that holds target / norm, when its ends
-    straddle the root: fl(beta * norm) <= target is monotone in beta, so
-    that node is the one the search from [0, hi] visits at width w, and the
-    search goes on from it to the same float.  The search runs from [0, hi]
-    when the check fails (target / norm rounded across a node boundary),
-    when floats near hi are coarser than tol / 4 (a midpoint on the way
-    down could round onto an end and stop the search early) and when the
-    interaction has a single-site part.
+    Without a single-site part (``zeta_free``) the norm at zeta = 0 is the
+    norm at every zeta, because the weights then drop their zeta term, and
+    the root is target / norm.  With one, the root is bracketed by doubling
+    and bisected until the bracket holds two adjacent floats.  Either way an
+    infinite norm gives the root 0.
     """
     tgt = target_fn(eps)
     # eps > 0 passed target_fn and the bracket keeps beta >= 0
@@ -199,48 +177,38 @@ def beta_u_general(interaction, eps: float, tol: float = 1e-10) -> float:
     base = norm_at(eps + LOG3, 0.0)
     if base == 0.0:
         return math.inf
-    if base == math.inf:
-        # the norm only grows with zeta, so the root of beta * inf = tgt is 0
-        return 0.0
-    fixed = zeta_free(interaction)
-    if fixed:
-        def g(beta: float) -> float:
-            return beta * base - tgt
-    else:
-        def g(beta: float) -> float:
-            return beta * norm_at(eps + LOG3, 2.0 * beta) - tgt
+    if zeta_free(interaction):
+        return tgt / base
 
-    hi = 1.0
+    def g(beta: float) -> float:
+        return beta * norm_at(eps + LOG3, 2.0 * beta) - tgt
+
+    lo, hi = 0.0, 1.0
     # once 2 beta overflows to inf, g can be nan (inf * 0 in the zeta weight)
     while hi < math.inf and not g(hi) > 0.0:
         hi *= 2.0
-    lo = 0.0
-    w = math.ldexp(1.0, math.frexp(tol)[1] + 3)
-    if fixed and 4.0 * math.ulp(hi) <= tol < w < hi:
-        a = (tgt / base) // w * w
-        if g(a) <= 0.0 < g(a + w):
-            lo, hi = a, a + w
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if g(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
-def _verify_commutation(fam: InteractionFamily, tol: float = 1e-10) -> None:
+#: the operator norm above which a commutator [Phi_bar, Psi] counts as nonzero
+_COMMUTATOR_TOL = 1e-10
+
+
+def _verify_commutation(fam: InteractionFamily) -> None:
     psis = fam.singletons()
     if not psis:
         return
     for region, phi in fam.multilocal().items():
         for xreg, psi in psis.items():
             comm = phi @ psi - psi @ phi
-            if operator_norm(comm) > tol:
+            if operator_norm(comm) > _COMMUTATOR_TOL:
                 raise CommutationError(
-                    f"[Phi_bar on {region}, Psi on {xreg}] has norm > {tol}"
+                    f"[Phi_bar on {region}, Psi on {xreg}] has norm > {_COMMUTATOR_TOL}"
                 )
 
 
@@ -296,40 +264,21 @@ def _scaled(interaction, factor: float):
     return replace(interaction, motifs=motifs, psi_site_norm=factor * interaction.psi_site_norm)
 
 
-def _optimized_scan(interaction, threshold) -> EpsBeta:
-    """Maximize ``threshold(interaction, eps)`` over eps, for a threshold
-    inversely proportional to the interaction (its single-site norm scaled
-    along); +infinity when there is no multilocal interaction."""
+def beta_u_optimized(interaction) -> EpsBeta:
+    """Maximize ``beta_u_general(interaction, eps)`` over eps; +infinity when
+    there is no multilocal interaction."""
     norm = norm_eps_zeta(interaction, NormParams(LOG3 + 0.5))
     if norm == 0.0:
         return EpsBeta(0.5, math.inf)
     # A norm near the subnormal range rounds differently at each eps and the
     # threshold overflows: scan the interaction scaled up by an exact power
-    # of two (same eps*) and scale the threshold back.
+    # of two (same eps*; the threshold is inversely proportional to the
+    # interaction, its single-site norm scaled along) and scale it back.
     factor = 1.0
     if norm < 1.0 / _TINY_SCALE:
         factor, interaction = _TINY_SCALE, _scaled(interaction, _TINY_SCALE)
-    opt = optimize_eps(functools.partial(threshold, interaction))
+    opt = optimize_eps(functools.partial(beta_u_general, interaction))
     return EpsBeta(opt.eps_star, opt.value * factor)
-
-
-def beta_u_optimized(interaction) -> EpsBeta:
-    """Maximize the commuting-case beta_u over eps for an interaction whose
-    eps-dependence is the generic 3 e^eps prefactor (any interaction works:
-    the objective is evaluated through the norm)."""
-
-    def objective(scanned, eps):
-        # optimize_eps only evaluates eps > 0
-        norm = norm_function(scanned)(eps + LOG3, 0.0)
-        return target_fn(eps) / norm if norm > 0 else 0.0
-
-    return _optimized_scan(interaction, objective)
-
-
-def beta_u_general_optimized(interaction) -> EpsBeta:
-    """Maximize beta_u over eps with the zeta-coupled norm (eps is fixed first,
-    then the equality is solved for beta; the outer scan picks the best eps)."""
-    return _optimized_scan(interaction, functools.partial(beta_u_general, tol=1e-12))
 
 
 def br_645_beta(rep: SpinRep, bond_strength: float) -> EpsBeta:
@@ -437,7 +386,7 @@ def combined_report(spec: TIInteractionSpec) -> CombinedBounds:
     ordering beta_hat <= beta_tilde."""
     norm_log3 = norm_eps_zeta(spec, NormParams(LOG3))
     beta_tilde = beta_u_classical(norm_log3)
-    best = beta_u_general_optimized(spec)
+    best = beta_u_optimized(spec)
     chain_ok = (
         True
         if math.isinf(best.beta)

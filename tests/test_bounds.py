@@ -13,7 +13,6 @@ from kmsbounds.bounds import (
     beta_u_classical,
     beta_u_commuting,
     beta_u_general,
-    beta_u_general_optimized,
     beta_u_optimized,
     br_645_beta,
     br_646_beta,
@@ -87,12 +86,11 @@ class TestOptimizeEps:
         assert len(calls) <= 64
 
     def test_near_tie_scans_every_grid_point_once(self):
-        """J = 1e11 rounds the root to the same float at every grid point:
-        the first comparison ties and the window becomes the whole grid."""
+        """At nu = 3, J = 1e308 the weighted norm overflows and the root is
+        0 at every grid point: the first comparison ties and the window
+        becomes the whole grid."""
         calls = []
-        threshold = functools.partial(
-            beta_u_general, classical_heisenberg_ti(1, 1e11, 1.0), tol=1e-12
-        )
+        threshold = functools.partial(beta_u_general, classical_heisenberg_ti(3, 1e308, 1.0))
 
         def counted(eps):
             calls.append(eps)
@@ -147,8 +145,7 @@ class TestLogConcave:
             assert _second_differences_of_log(vals).max() <= ROUNDING, spec
 
     def test_root_with_single_site_part(self):
-        """Roots bisected to adjacent floats (tol = 0), so their error is a
-        few ulps."""
+        """Roots bisected to adjacent floats, so their error is a few ulps."""
         rng = random.Random(14)
         specs = [ising_staggered_ti(1, 1.0, 2.0, REP)]
         for _ in range(3):
@@ -156,18 +153,8 @@ class TestLogConcave:
             coupling = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3)
             specs.append(ising_staggered_ti(rng.randint(1, 3), coupling, 10 ** rng.uniform(-2, 1), rep))
         for spec in specs:
-            vals = [beta_u_general(spec, eps, tol=0.0) for eps in GRID]
+            vals = [beta_u_general(spec, eps) for eps in GRID]
             assert _second_differences_of_log(vals).max() <= ROUNDING, spec
-
-    def test_root_without_single_site_part_is_monotone_in_target_over_norm(self):
-        """Bisected to tol, the root is a staircase, and it never falls
-        where target / norm rises, also where several grid points share a
-        step (J from 1e5 to 1e11)."""
-        for coupling in (1.0, 1e5, 1e8, 1e9, 1e11, 1e13):
-            spec = classical_heisenberg_ti(2, coupling, 1.0)
-            exact = np.array([_target_over_norm(spec, eps) for eps in GRID])
-            roots = np.array([beta_u_general(spec, eps, tol=1e-12) for eps in GRID])
-            assert np.all(np.diff(roots[np.argsort(exact, kind="stable")]) >= 0.0), coupling
 
 
 def _full_scan(objective, lo=1e-2, hi=10.0, step=1e-2, tol=1e-6):
@@ -214,10 +201,10 @@ def against_full_scan(monkeypatch):
     pairs = []
     search = bounds.optimize_eps
 
-    def both(objective, *args, **kwargs):
+    def both(objective):
         memo = functools.cache(objective)
-        got = search(memo, *args, **kwargs)
-        pairs.append((_hex(_full_scan(memo, *args, **kwargs)), _hex(got)))
+        got = search(memo)
+        pairs.append((_hex(_full_scan(memo)), _hex(got)))
         return got
 
     monkeypatch.setattr(bounds, "optimize_eps", both)
@@ -226,8 +213,7 @@ def against_full_scan(monkeypatch):
     bounds.uniqueness_optimum.cache_clear()
 
 
-#: couplings where rounding, the bisection tolerance or the float range
-#: shape the objective
+#: couplings where rounding or the float range shape the objective
 EXTREME_COUPLINGS = (0.0, 1e-320, 1e-25, 1e-9, 1e11, 1e300, 5e307, 1e308)
 
 
@@ -270,8 +256,7 @@ class TestSearchMatchesFullScan:
         self._check(against_full_scan, 600)
 
     def test_root_without_single_site_part(self, against_full_scan):
-        """``classical_report``, with J from 1e5 to 1e16 where the bisection
-        staircase ties grid points, and the extreme couplings."""
+        """``classical_report``, with J up to 1e16 and the extreme couplings."""
         rng = random.Random(23)
         for _ in range(300):
             try:
@@ -280,19 +265,12 @@ class TestSearchMatchesFullScan:
                 pass
         self._check(against_full_scan, 250)
 
-    @pytest.mark.parametrize("nu, coupling", [(3, 1182456308.21756), (1, 1778315371.0506048)])
-    def test_staircase_near_tie(self, against_full_scan, nu, coupling):
-        """Roots near 1e-11, where grid points share the bisection's steps:
-        a tied comparison taken as a strict one keeps the wrong third."""
-        classical_report(nu, coupling, 1.0)
-        self._check(against_full_scan, 1)
-
     def test_root_with_single_site_part(self, against_full_scan):
         rng = random.Random(24)
         for _ in range(16):
             rep = SpinRep(rng.randint(1, 4))
             coupling = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 8)
-            beta_u_general_optimized(ising_staggered_ti(rng.randint(1, 3), coupling, rng.uniform(0.01, 3.0), rep))
+            beta_u_optimized(ising_staggered_ti(rng.randint(1, 3), coupling, rng.uniform(0.01, 3.0), rep))
         self._check(against_full_scan, 16)
 
 
@@ -302,15 +280,14 @@ def test_fallback_logged(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="kmsbounds"):
         classical_report(1, 1.0, 1.0)
         assert not caplog.records
-        classical_report(1, 1e11, 1.0)
+        classical_report(3, 1e308, 1.0)
     (record,) = caplog.records
     assert record.name == "kmsbounds" and record.levelno == logging.DEBUG
     assert record.getMessage() == (
-        "eps scan falls back to the full grid: objective(eps[333]) = "
-        "4.547473508864641e-13 and objective(eps[666]) = 4.547473508864641e-13 "
-        "tie within 16 ulps"
+        "eps scan falls back to the full grid: objective(eps[333]) = 0.0 "
+        "and objective(eps[666]) = 0.0 tie within 16 ulps"
     )
-    classical_report(1, 1e11, 1.0)
+    classical_report(3, 1e308, 1.0)
     assert capsys.readouterr() == ("", "")
 
 
@@ -322,14 +299,13 @@ class TestBetaUGeneral:
         spec = heisenberg_ti(1, 1.0, 1.0, REP)
         for eps in (0.3, 0.607, 1.1):
             closed = target_fn(eps) / norm_eps_zeta(spec, NormParams(eps + LOG3))
-            assert beta_u_general(spec, eps) == pytest.approx(closed, abs=1e-10)
+            assert beta_u_general(spec, eps) == closed
 
     @pytest.mark.parametrize("coupling", [1e-9, 1e-25])
     def test_small_coupling_scales_inversely(self, coupling):
-        """At J = 1e-9 adjacent floats near the root lie wider apart than
-        the tolerance; at J = 1e-25 the root lies past 2^60."""
-        unit = beta_u_general(classical_heisenberg_ti(1, 1.0, 1.0), 0.6, tol=1e-12)
-        small = beta_u_general(classical_heisenberg_ti(1, coupling, 1.0), 0.6, tol=1e-12)
+        """The root lies near 3e6 at J = 1e-9 and past 2^60 at J = 1e-25."""
+        unit = beta_u_general(classical_heisenberg_ti(1, 1.0, 1.0), 0.6)
+        small = beta_u_general(classical_heisenberg_ti(1, coupling, 1.0), 0.6)
         assert small * coupling == pytest.approx(unit, rel=1e-9)
 
     def test_root_past_float_range_infinite(self):
@@ -370,9 +346,7 @@ class TestBetaUCommuting:
     def test_matches_general_when_psi_absent(self):
         spec = heisenberg_ti(2, 0.7, 1.4, REP)
         for eps in (0.3, 0.8):
-            assert beta_u_general(spec, eps) == pytest.approx(
-                beta_u_commuting(spec, eps), abs=1e-10
-            )
+            assert beta_u_general(spec, eps) == beta_u_commuting(spec, eps)
 
     def test_field_drops_out(self):
         fams = [
@@ -503,6 +477,18 @@ class TestClassical:
         opt = optimize_eps(uniqueness_objective)
         assert combined.beta_hat == pytest.approx(opt.value / 36.0, rel=1e-6)
         assert combined.chain_ok
+        # the ratio to beta_tilde = 1 / (18 nu J max) is f(eps*) / 2 for
+        # every coupling, within the rounding of the two norms
+        want = bounds.uniqueness_optimum().value / 2.0
+        rng = random.Random(15)
+        for _ in range(300):
+            nu, coupling, delta = rng.randint(1, 3), 10 ** rng.uniform(-12, 16), rng.uniform(-3, 3)
+            try:
+                report = classical_report(nu, coupling, delta)
+            except lattice.FloatRangeError:
+                continue
+            ratio = report.ratios["combined_quantum_classical"]
+            assert abs(ratio - want) <= 4 * math.ulp(want), (nu, coupling, delta)
 
     def test_combined_ordering_on_grid(self):
         for coupling in (0.5, 1.0):
@@ -574,9 +560,10 @@ def test_one_eigendecomposition_per_motif(monkeypatch):
     assert calls == [(289, 289)] * 3
 
 
-def _per_step_beta_u_general(interaction, eps, tol=1e-10):
+def _per_step_beta_u_general(interaction, eps):
     """``beta_u_general`` as it was before the norm was evaluated once per
-    eps: a fresh weighted norm at every bracketing and bisection step."""
+    eps: a fresh weighted norm at every bracketing and bisection step,
+    bisected to adjacent floats."""
     tgt = target_fn(eps)
     if norm_eps_zeta(interaction, NormParams(eps + LOG3)) == 0.0:
         return math.inf
@@ -589,7 +576,7 @@ def _per_step_beta_u_general(interaction, eps, tol=1e-10):
     while hi < math.inf and not g(hi) > 0.0:
         hi *= 2.0
     lo = 0.0
-    while hi - lo > tol:
+    while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -600,11 +587,20 @@ def _per_step_beta_u_general(interaction, eps, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def _oracle(interaction, eps):
+    """The root ``beta_u_general`` must return: target / norm without a
+    single-site part (+infinity for a zero norm), the per-step bisection
+    with one."""
+    if not zeta_free(interaction):
+        return _per_step_beta_u_general(interaction, eps)
+    norm = norm_eps_zeta(interaction, NormParams(eps + LOG3))
+    return math.inf if norm == 0.0 else target_fn(eps) / norm
+
+
 def _oracle_cases():
     """(interaction, eps): random TI specs with and without a single-site
-    part, the couplings 0, 1e-320 and 1e300, finite families, and classical
-    roots from 2^8 to 2^18, across the size where floats near the root
-    become coarser than either tolerance (2^11 at 1e-12, 2^17 at 1e-10)."""
+    part, the couplings 0, 1e-320 and 1e300, weighted norms that overflow, a
+    field of 1e-20, finite families, and classical roots from 2^8 to 2^18."""
     rng = random.Random(9)
     cases = []
     for _ in range(120):
@@ -620,6 +616,9 @@ def _oracle_cases():
         root = 2.0 ** rng.uniform(8.0, 18.0)
         coupling = target_fn(0.607) / (unit * root)
         cases.append((classical_heisenberg_ti(1, coupling, 1.0), 0.607))
+    cases.append((classical_heisenberg_ti(3, 1e308, 1.0), 0.607))
+    cases.append((ising_staggered_ti(3, 1e308, 1.0, REP), 0.607))
+    cases.append((ising_staggered_ti(1, 1.0, 1e-20, REP), 0.607))
     window = box_window([3])
     for eps in (0.05, 0.607, 2.5):
         cases.append((build_heisenberg(0.8, 1.3, REP, window), eps))
@@ -627,55 +626,15 @@ def _oracle_cases():
     return cases
 
 
-def _count_products(monkeypatch, spec, eps, tol):
-    """``beta_u_general(spec, eps, tol)`` and how many products beta * norm
-    it forms, counted on a float subclass returned by the closed-form norm."""
-    products = []
-
-    class Counted(float):
-        def __rmul__(self, beta):
-            products.append(beta)
-            return beta * float(self)
-
-    norm_ti = norms._norm_ti
-    monkeypatch.setattr(norms, "_norm_ti", lambda *args: Counted(norm_ti(*args)))
-    return beta_u_general(spec, eps, tol=tol), len(products)
-
-
 class TestNormOncePerEps:
     def test_bit_identical_to_per_step_norms(self):
-        """The per-step reference bisects an infinite norm down to ~tol / 2;
-        the root of beta * inf = target is 0."""
-        for interaction, eps in _oracle_cases():
-            infinite = norm_function(interaction)(eps + LOG3, 0.0) == math.inf
-            for tol in (1e-10, 1e-12):
-                got = beta_u_general(interaction, eps, tol=tol)
-                if infinite:
-                    assert got == 0.0
-                else:
-                    assert got == _per_step_beta_u_general(interaction, eps, tol=tol)
-
-    def test_bisection_starts_near_the_root(self, monkeypatch):
-        """One product to bracket, two to check the node of width ~16 tol and
-        four halvings to tol; the search from [0, 1] formed 41."""
-        spec = classical_heisenberg_ti(3, 1.0, 1.0)
-        got, products = _count_products(monkeypatch, spec, 0.607, 1e-12)
-        assert products <= 12
-        assert got == _per_step_beta_u_general(spec, 0.607, tol=1e-12)
-
-    @pytest.mark.parametrize("spec, eps", [
-        # target / norm rounds one float below a multiple of the node width,
-        # so the node below it is checked and rejected
-        (classical_heisenberg_ti(3, float.fromhex("0x1.79c58fea4aabep-4"), 1.0), 0.649),
-        # the root ~2^14 lies where floats are coarser than tol
-        (classical_heisenberg_ti(1, 2e-7, 1.0), 0.607),
-        # a single-site part, however small, keeps the norm at each step
-        (ising_staggered_ti(1, 1.0, 1e-20, REP), 0.607),
-    ])
-    def test_full_search_when_the_node_is_not_taken(self, monkeypatch, spec, eps):
-        got, products = _count_products(monkeypatch, spec, eps, 1e-12)
-        assert products > 40
-        assert got == _per_step_beta_u_general(spec, eps, tol=1e-12)
+        """Without a single-site part the root is target / norm; with one it
+        is the per-step bisection's float.  An overflowing norm gives 0."""
+        cases = _oracle_cases()
+        assert sum(zeta_free(interaction) for interaction, _ in cases) >= 150
+        assert sum(not zeta_free(interaction) for interaction, _ in cases) >= 50
+        for interaction, eps in cases:
+            assert beta_u_general(interaction, eps) == _oracle(interaction, eps)
 
     @pytest.mark.parametrize("spec", [
         classical_heisenberg_ti(2, 1e-320, 1.0),
@@ -684,12 +643,13 @@ class TestNormOncePerEps:
         ising_staggered_ti(1, 1.0, 0.5, REP),
     ])
     def test_optimized_scan_bit_identical(self, spec):
-        """Same eps* and threshold as a scan of the per-step root, through
-        the 2^512 scaled path at J = 1e-320."""
-        per_step = bounds._optimized_scan(
-            spec, functools.partial(_per_step_beta_u_general, tol=1e-12)
-        )
-        assert beta_u_general_optimized(spec) == per_step
+        """Same eps* and threshold as a scan of the oracle, through the
+        2^512 scaled path at J = 1e-320."""
+        factor, scanned = 1.0, spec
+        if norm_eps_zeta(spec, NormParams(LOG3 + 0.5)) < 1.0 / bounds._TINY_SCALE:
+            factor, scanned = bounds._TINY_SCALE, bounds._scaled(spec, bounds._TINY_SCALE)
+        opt = optimize_eps(functools.partial(_oracle, scanned))
+        assert beta_u_optimized(spec) == bounds.EpsBeta(opt.eps_star, opt.value * factor)
 
     def test_zeta_free(self):
         window = box_window([3])

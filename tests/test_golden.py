@@ -66,9 +66,9 @@ CONFIGS = {
     },
     "classical-nu3": {"model": "classical_heisenberg", "nu": 3, "params": {"J": 1.5, "delta": 0.3}},
     "classical-zero": {"model": "classical_heisenberg", "params": {"J": 0.0}},
-    # the eps scan sees near-ties: bisection roots of ~1e-11 whose grid
-    # values differ by less than the root tolerance, and a weighted norm
-    # that overflows at every eps, so every threshold on the grid is 0
+    # roots of ~1e-14, where an absolute bisection tolerance would show,
+    # and a weighted norm that overflows at every eps (every threshold on
+    # the grid is 0, so the eps scan ties)
     "classical-1e11": {"model": "classical_heisenberg", "params": {"J": 1e11}},
     "classical-nu3-1e308": {"model": "classical_heisenberg", "nu": 3, "params": {"J": 1e308}},
 }
