@@ -7,7 +7,8 @@ temperature beta), every observable A on a region L splits uniquely as
 
 where each component A_X is *centered* on X: the partial expectation against
 rho_x annihilates it at every site x in X.  The components are obtained
-either recursively or by inclusion-exclusion (Moebius inversion), and satisfy
+either recursively or by inclusion-exclusion (Moebius inversion, computed as
+the fast subset transform over a stack of components), and satisfy
 ||A_X|| <= 2^{|X|} ||A||.  A refinement applies when A is a product of local
 factors with an element already known to be centered: the component index
 then ranges only over subsets of the factors' support.
@@ -32,6 +33,7 @@ from .lattice import (
     embed,
     is_hermitian_matrix,
     operator_norm,
+    operator_norms,
 )
 
 SUBSET_CAP = 12
@@ -97,6 +99,31 @@ class ReferenceStates:
         return np.eye(self.site_dim, dtype=complex) / self.site_dim
 
 
+def _site_contraction(mats: np.ndarray, nsites: int, i: int, rho: np.ndarray) -> np.ndarray:
+    """eta_x on the last two axes of a stack on a region of ``nsites`` sites
+    whose ``i``-th site is x: (..., d^n, d^n) -> (..., d^(n-1), d^(n-1))."""
+    d = len(rho)
+    batch = mats.ndim - 2
+    before, after = d ** i, d ** (nsites - i - 1)
+    legs = mats.reshape(mats.shape[:batch] + (before, d, after) * 2)
+    # the row leg of x carries the bra index, its column leg the ket index;
+    # eta(A) = tr_x[(rho ox 1) A] contracts rho[a, b] with (ket=a, bra=b)
+    out = np.tensordot(rho, legs, axes=([0, 1], [batch + 4, batch + 1]))
+    return out.reshape(mats.shape[:batch] + (before * after,) * 2)
+
+
+def site_expectation(mats: np.ndarray, nsites: int, i: int, rho: np.ndarray) -> np.ndarray:
+    """E_x = eta_x (x) 1_x on the last two axes of a stack on a region of
+    ``nsites`` sites whose ``i``-th site is x, for the density ``rho`` at x:
+    the contraction at x, embedded back on the region (same shape)."""
+    d = len(rho)
+    batch = mats.shape[:-2]
+    before, after = d ** i, d ** (nsites - i - 1)
+    reduced = _site_contraction(mats, nsites, i, rho)
+    legs = reduced.reshape(batch + (before, 1, after) * 2)
+    return (legs * np.eye(d).reshape(d, 1, 1, d, 1)).reshape(mats.shape)
+
+
 def partial_expectation(a: LocalOperator, over: Region, eta: ReferenceStates) -> LocalOperator:
     """Contract the tensor legs of ``a`` at every site of ``over`` against the
     reference densities, leaving an operator on the complement.
@@ -109,21 +136,13 @@ def partial_expectation(a: LocalOperator, over: Region, eta: ReferenceStates) ->
         raise ValueError(f"{over} is not contained in {a.region}")
     if len(over) == 0:
         return a
-    d = a.site_dim
     remaining = list(a.region)
-    k = len(remaining)
-    tensor = a.matrix.reshape((d,) * (2 * k))
+    mat = a.matrix
     for x in over:
         i = remaining.index(x)
-        k_cur = len(remaining)
-        # row leg i carries the bra index, col leg k_cur + i the ket index;
-        # eta(A) = tr_x[(rho ox 1) A] contracts rho[a, b] with (ket=a, bra=b)
-        tensor = np.tensordot(eta.density(x), tensor, axes=([0, 1], [k_cur + i, i]))
+        mat = _site_contraction(mat, len(remaining), i, eta.density(x))
         remaining.pop(i)
-    k_new = len(remaining)
-    return LocalOperator(
-        Region(tuple(remaining)), tensor.reshape(d ** k_new, d ** k_new), d
-    )
+    return LocalOperator._raw(Region._raw(tuple(remaining)), mat, a.site_dim)
 
 
 def centering_residual(a: LocalOperator, eta: ReferenceStates, sites: Region = None) -> float:
@@ -132,27 +151,31 @@ def centering_residual(a: LocalOperator, eta: ReferenceStates, sites: Region = N
     if len(where) == 0:
         return 0.0
     return max(
-        operator_norm(partial_expectation(a, Region((x,)), eta)) for x in where
+        operator_norm(partial_expectation(a, Region._raw((x,)), eta)) for x in where
     )
 
 
-@dataclass
 class Decomposition:
     """Centered components of an observable, embedded on the full region.
 
-    ``base`` is nonempty only for refined decompositions, where every index
-    contains it and the norm bound counts only the active part of the index.
+    ``components`` maps each index X to its component A_X; ``stack`` holds
+    their matrices in the same order as one (K, D, D) array, which the
+    residual and norm checks read.  ``base`` is nonempty only for refined
+    decompositions, where every index contains it and the norm bound counts
+    only the active part of the index.
     """
 
-    region: Region
-    components: dict  # Region -> LocalOperator on `region`
-    base: Region = EMPTY_REGION
+    def __init__(self, region: Region, components: dict, base: Region = EMPTY_REGION,
+                 stack: np.ndarray = None):
+        self.region = region
+        self.components = components
+        self.base = base
+        self.stack = (
+            np.stack([op.matrix for op in components.values()]) if stack is None else stack
+        )
 
     def reconstruction(self) -> LocalOperator:
-        acc = LocalOperator.zero(self.region, self._site_dim())
-        for op in self.components.values():
-            acc = acc + op
-        return acc
+        return LocalOperator._raw(self.region, self.stack.sum(axis=0), self._site_dim())
 
     def _site_dim(self) -> int:
         return next(iter(self.components.values())).site_dim
@@ -161,22 +184,27 @@ class Decomposition:
         return operator_norm(self.reconstruction() - embed(original, self.region))
 
     def centering_residual(self, eta: ReferenceStates) -> float:
-        """max over components A_X and sites x in X of ||eta_x(A_X)||."""
-        return max(
-            (centering_residual(op, eta, index) for index, op in self.components.items()),
-            default=0.0,
-        )
+        """max over components A_X and sites x in X of ||eta_x(A_X)||: per
+        site one contraction of the components whose index holds it."""
+        worst = 0.0
+        indices = list(self.components)
+        for i, x in enumerate(self.region):
+            rows = [k for k, index in enumerate(indices) if x in index]
+            if rows:
+                reduced = _site_contraction(
+                    self.stack[rows], len(self.region), i, eta.density(x)
+                )
+                worst = max(worst, float(operator_norms(reduced).max()))
+        return worst
 
     def bound_exponent(self, index: Region) -> int:
         return len(index) - len(index.intersection(self.base))
 
     def norm_bound_ok(self, reference_norm: float, slack: float = 1e-9) -> bool:
         """||A_X|| <= 2^{|X|} ||A|| (with |X| counting active sites only)."""
-        for index, op in self.components.items():
-            bound = (2.0 ** self.bound_exponent(index)) * reference_norm
-            if operator_norm(op) > bound * (1.0 + slack) + 1e-300:
-                return False
-        return True
+        exponents = [self.bound_exponent(index) for index in self.components]
+        bounds = np.exp2(exponents) * reference_norm
+        return not np.any(operator_norms(self.stack) > bounds * (1.0 + slack) + 1e-300)
 
 
 def decompose_recursive(a: LocalOperator, eta: ReferenceStates) -> Decomposition:
@@ -196,32 +224,47 @@ def decompose_recursive(a: LocalOperator, eta: ReferenceStates) -> Decomposition
     return Decomposition(region=lam, components=comps)
 
 
+def butterfly(mats: np.ndarray, region: Region, active: Region,
+              eta: ReferenceStates) -> np.ndarray:
+    """Components of a stack (..., D, D) on ``region`` for the subsets X of
+    ``active``, a subset of the region, by the fast subset transform:
+
+        A_X = prod_{x in X} (1 - E_x) prod_{x in active - X} E_x (A).
+
+    The E_x commute, so one sweep (E_x A, A - E_x A) per active site doubles
+    the component stack.  Returns a (2^|active|, ..., D, D) stack whose
+    leading index has bit j set when the j-th site of ``active`` is in X.
+    """
+    stack = mats[None]
+    for x in active:
+        expected = site_expectation(stack, len(region), region.index(x), eta.density(x))
+        stack = np.concatenate([expected, stack - expected])
+    return stack
+
+
 def _moebius(product: LocalOperator, active: Region, eta: ReferenceStates) -> Decomposition:
-    """A_{X ∪ base} = sum over Y ⊆ X of (-1)^{|X| - |Y|} eta_{region - (Y ∪ base)}(A)
-    for X ⊆ active ∩ region, with base the rest of the region."""
+    """A_{X ∪ base} = prod_{x in X} (1 - E_x) prod_{x in active - X} E_x (A)
+    for X ⊆ active ∩ region, with base the rest of the region, in the index
+    order of ``Region.subsets``."""
     region = product.region
     base = region.difference(active)
     active = region.intersection(active)
     if len(active) > SUBSET_CAP:
         raise SubsetCapError(f"|active| = {len(active)} exceeds cap {SUBSET_CAP}")
-    tables = {}
-    for X in active.subsets():
-        keep = X.union(base)
-        contracted = partial_expectation(product, region.difference(keep), eta)
-        tables[X] = embed(contracted, region)
-    comps = {}
-    for X in active.subsets():
-        acc = LocalOperator.zero(region, product.site_dim)
-        for Y in X.subsets():
-            sign = -1.0 if (len(X) - len(Y)) % 2 else 1.0
-            acc = acc + sign * tables[Y]
-        comps[X.union(base)] = acc
-    return Decomposition(region=region, components=comps, base=base)
+    subsets = list(active.subsets())
+    masks = [sum(1 << active.index(x) for x in X) for X in subsets]
+    stack = butterfly(product.matrix, region, active, eta)[masks]
+    comps = {
+        X.union(base): LocalOperator._raw(region, mat, product.site_dim)
+        for X, mat in zip(subsets, stack)
+    }
+    return Decomposition(region, comps, base, stack)
 
 
 def decompose_moebius(a: LocalOperator, eta: ReferenceStates) -> Decomposition:
-    """Components by inclusion-exclusion:
-    A_X = sum over Y subset of X of (-1)^{|X| - |Y|} eta_{complement of Y}(a)."""
+    """Components by inclusion-exclusion,
+    A_X = sum over Y subset of X of (-1)^{|X| - |Y|} eta_{complement of Y}(a),
+    computed as the fast subset transform (``butterfly``)."""
     return _moebius(a, a.region, eta)
 
 

@@ -83,6 +83,11 @@ class ModelConfig:
         flat = {**raw, **raw.get("params", {}), **raw.get("truncation", {})}
         names = {f.name for f in dataclasses.fields(cls)}
         values = {_RENAMED.get(key, key): value for key, value in flat.items()}
+        # a JSON integer under "params" is the float it converts to, so that
+        # products of huge integers overflow to inf as floats do
+        for key in raw.get("params", {}):
+            name = _RENAMED.get(key, key)
+            values[name] = float(values[name])
         return cls(**{key: value for key, value in values.items() if key in names})
 
     def rep(self) -> SpinRep:

@@ -48,6 +48,15 @@ class Region:
         object.__setattr__(self, "sites", sites)
 
     @classmethod
+    def _raw(cls, sites: tuple) -> "Region":
+        """A region from integer-tuple sites that are already sorted,
+        duplicate-free and of one dimension; skips the checks, for results
+        that are valid by construction."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "sites", sites)
+        return region
+
+    @classmethod
     def of(cls, sites: Iterable[Site]) -> "Region":
         return cls(tuple(sorted(set(tuple(s) for s in sites))))
 
@@ -72,17 +81,18 @@ class Region:
         return set(self.sites) <= set(other.sites)
 
     def union(self, other: "Region") -> "Region":
-        return Region.of(self.sites + other.sites)
+        self._check_dimension(other)
+        return Region._raw(tuple(sorted(set(self.sites).union(other.sites))))
 
     def difference(self, other: "Region") -> "Region":
         self._check_dimension(other)
         drop = set(other.sites)
-        return Region(tuple(s for s in self.sites if s not in drop))
+        return Region._raw(tuple(s for s in self.sites if s not in drop))
 
     def intersection(self, other: "Region") -> "Region":
         self._check_dimension(other)
         keep = set(other.sites)
-        return Region(tuple(s for s in self.sites if s in keep))
+        return Region._raw(tuple(s for s in self.sites if s in keep))
 
     def min_site(self) -> Site:
         if not self.sites:
@@ -93,7 +103,7 @@ class Region:
         """All subsets, by increasing size then lexicographic order."""
         for r in range(len(self.sites) + 1):
             for combo in combinations(self.sites, r):
-                yield Region(combo)
+                yield Region._raw(combo)
 
 
 EMPTY_REGION = Region(())
@@ -127,16 +137,21 @@ class SpinRep:
         return self.two_j + 1
 
 
-def is_hermitian_matrix(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    """||M - M*||_F <= rtol ||M||_F, evaluated on M divided by its largest
-    entry modulus.  The test is scale-invariant; the division keeps the
+def hermitian_mask(mats: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    """||M - M*||_F <= rtol ||M||_F for each matrix M on the last two axes,
+    evaluated on M divided by its largest entry modulus.  The test is
+    scale-invariant (the zero matrix passes); the division keeps the
     Frobenius norms finite for entries near the top of the float range."""
-    peak = float(np.abs(mat).max())
-    if peak == 0.0:
-        return True
+    peak = np.abs(mats).max(axis=(-2, -1))
     # the reciprocal of a subnormal peak would overflow
-    unit = mat * (1.0 / max(peak, sys.float_info.min))
-    return float(np.linalg.norm(unit - unit.conj().T)) <= rtol * float(np.linalg.norm(unit))
+    unit = mats * (1.0 / np.maximum(peak, sys.float_info.min))[..., None, None]
+    skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
+    return skew <= rtol * np.linalg.norm(unit, axis=(-2, -1))
+
+
+def is_hermitian_matrix(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
+    """``hermitian_mask`` of one matrix."""
+    return bool(hermitian_mask(mat, rtol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +180,15 @@ class LocalOperator:
             raise ValueError("operator marked Hermitian fails the check")
 
     @classmethod
+    def _raw(cls, region: Region, matrix: np.ndarray, site_dim: int) -> "LocalOperator":
+        """An operator from a complex matrix that already has the shape
+        d^|region|; skips the checks, for results that are valid by
+        construction (arithmetic, embeddings, partial expectations)."""
+        op = object.__new__(cls)
+        op.__dict__.update(region=region, matrix=matrix, site_dim=site_dim, hermitian=False)
+        return op
+
+    @classmethod
     def identity(cls, region: Region, site_dim: int) -> "LocalOperator":
         dim = site_dim ** len(region)
         return cls(region, np.eye(dim, dtype=complex), site_dim)
@@ -175,30 +199,30 @@ class LocalOperator:
         return cls(region, np.zeros((dim, dim), dtype=complex), site_dim)
 
     def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.region, self.matrix.conj().T, self.site_dim)
+        return LocalOperator._raw(self.region, self.matrix.conj().T, self.site_dim)
 
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         return is_hermitian_matrix(self.matrix, rtol)
 
     def __add__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
-        return LocalOperator(a.region, a.matrix + b.matrix, a.site_dim)
+        return LocalOperator._raw(a.region, a.matrix + b.matrix, a.site_dim)
 
     def __sub__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
-        return LocalOperator(a.region, a.matrix - b.matrix, a.site_dim)
+        return LocalOperator._raw(a.region, a.matrix - b.matrix, a.site_dim)
 
     def __neg__(self) -> "LocalOperator":
-        return LocalOperator(self.region, -self.matrix, self.site_dim)
+        return LocalOperator._raw(self.region, -self.matrix, self.site_dim)
 
     def __mul__(self, c) -> "LocalOperator":
-        return LocalOperator(self.region, self.matrix * complex(c), self.site_dim)
+        return LocalOperator._raw(self.region, self.matrix * complex(c), self.site_dim)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
-        return LocalOperator(a.region, a.matrix @ b.matrix, a.site_dim)
+        return LocalOperator._raw(a.region, a.matrix @ b.matrix, a.site_dim)
 
 
 def _on_common_region(a: LocalOperator, b: LocalOperator):
@@ -224,7 +248,7 @@ def embed(a: LocalOperator, target: Region) -> LocalOperator:
         return a
     if d ** m > DIMENSION_CAP:
         raise DimensionCapError(f"embedding dimension {d ** m} exceeds cap")
-    return LocalOperator(target, embed_matrices(a.matrix, a.region, target, d), d)
+    return LocalOperator._raw(target, embed_matrices(a.matrix, a.region, target, d), d)
 
 
 def embed_matrices(mats: np.ndarray, region: Region, target: Region, d: int) -> np.ndarray:
@@ -242,6 +266,23 @@ def embed_matrices(mats: np.ndarray, region: Region, target: Region, d: int) -> 
     tens = big.reshape(mats.shape[:batch] + (d,) * (2 * m))
     axes = list(range(batch)) + [batch + p for p in perm] + [batch + m + p for p in perm]
     return tens.transpose(axes).reshape(mats.shape[:batch] + (d ** m, d ** m))
+
+
+def operator_norms(mats: np.ndarray, cap: int = DIMENSION_CAP) -> np.ndarray:
+    """``operator_norm`` of each matrix of a stack (K, D, D), with the same
+    branch per matrix: max |eigenvalue| where ``hermitian_mask`` holds, else
+    the largest singular value.  One stacked eigvalsh and one stacked SVD
+    compute each matrix as they would compute it alone."""
+    dim = mats.shape[-1]
+    if dim > cap:
+        raise DimensionCapError(f"dimension {dim} exceeds cap {cap}")
+    norms = np.zeros(len(mats))
+    herm = hermitian_mask(mats)
+    if herm.any():
+        norms[herm] = np.abs(np.linalg.eigvalsh(mats[herm])).max(axis=-1)
+    if not herm.all():
+        norms[~herm] = np.linalg.norm(mats[~herm], 2, axis=(-2, -1))
+    return norms
 
 
 def operator_norm(a: LocalOperator, cap: int = DIMENSION_CAP) -> float:

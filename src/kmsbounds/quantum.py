@@ -4,7 +4,10 @@ Everything here is dense linear algebra at desk scale: Hermitian matrix
 exponentials go through eigendecompositions, time-ordered integrals through
 iterated Gauss-Legendre rules on the ordered simplex, and the constrained
 region sums of the interaction-picture expansion enumerate the finitely many
-regions in the interaction's support.
+regions in the interaction's support.  The integrands of one chain of
+regions are evaluated at all quadrature nodes at once, as (nodes, D, D)
+matrix stacks; a factor without a single-site part is one (1, D, D) matrix
+that broadcasts, so a chain of such factors costs one node.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iterproduct
 from typing import Mapping, Sequence
 
@@ -22,10 +25,10 @@ from numpy.polynomial.legendre import leggauss
 from .centering import (
     NotCenteredError,
     ReferenceStates,
+    butterfly,
     centering_residual,
-    decompose_known_free,
     haar_random_unitaries,
-    partial_expectation,
+    site_expectation,
 )
 from .lattice import (
     DIMENSION_CAP,
@@ -37,6 +40,7 @@ from .lattice import (
     embed,
     embed_matrices,
     operator_norm,
+    operator_norms,
 )
 from .norms import NormParams, norm_eps_zeta, psi_norm_sum
 
@@ -94,7 +98,7 @@ class FiniteSystem:
         """e^{itH} A e^{-itH} on the whole lattice, from the cached
         eigendecomposition of the Hamiltonian (see ``evolve``)."""
         evolved = _conjugate(embed(a, self.gamma).matrix, self.eigh, t)
-        return LocalOperator(self.gamma, evolved, self.site_dim)
+        return LocalOperator._raw(self.gamma, evolved, self.site_dim)
 
 
 def hamiltonian(sys: FiniteSystem) -> LocalOperator:
@@ -105,9 +109,10 @@ def hamiltonian(sys: FiniteSystem) -> LocalOperator:
     return acc
 
 
-def _expm_factor(w: np.ndarray, v: np.ndarray, z: complex) -> np.ndarray:
-    """e^{zH} for H with eigendecomposition ``(w, v)``."""
-    return (v * np.exp(z * w)) @ v.conj().T
+def _expm_factor(w: np.ndarray, v: np.ndarray, z) -> np.ndarray:
+    """e^{zH} for H with eigendecomposition ``(w, v)``; a stack of them, one
+    per entry, for an array ``z``."""
+    return (v * np.exp(np.multiply.outer(z, w))[..., None, :]) @ v.conj().T
 
 
 def _conjugate(a: np.ndarray, eig: tuple, t: complex) -> np.ndarray:
@@ -119,9 +124,15 @@ def gibbs_expectation(sys: FiniteSystem, a: LocalOperator, state: tuple = None) 
     """tr(rho A) on the full finite lattice for the state rho given by its
     eigenbasis and weights ``(basis, weights)``; by default the Gibbs state
     tr(e^{-beta H} A) / tr(e^{-beta H})."""
+    return complex(gibbs_expectations(sys, embed(a, sys.gamma).matrix, state))
+
+
+def gibbs_expectations(sys: FiniteSystem, mats: np.ndarray, state: tuple = None) -> np.ndarray:
+    """``gibbs_expectation`` of each matrix of a stack (..., D, D) on the
+    whole lattice, each computed as it would be alone."""
     basis, weights = sys.gibbs if state is None else state
-    full = embed(a, sys.gamma).matrix
-    return complex((weights * np.diagonal(basis.conj().T @ full @ basis)).sum())
+    rotated = basis.conj().T @ mats @ basis
+    return (weights * np.diagonal(rotated, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def evolve(a: LocalOperator, h: LocalOperator, t: complex) -> LocalOperator:
@@ -134,22 +145,29 @@ def evolve(a: LocalOperator, h: LocalOperator, t: complex) -> LocalOperator:
         raise ValueError("generator must be Hermitian")
     target = a.region.union(h.region)
     eig = np.linalg.eigh(embed(h, target).matrix)
-    return LocalOperator(target, _conjugate(embed(a, target).matrix, eig, t), a.site_dim)
+    return LocalOperator._raw(target, _conjugate(embed(a, target).matrix, eig, t), a.site_dim)
 
 
-def single_site_evolution(fam: InteractionFamily, region: Region, t: complex) -> tuple:
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the matrices on the last two axes, broadcast over the
+    leading axes of two stacks."""
+    p, q = a.shape[-1], b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (p * q, p * q))
+
+
+def single_site_evolution(fam: InteractionFamily, region: Region, t) -> tuple:
     """Factors (e^{it Psi_region}, e^{-it Psi_region}) built from the family's
     cached single-site eigendecompositions (the single-site Hamiltonian is a
     sum of commuting one-site terms, so the exponential factorizes over
-    sites); a site without a term contributes an identity factor."""
-    d = fam.site_dim
-    eye = np.eye(d, dtype=complex)
-    left = np.array([[1.0]], dtype=complex)
-    right = np.array([[1.0]], dtype=complex)
+    sites); a site without a term contributes an identity factor.  For an
+    array of N times the factors are (N, D, D) stacks."""
+    eye = np.eye(fam.site_dim, dtype=complex)
+    left = right = np.ones(np.shape(t) + (1, 1), dtype=complex)
     for x in region:
         eig = fam.psi_eigh(x)
-        left = np.kron(left, eye if eig is None else _expm_factor(*eig, 1j * t))
-        right = np.kron(right, eye if eig is None else _expm_factor(*eig, -1j * t))
+        left = _kron(left, eye if eig is None else _expm_factor(*eig, 1j * t))
+        right = _kron(right, eye if eig is None else _expm_factor(*eig, -1j * t))
     return left, right
 
 
@@ -159,7 +177,32 @@ def tau_psi(a: LocalOperator, fam: InteractionFamily, t: complex) -> LocalOperat
     if all(fam.psi_eigh(x) is None for x in a.region):
         return a
     left, right = single_site_evolution(fam, a.region, t)
-    return LocalOperator(a.region, left @ a.matrix @ right, a.site_dim)
+    return LocalOperator._raw(a.region, left @ a.matrix @ right, a.site_dim)
+
+
+def _pictured(fam: InteractionFamily, region: Region, mats: np.ndarray, target: Region,
+              t: np.ndarray) -> np.ndarray:
+    """Interaction-picture evolution by the single-site terms of ``region``
+    of a matrix on ``target`` (a superset of the region), at each of the N
+    times ``t``: an (N, D, D) stack.  When no site of the region carries a
+    single-site term the picture is the identity at every time, and the
+    matrix comes back as a (1, D, D) stack that broadcasts against the
+    node stacks."""
+    if all(fam.psi_eigh(x) is None for x in region):
+        return mats[None]
+    left, right = (
+        embed_matrices(factor, region, target, fam.site_dim)
+        for factor in single_site_evolution(fam, region, t)
+    )
+    return left @ mats @ right
+
+
+def _node_sum(weights: np.ndarray, stack: np.ndarray):
+    """sum_i weights[i] stack[i] over the leading (node) axis; a one-row
+    stack holds the same value at every node."""
+    if len(stack) == 1:
+        return weights.sum() * stack[0]
+    return np.tensordot(weights, stack, axes=1)
 
 
 def generator_delta(a: LocalOperator, fam: InteractionFamily) -> LocalOperator:
@@ -211,22 +254,21 @@ class SimplexQuadrature:
     points: int = 8
 
     def rule(self, order: int, upper: float):
+        """(nodes, weights): one row of ``order`` times per node, the nodes
+        in lexicographic order of their Gauss-Legendre indices.  Each time
+        is the sequential product upper u_{i_1} ... u_{i_k}, each weight
+        the sequential product of wu_{i_k} s_{k-1}; ``np.cumprod`` forms
+        both in that order."""
         if order < 1:
             raise ValueError("order must be >= 1")
         x, w = leggauss(self.points)
         u = (x + 1.0) / 2.0
         wu = w / 2.0
-        nodes = np.empty((self.points ** order, order))
-        weights = np.empty(self.points ** order)
-        for row, combo in enumerate(iterproduct(range(self.points), repeat=order)):
-            s_prev = upper
-            wgt = 1.0
-            for axis, idx in enumerate(combo):
-                s = s_prev * u[idx]
-                wgt *= wu[idx] * s_prev
-                nodes[row, axis] = s
-                s_prev = s
-            weights[row] = wgt
+        combos = np.indices((self.points,) * order).reshape(order, -1).T
+        scaled = np.concatenate([np.full((len(combos), 1), float(upper)), u[combos]], axis=1)
+        times = np.cumprod(scaled, axis=1)
+        nodes = times[:, 1:]
+        weights = np.cumprod(wu[combos] * times[:, :-1], axis=1)[:, -1]
         return nodes, weights
 
 
@@ -281,41 +323,33 @@ def dyson_truncated(a: LocalOperator, sys: FiniteSystem, t: complex, order: int,
     upper, coeff_base, imaginary = _dyson_modes(t)
     lam = a.region
     _warn_if_outside_regime(sys.fam, abs(upper))
-
-    def picture(op, s):
-        return tau_psi(op, sys.fam, 1j * s if imaginary else s)
-
-    pictured = {}
-    # a term without a single-site part on its region is its own picture
-    static = {
-        r for r in sys.fam.multilocal() if all(sys.fam.psi_eigh(x) is None for x in r)
-    }
-
-    def factor(region, s):
-        """Embedded interaction-picture term, once per (region, node time),
-        or once per region when the picture leaves it unchanged."""
-        key = region if region in static else (region, s)
-        if key not in pictured:
-            pictured[key] = embed(picture(sys.fam.terms[region], s), sys.gamma).matrix
-        return pictured[key]
-
-    free = embed(picture(a, upper), sys.gamma)
-    total = free
+    # interaction-picture time of a simplex time
+    unit = 1j if imaginary else 1.0
+    # each term on the whole lattice, embedded once
+    embedded = {r: embed(op, sys.gamma).matrix for r, op in sys.fam.multilocal().items()}
+    total = embed(tau_psi(a, sys.fam, unit * upper), sys.gamma).matrix
+    free = total[None]
     for n in range(1, order + 1):
         chains = constrained_chains(sys.fam, n, lam)
         if not chains:
             break
         nodes, weights = quad.rule(n, upper)
-        acc = np.zeros_like(free.matrix)
+        factors = {}  # (region, position in the chain) -> its node stack
+        acc = np.zeros_like(total)
         for chain in chains:
-            for s_row, wgt in zip(nodes, weights):
-                current = free.matrix
-                for ell in range(n):
-                    b = factor(chain[ell], s_row[ell])
-                    current = b @ current - current @ b
-                acc = acc + current * complex(wgt)
-        total = total + (coeff_base ** n) * LocalOperator(sys.gamma, acc, sys.site_dim)
-    return total
+            # all nodes at once; a chain of node-independent factors stays
+            # one (1, D, D) matrix
+            current = free
+            for ell, region in enumerate(chain):
+                if (region, ell) not in factors:
+                    factors[region, ell] = _pictured(
+                        sys.fam, region, embedded[region], sys.gamma, unit * nodes[:, ell]
+                    )
+                b = factors[region, ell]
+                current = b @ current - current @ b
+            acc = acc + _node_sum(weights, current)
+        total = total + (coeff_base ** n) * acc
+    return LocalOperator._raw(sys.gamma, total, sys.site_dim)
 
 
 def _warn_if_outside_regime(fam: InteractionFamily, duration: float) -> None:
@@ -399,27 +433,33 @@ def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
         if len(region.intersection(grown)) == 0:
             raise ValueError("chain violates the overlap constraint")
         grown = grown.union(region)
-    eta = sys.reference_states
-    out_region = grown
+    kernels = _ks_kernels(sys, x, chain, grown, np.array([times], dtype=float))
+    return LocalOperator._raw(grown, kernels[0], sys.site_dim)
+
+
+def _ks_kernels(sys: FiniteSystem, x: Site, chain: Sequence[Region], grown: Region,
+                times: np.ndarray) -> np.ndarray:
+    """``ks_kernel`` at each row of the (N, n) array ``times`` for a valid
+    chain, as one stack on ``grown``, the union of the chain's regions:
+    (N, D, D), or (1, D, D) when no region of the chain carries a single-site
+    term (the kernel does not depend on the times then).  Checks the norm
+    bound."""
+    n = len(chain)
+    eye = np.eye(sys.site_dim ** len(grown), dtype=complex)
     factors = [
-        embed(tau_psi(sys.fam.terms[reg], sys.fam, 1j * s), out_region)
-        for reg, s in zip(chain, times)
+        _pictured(sys.fam, region, embed(sys.fam.terms[region], grown).matrix, grown,
+                  1j * times[:, ell])
+        for ell, region in enumerate(chain)
     ]
-    identity = LocalOperator.identity(out_region, sys.site_dim)
-    acc = LocalOperator.zero(out_region, sys.site_dim)
+    rho = sys.reference_states.density(x)
+    acc = 0.0
     for mask in iterproduct((0, 1), repeat=n):
-        left = identity
-        for ell in reversed(range(n)):
-            if mask[ell]:
-                left = left @ factors[ell]
-        averaged = embed(partial_expectation(left, Region((x,)), eta), out_region)
-        right = identity
-        for ell in range(n):
-            if not mask[ell]:
-                right = right @ factors[ell]
+        left = reduce(np.matmul, [factors[ell] for ell in reversed(range(n)) if mask[ell]], eye)
+        averaged = site_expectation(left, len(grown), grown.index(x), rho)
+        right = reduce(np.matmul, [factors[ell] for ell in range(n) if not mask[ell]], eye)
         sign = -1.0 if (n - sum(mask)) % 2 else 1.0
         acc = acc + sign * (averaged @ right)
-    if operator_norm(acc) > ks_kernel_norm_bound(sys, chain) * (1.0 + 1e-9):
+    if np.any(operator_norms(acc) > ks_kernel_norm_bound(sys, chain) * (1.0 + 1e-9)):
         raise AssertionError("kernel norm bound violated")
     return acc
 
@@ -499,6 +539,7 @@ def ks_residual(sys: FiniteSystem, test_elems: Sequence[LocalOperator], order: i
     inside the subcritical regime.
     """
     eta = sys.reference_states
+    d = sys.site_dim
     reports = []
     for elem in test_elems:
         scale = max(operator_norm(elem), 1.0)
@@ -513,18 +554,23 @@ def ks_residual(sys: FiniteSystem, test_elems: Sequence[LocalOperator], order: i
             total = 0.0 + 0.0j
             nodes, wgts = quad.rule(n, sys.beta)
             for chain in chains:
+                # every node of the chain at once: kernels, the dressed
+                # element elem @ kernel, its refined components (indices
+                # X ∪ base, X within the chain's support) and their
+                # expectations
                 active = Region.of(site for reg in chain for site in reg)
-                for s_row, wgt in zip(nodes, wgts):
-                    kernel = ks_kernel(sys, x, chain, list(s_row))
-                    dressed = elem @ kernel
-                    dec = decompose_known_free(dressed, active, eta)
-                    comp_sum = sum(
-                        gibbs_expectation(sys, op) for op in dec.components.values()
-                    )
-                    telescope = max(
-                        telescope, abs(comp_sum - gibbs_expectation(sys, dressed))
-                    )
-                    total += wgt * comp_sum
+                region = lam.union(active)
+                kernels = _ks_kernels(sys, x, chain, active, nodes)
+                dressed = embed_matrices(elem.matrix, lam, region, d) @ embed_matrices(
+                    kernels, active, region, d
+                )
+                comps = butterfly(dressed, region, active, eta)
+                comp_sums = gibbs_expectations(
+                    sys, embed_matrices(comps, region, sys.gamma, d)
+                ).sum(axis=0)
+                exact = gibbs_expectations(sys, embed_matrices(dressed, region, sys.gamma, d))
+                telescope = max(telescope, float(np.abs(comp_sums - exact).max()))
+                total += complex(_node_sum(wgts, comp_sums))
             contributions[n] = (-1.0) ** (n + 1) * total
         target = gibbs_expectation(sys, elem)
         residuals = {}

@@ -10,6 +10,8 @@ from kmsbounds.centering import (
     NotCenteredError,
     ReferenceStates,
     SubsetCapError,
+    centering_residual,
+    decompose_known_free,
     decompose_moebius,
     decompose_recursive,
     decompose_refined,
@@ -25,6 +27,7 @@ from kmsbounds.lattice import (
     box_window,
     embed,
     operator_norm,
+    operator_norms,
     spin_matrices,
 )
 
@@ -39,6 +42,12 @@ def rand_hermitian(dim, rng=RNG):
 def random_eta(window, beta, rng=RNG):
     rho = {x: gibbs_single_site(rand_hermitian(2, rng), beta) for x in window}
     return ReferenceStates(beta=beta, site_dim=2, rho=rho)
+
+
+def unit_observable(region, rng):
+    """Random Hermitian observable of operator norm one."""
+    m = rand_hermitian(2 ** len(region), rng)
+    return LocalOperator(region, m / np.abs(np.linalg.eigvalsh(m)).max(), 2)
 
 
 class TestGibbsSingleSite:
@@ -223,6 +232,45 @@ class TestDecomposition:
         assert forged.reconstruction_residual(a) <= 1e-10 * operator_norm(a)
         assert forged.centering_residual(self.eta) > 1e-6
 
+    @pytest.mark.parametrize("nsites", [1, 2, 3, 4, 5, 6])
+    def test_butterfly_against_recursive(self, nsites):
+        """The subset transform lists the recursion's components in the same
+        order and agrees with them to the decompose suite's 1e-11."""
+        rng = np.random.default_rng(100 + nsites)
+        window = box_window([nsites])
+        eta = random_eta(window, 0.8, rng)
+        a = unit_observable(window, rng)
+        rec = decompose_recursive(a, eta)
+        moe = decompose_moebius(a, eta)
+        assert list(moe.components) == list(rec.components)
+        assert len(moe.stack) == 2 ** nsites
+        assert operator_norms(rec.stack - moe.stack).max() <= 1e-11
+
+    def test_stacked_checks_match_per_component_loop(self):
+        """One contraction per site over the component stack gives the
+        per-component residuals; one stacked norm call gives the per-component
+        bound checks.  The forged family has residuals of order one."""
+        rng = np.random.default_rng(5)
+        a = unit_observable(self.window, rng)
+        dec = decompose_recursive(a, self.eta)
+        forged = Decomposition(self.window, {
+            k: op + LocalOperator(self.window, 0.1 * rand_hermitian(8, rng), 2)
+            for k, op in dec.components.items()
+        })
+        for d in (dec, forged):
+            per_component = max(
+                centering_residual(op, self.eta, index) for index, op in d.components.items()
+            )
+            assert d.centering_residual(self.eta) == pytest.approx(
+                per_component, rel=1e-12, abs=1e-15
+            )
+            # the smallest reference norm that passes, and one just below it
+            ratios = [
+                operator_norm(op) / 2.0 ** d.bound_exponent(k) for k, op in d.components.items()
+            ]
+            assert d.norm_bound_ok(max(ratios), slack=0.0)
+            assert not d.norm_bound_ok(max(ratios) * (1 - 1e-9), slack=0.0)
+
     def test_subset_cap(self):
         window = box_window([13])
         eta = ReferenceStates(beta=1.0, site_dim=2, rho={})
@@ -281,6 +329,30 @@ class TestRefined:
                 assert operator_norm(comp) <= 1e-10
         for index in refined.components:
             assert lam_n.issubset(index)
+
+    @pytest.mark.parametrize(
+        "lam_sites, pref_sites",
+        [
+            ([(0,), (1,)], [(1,), (2,)]),
+            ([(0,), (1,), (2,)], [(2,), (3,)]),
+            ([(0,), (1,), (2,)], [(1,)]),
+            ([(0,), (1,)], [(2,), (3,)]),
+        ],
+    )
+    def test_refined_butterfly_against_recursive(self, lam_sites, pref_sites):
+        """With a base (sites of the centered element outside the prefactor),
+        every refined component is the full recursion's component on the same
+        index, to 1e-11 of the product's norm."""
+        rng = np.random.default_rng(len(lam_sites) + 10 * len(pref_sites))
+        lam = Region.of(lam_sites)
+        elem = self.centered_on(lam, rng)
+        pref = unit_observable(Region.of(pref_sites), rng)
+        product = pref @ elem
+        refined = decompose_known_free(product, pref.region, self.eta)
+        assert len(refined.base) > 0
+        full = decompose_recursive(product, self.eta)
+        for index, comp in refined.components.items():
+            assert operator_norm(comp - full.components[index]) <= 1e-11 * operator_norm(product)
 
     def test_refined_centering(self):
         rng = np.random.default_rng(6)

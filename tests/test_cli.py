@@ -333,6 +333,26 @@ class TestConfigRules:
         )
         assert json.loads(proc.stdout) == [[], [], [EXIT_OK] * 4 * len(MODELS)]
 
+    def test_quantum_suite_leaves_classical_out(self, tmp_path):
+        """Only the classical-invariance suite imports the classical layer: a
+        fresh interpreter that runs ``verify --suite kms`` does not load it."""
+        src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
+        path = write_config(tmp_path, {"model": "heisenberg"})
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import kmsbounds.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--suite', 'kms', '--config', sys.argv[1]])\n"
+            "print(json.dumps([code, 'kmsbounds.verify' in sys.modules,\n"
+            "                  'kmsbounds.classical' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, path],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert json.loads(proc.stdout) == [EXIT_OK, True, False]
+
 
 class TestNorms:
     def test_heisenberg_theorem_norm(self):
@@ -624,6 +644,7 @@ def _run_main(argv):
 @example({"model": "ising_staggered", "nu": 1, "two_j": 16, "params": {"J": 1e308}})
 @example({"model": "classical_heisenberg", "nu": 3, "two_j": 1, "beta": 1e308,
           "params": {"J": 1e-320, "delta": -1.7e308}})
+@example({"model": "classical_heisenberg", "params": {"J": 10 ** 308, "delta": 2}})
 def test_threshold_commands_on_accepted_configs(config):
     """``norms``, ``beta-u``, ``compare`` and ``report`` on any accepted
     config, with warnings as errors: no exception, an exit code in

@@ -21,6 +21,7 @@ from kmsbounds.lattice import (
     is_hermitian_matrix,
     ising_staggered_ti,
     operator_norm,
+    operator_norms,
     spin_matrices,
 )
 
@@ -205,6 +206,67 @@ class TestOperatorNorm:
     def test_homogeneity(self, c):
         a = LocalOperator(Region(((0,),)), np.array([[1, 2j], [-2j, 3]]), 2)
         assert operator_norm(c * a) == pytest.approx(abs(c) * operator_norm(a))
+
+    def test_stack_matches_one_at_a_time(self):
+        """``operator_norms`` takes each matrix's own Hermitian or SVD branch
+        and gives its ``operator_norm`` bit for bit, in mixed stacks too."""
+        rng = np.random.default_rng(11)
+        general = [rand_matrix(4, rng) for _ in range(4)]
+        hermitian = [(m + m.conj().T) / 2 for m in general]
+        zero = [np.zeros((4, 4), dtype=complex)]
+        skew = general[3] - general[3].conj().T
+        roundoff = [
+            hermitian[0] + 1e-17 * general[1],  # Hermitian up to roundoff
+            hermitian[1] + 1e-12 * skew,  # at the Hermitian tolerance
+            hermitian[2] + 1e-11 * skew,
+            hermitian[2] * 1e-310,  # subnormal entries
+            general[0] * 5e-324,
+        ]
+        for mats in (hermitian, general, zero, roundoff, hermitian + general + zero + roundoff):
+            alone = [operator_norm(LocalOperator(box_window([2]), m, 2)) for m in mats]
+            assert operator_norms(np.array(mats)).tolist() == alone
+
+    def test_stack_dimension_cap(self):
+        with pytest.raises(DimensionCapError):
+            operator_norms(np.zeros((1, 8, 8)), cap=4)
+
+
+class TestCheckedConstructors:
+    """The public constructors keep every check; the regions and operators
+    the package builds unchecked are what the checked constructors build."""
+
+    @pytest.mark.parametrize("sites", [((1,), (0,)), ((0,), (0,)), ((0,), (0, 1))])
+    def test_region_rejects_unsorted_duplicate_or_mixed_sites(self, sites):
+        with pytest.raises(ValueError):
+            Region(sites)
+
+    def test_operator_rejects_wrong_shape_and_false_hermitian_flag(self):
+        with pytest.raises(ValueError, match="does not match"):
+            LocalOperator(box_window([2]), np.eye(2), 2)
+        with pytest.raises(ValueError, match="does not match"):
+            LocalOperator(Region(((0,),)), np.eye(3), 2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            LocalOperator(Region(((0,),)), np.array([[0, 1], [0, 0]]), 2, hermitian=True)
+
+    @given(
+        st.lists(st.integers(-5, 5), min_size=0, max_size=5),
+        st.lists(st.integers(-5, 5), min_size=0, max_size=5),
+    )
+    def test_set_operations_equal_checked_regions(self, xs, ys):
+        a = Region.of([(x,) for x in xs])
+        b = Region.of([(y,) for y in ys])
+        for result in (a.union(b), a.difference(b), a.intersection(b), *a.subsets()):
+            checked = Region(result.sites)
+            assert result == checked and hash(result) == hash(checked)
+
+    def test_arithmetic_results_pass_the_checks(self):
+        a = LocalOperator(Region(((0,),)), rand_matrix(2), 2)
+        b = LocalOperator(Region(((1,),)), rand_matrix(2), 2)
+        results = (a + b, a - b, a @ b, -a, 2.5 * a, a.dagger(), embed(a, box_window([3])))
+        for op in results:
+            checked = LocalOperator(op.region, op.matrix, op.site_dim)
+            assert op.matrix.dtype == complex
+            assert np.array_equal(checked.matrix, op.matrix)
 
 
 class TestBuilders:
