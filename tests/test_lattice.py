@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmsbounds import lattice
 from kmsbounds.lattice import (
     EMPTY_REGION,
     DimensionCapError,
@@ -17,6 +18,7 @@ from kmsbounds.lattice import (
     embed,
     embed_matrices,
     heisenberg_bond,
+    hermitian_mask,
     heisenberg_ti,
     is_hermitian_matrix,
     ising_staggered_ti,
@@ -188,10 +190,13 @@ class TestOperatorNorm:
             oracle = float(np.linalg.svd(m, compute_uv=False).max())
             assert operator_norm(a) == pytest.approx(oracle, rel=1e-10)
 
-    def test_dimension_cap(self):
-        big = LocalOperator(box_window([13]), np.eye(2 ** 13), 2)
+    def test_dimension_cap(self, monkeypatch):
+        at_cap = LocalOperator.identity(box_window([2]), 2)
+        above = LocalOperator.identity(box_window([3]), 2)
+        monkeypatch.setattr(lattice, "DIMENSION_CAP", 4)
+        assert operator_norm(at_cap) == 1.0
         with pytest.raises(DimensionCapError):
-            operator_norm(big)
+            operator_norm(above)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1.0, 1e300])
@@ -201,6 +206,22 @@ class TestOperatorNorm:
         assert is_hermitian_matrix(scale * hermitian)
         assert not is_hermitian_matrix(scale * symmetric)
 
+    def test_hermitian_check_at_its_tolerance(self):
+        """The stacked test sums its norms as ``np.linalg.norm`` sums one
+        flattened matrix, so each matrix of a stack is decided as that
+        formula decides it alone, even where ||M - M*|| / ||M|| is rtol."""
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 4, 8):
+            mats = np.array([rand_matrix(dim, rng) for _ in range(40)])
+            mats = (mats + mats.conj().swapaxes(1, 2)) / 2 + 1e-12 * mats
+            for m in mats:
+                unit = m / np.abs(m).max()
+                skew, size = np.linalg.norm(unit - unit.conj().T), np.linalg.norm(unit)
+                rtol = skew / size  # the boundary of this matrix
+                assert is_hermitian_matrix(m, rtol) == (skew <= rtol * size)
+                expected = [is_hermitian_matrix(other, rtol) for other in mats]
+                assert hermitian_mask(mats, rtol).tolist() == expected
+
     @given(st.floats(-4, 4))
     @settings(max_examples=25, deadline=None)
     def test_homogeneity(self, c):
@@ -209,7 +230,8 @@ class TestOperatorNorm:
 
     def test_stack_matches_one_at_a_time(self):
         """``operator_norms`` takes each matrix's own Hermitian or SVD branch
-        and gives its ``operator_norm`` bit for bit, in mixed stacks too."""
+        and gives, in mixed stacks too, bit for bit what eigvalsh or the SVD
+        norm of that matrix gives alone."""
         rng = np.random.default_rng(11)
         general = [rand_matrix(4, rng) for _ in range(4)]
         hermitian = [(m + m.conj().T) / 2 for m in general]
@@ -223,12 +245,20 @@ class TestOperatorNorm:
             general[0] * 5e-324,
         ]
         for mats in (hermitian, general, zero, roundoff, hermitian + general + zero + roundoff):
-            alone = [operator_norm(LocalOperator(box_window([2]), m, 2)) for m in mats]
+            alone = [
+                float(np.abs(np.linalg.eigvalsh(m)).max())
+                if is_hermitian_matrix(m)
+                else float(np.linalg.norm(m, 2))
+                for m in mats
+            ]
             assert operator_norms(np.array(mats)).tolist() == alone
+            assert [operator_norm(LocalOperator(box_window([2]), m, 2)) for m in mats] == alone
 
-    def test_stack_dimension_cap(self):
+    def test_stack_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(lattice, "DIMENSION_CAP", 4)
+        assert operator_norms(np.zeros((1, 4, 4))).tolist() == [0.0]
         with pytest.raises(DimensionCapError):
-            operator_norms(np.zeros((1, 8, 8)), cap=4)
+            operator_norms(np.zeros((1, 8, 8)))
 
 
 class TestCheckedConstructors:
