@@ -145,17 +145,8 @@ def hermitian_mask(mats: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray
     peak = np.abs(mats).max(axis=(-2, -1))
     # the reciprocal of a subnormal peak would overflow
     unit = mats * (1.0 / np.maximum(peak, sys.float_info.min))[..., None, None]
-    return _frobenius(unit - unit.conj().swapaxes(-2, -1)) <= rtol * _frobenius(unit)
-
-
-def _frobenius(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix on the last two axes, summed as
-    ``np.linalg.norm`` sums one matrix: a BLAS dot of the flattened real
-    parts plus one of the imaginary parts (a row times a column in matmul is
-    that dot), so each matrix gets its own norm bit for bit."""
-    flat = mats.reshape(mats.shape[:-2] + (1, -1))
-    re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.swapaxes(-2, -1) + im @ im.swapaxes(-2, -1))[..., 0, 0]
+    skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
+    return skew <= rtol * np.linalg.norm(unit, axis=(-2, -1))
 
 
 def is_hermitian_matrix(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
@@ -278,30 +269,33 @@ def embed_matrices(mats: np.ndarray, region: Region, target: Region, d: int) -> 
 
 
 def operator_norms(mats: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix on the last two axes: max |eigenvalue|
-    where ``hermitian_mask`` holds, else the largest singular value.  One
-    stacked eigvalsh and one stacked SVD compute each matrix as they would
-    compute it alone."""
+    """``operator_norm`` of each matrix of a stack (K, D, D), with the same
+    branch per matrix: max |eigenvalue| where ``hermitian_mask`` holds, else
+    the largest singular value.  One stacked eigvalsh and one stacked SVD
+    compute each matrix as they would compute it alone."""
     dim = mats.shape[-1]
     if dim > DIMENSION_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    norms = np.zeros(len(mats))
     herm = hermitian_mask(mats)
-    if herm.all():
-        return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
-    if not herm.any():
-        return np.linalg.norm(mats, 2, axis=(-2, -1))
-    norms = np.empty(herm.shape)
-    norms[herm] = operator_norms(mats[herm])
-    norms[~herm] = operator_norms(mats[~herm])
+    if herm.any():
+        norms[herm] = np.abs(np.linalg.eigvalsh(mats[herm])).max(axis=-1)
+    if not herm.all():
+        norms[~herm] = np.linalg.norm(mats[~herm], 2, axis=(-2, -1))
     return norms
 
 
 def operator_norm(a: LocalOperator) -> float:
-    """``operator_norms`` of one operator's matrix (0 for a matrix of
-    dimension 0)."""
-    if a.matrix.shape[0] == 0:
+    """Spectral norm; max |eigenvalue| for Hermitian input, else the largest
+    singular value."""
+    dim = a.matrix.shape[0]
+    if dim > DIMENSION_CAP:
+        raise DimensionCapError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    if dim == 0:
         return 0.0
-    return float(operator_norms(a.matrix))
+    if a.is_hermitian():
+        return float(np.abs(np.linalg.eigvalsh(a.matrix)).max())
+    return float(np.linalg.norm(a.matrix, 2))
 
 
 def spin_matrices(rep: SpinRep, at: Site = (0,)) -> tuple:
