@@ -1,7 +1,8 @@
 """Golden CLI outputs: the default JSON and the ``--csv`` bytes of ``norms``,
 ``beta-u``, ``compare`` and ``report`` on a fixed config set, of
-``compare --paper-table``, and of ``verify`` on each quantum suite at seed 0,
-must not change unless a change is intended.
+``compare --paper-table``, and of ``verify`` on each quantum suite and on the
+classical-invariance suite at seed 0, must not change unless a change is
+intended.
 
 Regenerate ``golden/cli_outputs.json`` after an intended output change with
 
@@ -86,6 +87,11 @@ CASES = {
         f"heisenberg verify {suite}": ("heisenberg", ["verify", "--suite", suite])
         for suite in QUANTUM_SUITES
     },
+    # the quadrature residual and the rotation-product bound pin the
+    # numerics of the classical module bit for bit
+    "classical verify classical-invariance": (
+        "classical", ["verify", "--suite", "classical-invariance"],
+    ),
 }
 
 
