@@ -7,6 +7,12 @@ uniform angular rule), normalized so the sphere has measure one.  Rotations
 act on a single marked site by pulling back observables.  Sup norms come
 from a grid search, except for potentials that carry a closed form, which
 bypass it.
+
+Quadrature configurations have shape (N, k, 3) but are component-major in
+memory: a transposed view of a C-order (k, 3, N) array, so each ``[:, s, c]``
+is contiguous.  Potentials and observables index them, must not write into
+them (the window grid is cached per ``SphereGrid`` and read-only) and must
+not assume they are C-contiguous.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ class ClassicalPotential:
 
     ``fn`` is vectorized: it maps an array of shape (..., k, 3) of unit
     vectors (one row per site of the region, in region order) to real values
-    of shape (...).  ``sup_norm`` may carry a closed-form supremum.
+    of shape (...).  The array is a read-only, component-major view (see the
+    module docstring): ``fn`` indexes it and must neither write into it nor
+    assume it is C-contiguous.  ``sup_norm`` may carry a closed-form supremum.
     """
 
     region: Region
@@ -76,6 +84,9 @@ class SphereGrid:
         ).reshape(-1, 3)
         w2d = np.broadcast_to((weights / 2.0)[:, None], cos_t.shape) / (2 * order)
         self.weights = w2d.reshape(-1).copy()
+        # read-only (configs, weights) product grids by window size, filled
+        # by _window_chunks
+        self._windows = {}
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
@@ -83,29 +94,37 @@ class SphereGrid:
 
 def _product(*site_vectors: np.ndarray) -> np.ndarray:
     """Configurations of the Cartesian product of per-site vector lists,
-    first site slowest: shape (n_1 ... n_k, k, 3)."""
+    first site slowest: shape (n_1 ... n_k, k, 3), component-major."""
     shape = tuple(len(v) for v in site_vectors)
     k = len(shape)
-    out = np.empty(shape + (k, 3))
+    out = np.empty((k, 3) + shape)
     for s, v in enumerate(site_vectors):
-        out[..., s, :] = v.reshape((1,) * s + (len(v),) + (1,) * (k - s - 1) + (3,))
-    return out.reshape(math.prod(shape), k, 3)
+        out[s] = v.T.reshape((3,) + (1,) * s + (len(v),) + (1,) * (k - s - 1))
+    return out.reshape(k, 3, math.prod(shape)).transpose(2, 0, 1)
 
 
 def _window_chunks(grid: SphereGrid, nsites: int):
-    """Yield (configs, weights) chunks covering the product grid over the
-    window; the outermost of three sites is chunked to bound memory."""
+    """Yield read-only (configs, weights) chunks covering the product grid
+    over the window.  Windows of at most two sites are one chunk, built once
+    per grid; the outermost of three sites is chunked to bound memory."""
     if nsites > 3:
         raise ValueError("quadrature windows are limited to three sites")
     v, w = grid.vectors, grid.weights
-    weights = np.ones(1)
-    for _ in range(min(nsites, 2)):
-        weights = np.outer(weights, w).ravel()
-    if nsites < 3:
-        yield _product(*[v] * nsites), weights
+    if nsites == 3:
+        pair = np.outer(w, w).ravel()
+        for i in range(len(w)):
+            configs = _product(v[i : i + 1], v, v)
+            configs.flags.writeable = False
+            yield configs, w[i] * pair
         return
-    for i in range(len(w)):
-        yield _product(v[i : i + 1], v, v), w[i] * weights
+    if nsites not in grid._windows:
+        weights = np.ones(1)
+        for _ in range(nsites):
+            weights = np.outer(weights, w).ravel()
+        configs = _product(*[v] * nsites)
+        configs.flags.writeable = weights.flags.writeable = False
+        grid._windows[nsites] = configs, weights
+    yield grid._windows[nsites]
 
 
 def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
@@ -222,9 +241,26 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def rotate_site(configs: np.ndarray, site_index: int, r: np.ndarray) -> np.ndarray:
     """Pull-back configuration map: replace the vector at one site by
-    R^{-1} applied to it, leaving all other sites untouched."""
-    out = configs.copy()
-    out[..., site_index, :] = configs[..., site_index, :] @ r  # v -> R^T v = R^{-1} v
+    R^{-1} applied to it, leaving all other sites untouched.
+
+    ``configs`` has shape (..., k, 3).  A single rotation (3, 3) gives the
+    same shape; a stack (R, 3, 3) gives (R, ..., k, 3), one slice per
+    rotation.  Either way each slice has the memory layout of ``configs``.
+    """
+    r = np.asarray(r)
+    if r.ndim == 2:
+        out = np.empty_like(configs)
+    else:
+        # axes of configs from slowest to fastest, the rotation axis outermost;
+        # sorted in Python, as numpy's sorts would page in code of their own
+        axes = sorted(range(configs.ndim), key=lambda a: -configs.strides[a])
+        out = np.empty((len(r), *[configs.shape[a] for a in axes]))
+        out = out.transpose(0, *[1 + axes.index(a) for a in range(configs.ndim)])
+        r = r.reshape(len(r), *[1] * (configs.ndim - 3), 3, 3)
+    out[..., :site_index, :] = configs[..., :site_index, :]
+    out[..., site_index + 1 :, :] = configs[..., site_index + 1 :, :]
+    # v -> R^T v = R^{-1} v
+    np.matmul(configs[..., site_index, :], r, out=out[..., site_index, :])
     return out
 
 
@@ -264,7 +300,9 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
     average over R of  prod_l (phi_l - phi_l o R) e^{-beta psi o R}  never
     exceeds 2^n prod_l sup|phi_l| in absolute value (each factor is a
     difference of two values bounded by sup|phi_l|, and the weight is a
-    convex average).  Returns (max sampled lhs, rhs bound).
+    convex average).  Returns (max sampled lhs, rhs bound).  Each chunk
+    rotates in blocks of at most 2^20 configuration rows, one ``fn`` call per
+    potential and block.
     """
     n = len(bonds)
     if n < 1 or n > 3:
@@ -278,7 +316,7 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
     window = Region.of([s for b in bonds for s in b.region])
     grid = grid or SphereGrid(4)
     rng = np.random.default_rng(seed)
-    rotations = [random_rotation(rng) for _ in range(rotation_samples)]
+    rotations = np.array([random_rotation(rng) for _ in range(rotation_samples)])
     xi = window.index(x)
     lhs_max = 0.0
     for configs, _ in _window_chunks(grid, len(window)):
@@ -286,14 +324,15 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
         prods = np.empty((rotation_samples, m))
         logw = np.zeros((rotation_samples, m))
         base_vals = [pot.restrict(window, configs) for pot in bonds]
-        for i, r in enumerate(rotations):
-            rotated = rotate_site(configs, xi, r)
-            term = np.ones(m)
+        step = max(1, (1 << 20) // m)
+        for i in range(0, rotation_samples, step):
+            rotated = rotate_site(configs, xi, rotations[i : i + step])
+            term = 1.0
             for pot, base in zip(bonds, base_vals):
                 term = term * (base - pot.restrict(window, rotated))
-            prods[i] = term
+            prods[i : i + step] = term
             if site_field is not None:
-                logw[i] = -beta * site_field.restrict(window, rotated)
+                logw[i : i + step] = -beta * site_field.restrict(window, rotated)
         weights = np.exp(logw - logw.max(axis=0, keepdims=True))
         weights /= weights.sum(axis=0, keepdims=True)
         averaged = (weights * prods).sum(axis=0)

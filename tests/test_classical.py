@@ -7,6 +7,7 @@ import pytest
 from kmsbounds.classical import (
     ClassicalPotential,
     SphereGrid,
+    _product,
     _window_chunks,
     classical_gibbs_expectation,
     classical_kernel_bound_check,
@@ -56,6 +57,30 @@ class TestSphereGrid:
             SphereGrid(1)
 
 
+def c_order_product(*site_vectors):
+    """The product grid built C-order, (n_1 ... n_k, k, 3) with first site
+    slowest: the layout before configurations became component-major."""
+    shape = tuple(len(v) for v in site_vectors)
+    k = len(shape)
+    out = np.empty(shape + (k, 3))
+    for s, v in enumerate(site_vectors):
+        out[..., s, :] = v.reshape((1,) * s + (len(v),) + (1,) * (k - s - 1) + (3,))
+    return out.reshape(math.prod(shape), k, 3)
+
+
+@pytest.mark.parametrize("nsites", [0, 1, 2, 3])
+def test_product_matches_c_order(nsites):
+    rng = np.random.default_rng(nsites)
+    vectors = [rng.normal(size=(n, 3)) for n in (5, 3, 4)[:nsites]]
+    configs = _product(*vectors)
+    assert configs.shape == (math.prod(len(v) for v in vectors), nsites, 3)
+    assert np.array_equal(configs, c_order_product(*vectors))
+    # component-major: every (site, component) column is contiguous
+    for s in range(nsites):
+        for c in range(3):
+            assert configs[:, s, c].flags.c_contiguous
+
+
 @pytest.mark.parametrize("nsites", [0, 1, 2, 3])
 def test_window_chunks_cover_product_grid(nsites):
     grid = SphereGrid(4)
@@ -67,6 +92,46 @@ def test_window_chunks_cover_product_grid(nsites):
         total += weights.sum()
     assert rows == m ** nsites
     assert total == pytest.approx(1.0, abs=1e-13)
+
+
+class TestWindowCache:
+    def test_window_built_once_per_grid(self):
+        grid = SphereGrid(4)
+        configs, weights = next(_window_chunks(grid, 2))
+        again, weights_again = next(_window_chunks(grid, 2))
+        assert again is configs and weights_again is weights
+        assert np.array_equal(configs, c_order_product(grid.vectors, grid.vectors))
+
+    def test_cached_window_is_read_only(self):
+        grid = SphereGrid(4)
+        bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.5)
+        obs = lambda c: c[:, 0, 2] * c[:, 1, 0]
+        before = classical_gibbs_expectation(W2, [bond], 0.8, obs, grid)
+        configs, weights = next(_window_chunks(grid, 2))
+        with pytest.raises(ValueError):
+            configs[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            weights[0] = 2.0
+
+        def writing(c):
+            c[:, 0, 2] *= 2.0
+            return c[:, 0, 2]
+
+        with pytest.raises(ValueError):
+            classical_gibbs_expectation(W2, [bond], 0.8, writing, grid)
+        # the rejected writes left the grid as it was
+        assert np.array_equal(configs, c_order_product(grid.vectors, grid.vectors))
+        after = classical_gibbs_expectation(W2, [bond], 0.8, obs, grid)
+        fresh = classical_gibbs_expectation(W2, [bond], 0.8, obs, SphereGrid(4))
+        assert after.hex() == before.hex() == fresh.hex()
+
+    def test_repeated_expectations_bit_identical(self):
+        bond = heisenberg_bond_potential((0,), (1,), 0.9, -1.2)
+        obs = lambda c: np.sin(c[:, 0, 0] + 0.5 * c[:, 1, 2]) + c[:, 0, 2] * c[:, 1, 1]
+        grid = SphereGrid(16)
+        first = classical_gibbs_expectation(W2, [bond], 0.6, obs, grid)
+        second = classical_gibbs_expectation(W2, [bond], 0.6, obs, grid)
+        assert first.hex() == second.hex()
 
 
 class TestGibbsExpectation:
@@ -232,7 +297,91 @@ class TestInvariance:
         assert resid < 1e-6
 
 
+def component_major(configs):
+    """A copy of ``configs`` laid out like the quadrature grids."""
+    return np.ascontiguousarray(configs.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+class TestRotateSite:
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, component_major])
+    @pytest.mark.parametrize("site", [0, 1, 2])
+    def test_matches_copy_then_rotate(self, layout, site):
+        rng = np.random.default_rng(site)
+        configs = layout(rng.normal(size=(40, 3, 3)))
+        rotations = np.array([random_rotation(rng) for _ in range(4)])
+        expected = []
+        for r in rotations:
+            oracle = configs.copy()
+            oracle[..., site, :] = configs[..., site, :] @ r
+            single = rotate_site(configs, site, r)
+            assert np.array_equal(single, oracle)
+            assert single.strides == configs.strides
+            expected.append(oracle)
+        stacked = rotate_site(configs, site, rotations)
+        assert np.array_equal(stacked, np.array(expected))
+        # each rotation's slice keeps the layout of the input
+        assert stacked[0].strides == configs.strides
+
+    def test_stack_over_leading_axes(self):
+        rng = np.random.default_rng(7)
+        configs = rng.normal(size=(4, 5, 2, 3))
+        rotations = np.array([random_rotation(rng) for _ in range(3)])
+        stacked = rotate_site(configs, 1, rotations)
+        assert stacked.shape == (3, 4, 5, 2, 3)
+        for r, out in zip(rotations, stacked):
+            assert np.array_equal(out, rotate_site(configs, 1, r))
+
+
+def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid=None):
+    """``classical_kernel_bound_check`` as a loop over rotations: one rotated
+    copy per rotation and one ``fn`` call per rotation and potential."""
+    common = bonds[0].region
+    for b in bonds[1:]:
+        common = common.intersection(b.region)
+    window = Region.of([s for b in bonds for s in b.region])
+    xi = window.index(common.min_site())
+    rng = np.random.default_rng(seed)
+    rotations = [random_rotation(rng) for _ in range(rotation_samples)]
+    lhs_max = 0.0
+    for configs, _ in _window_chunks(grid or SphereGrid(4), len(window)):
+        m = configs.shape[0]
+        prods = np.empty((rotation_samples, m))
+        logw = np.zeros((rotation_samples, m))
+        base_vals = [pot.restrict(window, configs) for pot in bonds]
+        for i, r in enumerate(rotations):
+            rotated = configs.copy()
+            rotated[:, xi, :] = configs[:, xi, :] @ r
+            term = np.ones(m)
+            for pot, base in zip(bonds, base_vals):
+                term = term * (base - pot.restrict(window, rotated))
+            prods[i] = term
+            if site_field is not None:
+                logw[i] = -beta * site_field.restrict(window, rotated)
+        weights = np.exp(logw - logw.max(axis=0, keepdims=True))
+        weights /= weights.sum(axis=0, keepdims=True)
+        averaged = (weights * prods).sum(axis=0)
+        lhs_max = max(lhs_max, float(np.abs(averaged).max()))
+    return lhs_max
+
+
 class TestKernelBound:
+    @pytest.mark.parametrize("with_field", [False, True])
+    def test_matches_rotation_loop(self, with_field):
+        bonds = [
+            heisenberg_bond_potential((0,), (1,), 1.0, 1.0),
+            heisenberg_bond_potential((-1,), (0,), 0.7, 2.0),
+        ]
+        field = site_field_potential((0,), lambda v: 0.8 * v[..., 2]) if with_field else None
+        lhs, _ = classical_kernel_bound_check(bonds, 0.5, 60, seed=5, site_field=field)
+        assert lhs.hex() == kernel_bound_loop(bonds, 0.5, 60, 5, site_field=field).hex()
+
+    def test_rotation_blocks_split(self):
+        # 512^2 configuration rows: blocks of four rotations, the last of two
+        bond = heisenberg_bond_potential((0,), (1,), 1.3, -0.6)
+        grid = SphereGrid(16)
+        lhs, _ = classical_kernel_bound_check([bond], 0.5, 10, seed=2, grid=grid)
+        assert lhs.hex() == kernel_bound_loop([bond], 0.5, 10, 2, grid=grid).hex()
+
     def test_single_bond_pointwise(self):
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.0)
         lhs, rhs = classical_kernel_bound_check([bond], 0.5, 50, seed=3)
