@@ -151,6 +151,7 @@ def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
             den *= rescale
             shift = local
         boltz = weights * np.exp(-beta * (h - shift))
+        del h  # free the energies before the observables make their temporaries
         nums = [num + float(boltz @ np.asarray(obs(configs), dtype=float))
                 for num, obs in zip(nums, observables)]
         den += float(boltz.sum())
@@ -283,7 +284,9 @@ def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential]
         exponent = np.zeros(configs.shape[0])
         for pot in touching:
             exponent += pot.restrict(window, configs) - pot.restrict(window, rotated)
-        return np.exp(beta * exponent) * np.asarray(observable(rotated), dtype=float)
+        values = np.asarray(observable(rotated), dtype=float)
+        del rotated  # free the rotated grid before the dressing factor is formed
+        return np.exp(beta * exponent) * values
 
     lhs, rhs = _gibbs_averages(window, potentials, beta, [observable, dressed],
                                grid or SphereGrid())

@@ -59,7 +59,7 @@ class TestSphereGrid:
 
 def c_order_product(*site_vectors):
     """The product grid built C-order, (n_1 ... n_k, k, 3) with first site
-    slowest: the layout before configurations became component-major."""
+    slowest: the reference values of ``_product``."""
     shape = tuple(len(v) for v in site_vectors)
     k = len(shape)
     out = np.empty(shape + (k, 3))
