@@ -43,24 +43,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import (
-    InteractionFamily,
-    SpinRep,
-    TIInteractionSpec,
-    classical_heisenberg_ti,
-    heisenberg_ti,
-    operator_norm,
-)
+from .lattice import SpinRep, TIInteractionSpec, classical_heisenberg_ti, heisenberg_ti
 from .norms import NormParams, norm_eps_zeta, norm_function, zeta_free
 
 LOG3 = math.log(3.0)
 
 #: golden-section search shrink factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class CommutationError(ValueError):
-    """The commuting-case shortcut was requested but [Phi_bar, Psi] != 0."""
 
 
 def target_fn(eps: float) -> float:
@@ -159,7 +148,7 @@ def optimize_eps(objective) -> OptResult:
     return OptResult(xs, float(objective(xs)))
 
 
-def beta_u_general(interaction, eps: float) -> float:
+def beta_u_general(spec: TIInteractionSpec, eps: float) -> float:
     """Solve beta ||Phi_bar||_{eps+log3, 2 beta} = (1/6) eps/(1+e^eps) for beta.
 
     Returns +infinity when there is no multilocal interaction or the root
@@ -173,11 +162,11 @@ def beta_u_general(interaction, eps: float) -> float:
     """
     tgt = target_fn(eps)
     # eps > 0 passed target_fn and the bracket keeps beta >= 0
-    norm_at = norm_function(interaction)
+    norm_at = norm_function(spec)
     base = norm_at(eps + LOG3, 0.0)
     if base == 0.0:
         return math.inf
-    if zeta_free(interaction):
+    if zeta_free(spec):
         return tgt / base
 
     def g(beta: float) -> float:
@@ -195,33 +184,10 @@ def beta_u_general(interaction, eps: float) -> float:
     return mid
 
 
-#: the operator norm above which a commutator [Phi_bar, Psi] counts as nonzero
-_COMMUTATOR_TOL = 1e-10
-
-
-def _verify_commutation(fam: InteractionFamily) -> None:
-    psis = fam.singletons()
-    if not psis:
-        return
-    for region, phi in fam.multilocal().items():
-        for xreg, psi in psis.items():
-            comm = phi @ psi - psi @ phi
-            if operator_norm(comm) > _COMMUTATOR_TOL:
-                raise CommutationError(
-                    f"[Phi_bar on {region}, Psi on {xreg}] has norm > {_COMMUTATOR_TOL}"
-                )
-
-
-def beta_u_commuting(interaction, eps: float) -> float:
-    """Commuting-case threshold beta_u = target(eps) / ||Phi_bar||_{eps+log3}.
-
-    When the interaction carries operators the commutation [Phi_bar, Psi] = 0
-    is verified numerically; a TI spec with a nonzero single-site norm cannot
-    be checked and is left to the caller.
-    """
-    if isinstance(interaction, InteractionFamily):
-        _verify_commutation(interaction)
-    norm = norm_eps_zeta(interaction, NormParams(eps + LOG3))
+def beta_u_commuting(spec: TIInteractionSpec, eps: float) -> float:
+    """Commuting-case threshold beta_u = target(eps) / ||Phi_bar||_{eps+log3}
+    of a TI spec; that [Phi_bar, Psi] = 0 is left to the caller."""
+    norm = norm_eps_zeta(spec, NormParams(eps + LOG3))
     if norm == 0.0:
         return math.inf
     return target_fn(eps) / norm
@@ -250,34 +216,31 @@ def uniqueness_optimum() -> OptResult:
     return optimize_eps(uniqueness_objective)
 
 
-#: an interaction whose norm lies below 1 / _TINY_SCALE is scanned scaled up
+#: a spec whose norm lies below 1 / _TINY_SCALE is scanned scaled up
 #: by this exact power of two
 _TINY_SCALE = 2.0 ** 512
 
 
-def _scaled(interaction, factor: float):
-    """``interaction`` with every term multiplied by ``factor``."""
-    if isinstance(interaction, InteractionFamily):
-        terms = {r: factor * op for r, op in interaction.terms.items()}
-        return InteractionFamily(terms, interaction.site_dim)
-    motifs = [replace(m, coefficient=factor * m.coefficient) for m in interaction.motifs]
-    return replace(interaction, motifs=motifs, psi_site_norm=factor * interaction.psi_site_norm)
+def _scaled(spec: TIInteractionSpec, factor: float) -> TIInteractionSpec:
+    """``spec`` with every term multiplied by ``factor``."""
+    motifs = [replace(m, coefficient=factor * m.coefficient) for m in spec.motifs]
+    return replace(spec, motifs=motifs, psi_site_norm=factor * spec.psi_site_norm)
 
 
-def beta_u_optimized(interaction) -> EpsBeta:
-    """Maximize ``beta_u_general(interaction, eps)`` over eps; +infinity when
-    there is no multilocal interaction."""
-    norm = norm_eps_zeta(interaction, NormParams(LOG3 + 0.5))
+def beta_u_optimized(spec: TIInteractionSpec) -> EpsBeta:
+    """Maximize ``beta_u_general(spec, eps)`` over eps; +infinity when there
+    is no multilocal interaction."""
+    norm = norm_eps_zeta(spec, NormParams(LOG3 + 0.5))
     if norm == 0.0:
         return EpsBeta(0.5, math.inf)
     # A norm near the subnormal range rounds differently at each eps and the
-    # threshold overflows: scan the interaction scaled up by an exact power
-    # of two (same eps*; the threshold is inversely proportional to the
-    # interaction, its single-site norm scaled along) and scale it back.
+    # threshold overflows: scan the spec scaled up by an exact power of two
+    # (same eps*; the threshold is inversely proportional to the interaction,
+    # its single-site norm scaled along) and scale it back.
     factor = 1.0
     if norm < 1.0 / _TINY_SCALE:
-        factor, interaction = _TINY_SCALE, _scaled(interaction, _TINY_SCALE)
-    opt = optimize_eps(functools.partial(beta_u_general, interaction))
+        factor, spec = _TINY_SCALE, _scaled(spec, _TINY_SCALE)
+    opt = optimize_eps(functools.partial(beta_u_general, spec))
     return EpsBeta(opt.eps_star, opt.value * factor)
 
 
@@ -377,7 +340,6 @@ class CombinedBounds:
     beta_hat: float       # root of the zeta-coupled condition on classical norms
     beta_tilde: float     # classical threshold 1 / (3 ||phi_bar||_log3)
     eps_star: float
-    norm_log3: float
     chain_ok: bool        # beta_hat * 6 ||phi_bar||_log3 < log 2
 
 
@@ -396,7 +358,6 @@ def combined_report(spec: TIInteractionSpec) -> CombinedBounds:
         beta_hat=best.beta,
         beta_tilde=beta_tilde,
         eps_star=best.eps_star,
-        norm_log3=norm_log3,
         chain_ok=chain_ok,
     )
 

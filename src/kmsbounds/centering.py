@@ -9,9 +9,8 @@ where each component A_X is *centered* on X: the partial expectation against
 rho_x annihilates it at every site x in X.  The components are obtained
 either recursively or by inclusion-exclusion (Moebius inversion, computed as
 the fast subset transform over a stack of components), and satisfy
-||A_X|| <= 2^{|X|} ||A||.  A refinement applies when A is a product of local
-factors with an element already known to be centered: the component index
-then ranges only over subsets of the factors' support.
+||A_X|| <= 2^{|X|} ||A||.  The transform also runs over a subset of the
+region only, for a product whose other sites are already centered.
 
 Components are stored embedded on the full region so that sums and residuals
 are plain matrix arithmetic; the support is recorded in the index.
@@ -20,12 +19,10 @@ are plain matrix arithmetic; the support is recorded in the index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .lattice import (
-    EMPTY_REGION,
     InteractionFamily,
     LocalOperator,
     Region,
@@ -145,13 +142,12 @@ def partial_expectation(a: LocalOperator, over: Region, eta: ReferenceStates) ->
     return LocalOperator._raw(Region._raw(tuple(remaining)), mat, a.site_dim)
 
 
-def centering_residual(a: LocalOperator, eta: ReferenceStates, sites: Region = None) -> float:
+def centering_residual(a: LocalOperator, eta: ReferenceStates) -> float:
     """max over x of ||eta_x(a)||; zero exactly when ``a`` is centered."""
-    where = a.region if sites is None else sites
-    if len(where) == 0:
+    if len(a.region) == 0:
         return 0.0
     return max(
-        operator_norm(partial_expectation(a, Region._raw((x,)), eta)) for x in where
+        operator_norm(partial_expectation(a, Region._raw((x,)), eta)) for x in a.region
     )
 
 
@@ -160,16 +156,12 @@ class Decomposition:
 
     ``components`` maps each index X to its component A_X; ``stack`` holds
     their matrices in the same order as one (K, D, D) array, which the
-    residual and norm checks read.  ``base`` is nonempty only for refined
-    decompositions, where every index contains it and the norm bound counts
-    only the active part of the index.
+    residual and norm checks read.
     """
 
-    def __init__(self, region: Region, components: dict, base: Region = EMPTY_REGION,
-                 stack: np.ndarray = None):
+    def __init__(self, region: Region, components: dict, stack: np.ndarray = None):
         self.region = region
         self.components = components
-        self.base = base
         self.stack = (
             np.stack([op.matrix for op in components.values()]) if stack is None else stack
         )
@@ -197,13 +189,9 @@ class Decomposition:
                 worst = max(worst, float(operator_norms(reduced).max()))
         return worst
 
-    def bound_exponent(self, index: Region) -> int:
-        return len(index) - len(index.intersection(self.base))
-
     def norm_bound_ok(self, reference_norm: float, slack: float = 1e-9) -> bool:
-        """||A_X|| <= 2^{|X|} ||A|| (with |X| counting active sites only)."""
-        exponents = [self.bound_exponent(index) for index in self.components]
-        bounds = np.exp2(exponents) * reference_norm
+        """||A_X|| <= 2^{|X|} ||A||."""
+        bounds = np.exp2([len(index) for index in self.components]) * reference_norm
         return not np.any(operator_norms(self.stack) > bounds * (1.0 + slack) + 1e-300)
 
 
@@ -242,54 +230,19 @@ def butterfly(mats: np.ndarray, region: Region, active: Region,
     return stack
 
 
-def _moebius(product: LocalOperator, active: Region, eta: ReferenceStates) -> Decomposition:
-    """A_{X ∪ base} = prod_{x in X} (1 - E_x) prod_{x in active - X} E_x (A)
-    for X ⊆ active ∩ region, with base the rest of the region, in the index
-    order of ``Region.subsets``."""
-    region = product.region
-    base = region.difference(active)
-    active = region.intersection(active)
-    if len(active) > SUBSET_CAP:
-        raise SubsetCapError(f"|active| = {len(active)} exceeds cap {SUBSET_CAP}")
-    subsets = list(active.subsets())
-    masks = [sum(1 << active.index(x) for x in X) for X in subsets]
-    stack = butterfly(product.matrix, region, active, eta)[masks]
-    comps = {
-        X.union(base): LocalOperator._raw(region, mat, product.site_dim)
-        for X, mat in zip(subsets, stack)
-    }
-    return Decomposition(region, comps, base, stack)
-
-
 def decompose_moebius(a: LocalOperator, eta: ReferenceStates) -> Decomposition:
     """Components by inclusion-exclusion,
     A_X = sum over Y subset of X of (-1)^{|X| - |Y|} eta_{complement of Y}(a),
-    computed as the fast subset transform (``butterfly``)."""
-    return _moebius(a, a.region, eta)
-
-
-def decompose_known_free(product: LocalOperator, active: Region,
-                         eta: ReferenceStates) -> Decomposition:
-    """Refined decomposition of an element already centered outside ``active``.
-
-    The element lives on region ∪ active; indices range over X ∪ base with
-    X a subset of ``active`` and base the part of the region outside it.
-    """
-    return _moebius(product, active, eta)
-
-
-def decompose_refined(prefactors: Sequence[LocalOperator], a_tilde: LocalOperator,
-                      eta: ReferenceStates, tol: float = 1e-10) -> Decomposition:
-    """Decompose the product A_1 ... A_n A~ of local factors with a centered
-    element, with component indices running over subsets of the factors'
-    support only (the count is independent of A~'s region)."""
-    if centering_residual(a_tilde, eta) > tol * max(operator_norm(a_tilde), 1.0):
-        raise NotCenteredError("trailing element is not centered on its region")
-    active = Region.of(site for p in prefactors for site in p.region)
-    product = a_tilde
-    for p in reversed(prefactors):
-        product = p @ product
-    return decompose_known_free(product, active, eta)
+    computed as the fast subset transform (``butterfly``) and listed in the
+    index order of ``Region.subsets``."""
+    region = a.region
+    if len(region) > SUBSET_CAP:
+        raise SubsetCapError(f"|region| = {len(region)} exceeds cap {SUBSET_CAP}")
+    subsets = list(region.subsets())
+    masks = [sum(1 << region.index(x) for x in X) for X in subsets]
+    stack = butterfly(a.matrix, region, region, eta)[masks]
+    comps = {X: LocalOperator._raw(region, mat, a.site_dim) for X, mat in zip(subsets, stack)}
+    return Decomposition(region, comps, stack)
 
 
 def haar_random_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -306,26 +259,3 @@ def haar_random_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
     return q * phases[:, None, :]
-
-
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary (see ``haar_random_unitaries``)."""
-    return haar_random_unitaries(1, dim, rng)[0]
-
-
-def haar_trace_identity_check(a: LocalOperator, samples: int, seed: int) -> float:
-    """Monte-Carlo check that averaging U A U* over Haar unitaries yields
-    (tr A / d) I; returns the operator-norm deviation (O(samples^{-1/2}))."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if len(a.region) != 1:
-        raise ValueError("single-site check only")
-    d = a.site_dim
-    rng = np.random.default_rng(seed)
-    acc = np.zeros((d, d), dtype=complex)
-    for _ in range(samples):
-        u = haar_random_unitary(d, rng)
-        acc += u @ a.matrix @ u.conj().T
-    acc /= samples
-    expected = np.trace(a.matrix) / d * np.eye(d)
-    return float(np.linalg.norm(acc - expected, 2))

@@ -424,34 +424,15 @@ def heisenberg_bond(rep: SpinRep, delta: float, x: Site, y: Site) -> LocalOperat
     return acc
 
 
-def build_heisenberg(coupling, delta: float, rep: SpinRep, window: Region) -> InteractionFamily:
+def build_heisenberg(coupling: float, delta: float, rep: SpinRep,
+                     window: Region) -> InteractionFamily:
     """Anisotropic Heisenberg interaction on nearest-neighbour pairs of a
-    finite window: Phi_{x,y} = -J(x,y) (delta (S1 S1 + S2 S2) + S3 S3).
+    finite window: Phi_{x,y} = -J (delta (S1 S1 + S2 S2) + S3 S3).
     No single-site part."""
-    jfun = coupling if callable(coupling) else (lambda x, y, c=coupling: c)
     terms = {}
     for x, y in _bonds(window):
         bond = heisenberg_bond(rep, delta, x, y)
-        terms[bond.region] = LocalOperator(
-            bond.region, -jfun(x, y) * bond.matrix, rep.dim
-        )
-    return InteractionFamily(terms, rep.dim)
-
-
-def build_ising_staggered(coupling: float, field: float, rep: SpinRep, window: Region) -> InteractionFamily:
-    """Ising bonds J S3 S3 plus a staggered field (-1)^{d(x,0)} B S3, where d
-    is the graph distance to the origin."""
-    _, _, s3 = spin_matrices(rep)
-    origin = tuple(0 for _ in next(iter(window), (0,)))
-    terms = {}
-    for x, y in _bonds(window):
-        bond = _bond_product(s3.matrix, rep.dim, x, y)
-        terms[bond.region] = coupling * bond
-    if field != 0.0:
-        for x in window:
-            sign = -1.0 if graph_distance(x, origin) % 2 else 1.0
-            reg = Region((x,))
-            terms[reg] = LocalOperator(reg, sign * field * s3.matrix, rep.dim)
+        terms[bond.region] = LocalOperator(bond.region, -coupling * bond.matrix, rep.dim)
     return InteractionFamily(terms, rep.dim)
 
 

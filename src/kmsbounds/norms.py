@@ -97,13 +97,11 @@ def norm_function(interaction):
     raise TypeError(f"unsupported interaction type {type(interaction)!r}")
 
 
-def zeta_free(interaction) -> bool:
-    """True when ``interaction`` has no single-site part.  ``_weight`` then
-    drops the zeta term of every weight, so ``norm_function(interaction)``
-    returns the same float for every zeta."""
-    if isinstance(interaction, InteractionFamily):
-        return not any(interaction.term_norm(region) for region in interaction.singletons())
-    return interaction.psi_site_norm == 0
+def zeta_free(spec: TIInteractionSpec) -> bool:
+    """True when ``spec`` has no single-site part.  ``_weight`` then drops the
+    zeta term of every weight, so ``norm_function(spec)`` returns the same
+    float for every zeta."""
+    return spec.psi_site_norm == 0
 
 
 def norm_eps_zeta(interaction, params: NormParams) -> float:

@@ -96,7 +96,9 @@ class FiniteSystem:
 
     def evolve(self, a: LocalOperator, t: complex) -> LocalOperator:
         """e^{itH} A e^{-itH} on the whole lattice, from the cached
-        eigendecomposition of the Hamiltonian (see ``evolve``)."""
+        eigendecomposition of the Hamiltonian.  Real t is a unitary
+        conjugation; t = i sigma is the similarity by e^{-sigma H} and
+        e^{sigma H} used for imaginary-time continuation."""
         evolved = _conjugate(embed(a, self.gamma).matrix, self.eigh, t)
         return LocalOperator._raw(self.gamma, evolved, self.site_dim)
 
@@ -133,19 +135,6 @@ def gibbs_expectations(sys: FiniteSystem, mats: np.ndarray, state: tuple = None)
     basis, weights = sys.gibbs if state is None else state
     rotated = basis.conj().T @ mats @ basis
     return (weights * np.diagonal(rotated, axis1=-2, axis2=-1)).sum(axis=-1)
-
-
-def evolve(a: LocalOperator, h: LocalOperator, t: complex) -> LocalOperator:
-    """e^{itH} A e^{-itH} for Hermitian H and complex time t.
-
-    Real t is a unitary conjugation; t = i sigma is the similarity by
-    e^{-sigma H} and e^{sigma H} used for imaginary-time continuation.
-    """
-    if not h.is_hermitian():
-        raise ValueError("generator must be Hermitian")
-    target = a.region.union(h.region)
-    eig = np.linalg.eigh(embed(h, target).matrix)
-    return LocalOperator._raw(target, _conjugate(embed(a, target).matrix, eig, t), a.site_dim)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,46 +192,6 @@ def _node_sum(weights: np.ndarray, stack: np.ndarray):
     if len(stack) == 1:
         return weights.sum() * stack[0]
     return np.tensordot(weights, stack, axes=1)
-
-
-def generator_delta(a: LocalOperator, fam: InteractionFamily) -> LocalOperator:
-    """i sum over X meeting the support of a of [Phi_X, A]; satisfies
-    delta(A)^dagger = delta(A^dagger)."""
-    out_region = a.region
-    touching = []
-    for region, op in fam.terms.items():
-        if len(region.intersection(a.region)) > 0:
-            touching.append(op)
-            out_region = out_region.union(region)
-    acc = LocalOperator.zero(out_region, a.site_dim)
-    a_e = embed(a, out_region)
-    for op in touching:
-        op_e = embed(op, out_region)
-        acc = acc + 1j * (op_e @ a_e - a_e @ op_e)
-    return acc
-
-
-def delta_power_bound(fam: InteractionFamily, lam: Region, a_norm: float,
-                      n: int, eps: float, zeta: float) -> float:
-    """Norm bound on the n-th power of the generator applied to an observable
-    on ``lam``:
-
-        ||A|| e^{zeta ||Psi||_lam} e^{eps |lam|} n! 2^n zeta^{-n}
-            sum_{k=0}^{n} ((zeta/eps) ||Phi_bar||_{eps, zeta})^k
-    """
-    if zeta <= 0 or eps <= 0:
-        raise ValueError("eps and zeta must be positive")
-    q = (zeta / eps) * norm_eps_zeta(fam, NormParams(eps, zeta))
-    geom = sum(q ** k for k in range(n + 1))
-    return (
-        a_norm
-        * math.exp(zeta * psi_norm_sum(fam, lam))
-        * math.exp(eps * len(lam))
-        * math.factorial(n)
-        * 2.0 ** n
-        * zeta ** (-n)
-        * geom
-    )
 
 
 @dataclass(frozen=True)

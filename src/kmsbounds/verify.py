@@ -149,14 +149,11 @@ def run_kms_suite(seed: int = 0, draws: int = 50,
 
 
 def run_dyson_suite(seed: int = 0, order: int = 3,
-                    times: Sequence[float] = (0.1, 0.05),
-                    min_ratio: float = None) -> list:
+                    times: Sequence[float] = (0.1, 0.05)) -> list:
     """Truncation error against exact evolution on the three-site spin-1/2
     chain is of order t^{N+1}: halving the time shrinks it by 2^{N+1}.  The
-    check asks for 11/16 of that rate (11 at the default order 3) unless
-    ``min_ratio`` is given."""
-    if min_ratio is None:
-        min_ratio = 11.0 / 16.0 * 2.0 ** (order + 1)
+    check asks for 11/16 of that rate (11 at the default order 3)."""
+    min_ratio = 11.0 / 16.0 * 2.0 ** (order + 1)
     rep = SpinRep(1)
     window = box_window([3])
     fam = build_heisenberg(1.0, 1.0, rep, window)

@@ -9,7 +9,6 @@ import pytest
 from kmsbounds import bounds, lattice, norms
 from kmsbounds.bounds import (
     LOG3,
-    CommutationError,
     beta_u_classical,
     beta_u_commuting,
     beta_u_general,
@@ -28,15 +27,13 @@ from kmsbounds.bounds import (
     uniqueness_objective,
 )
 from kmsbounds.lattice import (
-    InteractionFamily,
     SpinRep,
+    TIInteractionSpec,
     box_window,
     build_heisenberg,
-    build_ising_staggered,
     classical_heisenberg_ti,
     heisenberg_ti,
     ising_staggered_ti,
-    spin_matrices,
 )
 from kmsbounds.norms import NormParams, norm_eps_zeta, norm_function, zeta_free
 
@@ -293,7 +290,7 @@ def test_fallback_logged(caplog, capsys):
 
 class TestBetaUGeneral:
     def test_no_multilocal_infinite(self):
-        assert beta_u_general(InteractionFamily({}, 2), 0.6) == math.inf
+        assert beta_u_general(TIInteractionSpec(1, ()), 0.6) == math.inf
 
     def test_matches_closed_form_without_single_site(self):
         spec = heisenberg_ti(1, 1.0, 1.0, REP)
@@ -349,29 +346,11 @@ class TestBetaUCommuting:
             assert beta_u_general(spec, eps) == beta_u_commuting(spec, eps)
 
     def test_field_drops_out(self):
-        fams = [
-            build_ising_staggered(1.0, field, REP, box_window([4]))
-            for field in (0.0, 1.0, 10.0)
-        ]
-        values = {beta_u_commuting(fam, 0.55) for fam in fams}
-        assert len({round(v, 14) for v in values}) == 1
-
-    def test_commutation_verified(self):
-        fam = build_ising_staggered(1.0, 1.0, REP, box_window([3]))
-        beta_u_commuting(fam, 0.5)  # passes: S3-only terms commute
-
-    def test_noncommuting_rejected(self):
-        window = box_window([2])
-        fam = build_heisenberg(1.0, 1.0, REP, window)
-        s1, _, _ = spin_matrices(REP, at=(0,))
-        terms = dict(fam.terms)
-        terms[s1.region] = s1
-        mixed = InteractionFamily(terms, 2)
-        with pytest.raises(CommutationError):
-            beta_u_commuting(mixed, 0.5)
+        specs = [ising_staggered_ti(1, 1.0, field, REP) for field in (0.0, 1.0, 10.0)]
+        assert len({beta_u_commuting(spec, 0.55) for spec in specs}) == 1
 
     def test_empty_infinite(self):
-        assert beta_u_commuting(InteractionFamily({}, 2), 0.5) == math.inf
+        assert beta_u_commuting(TIInteractionSpec(1, ()), 0.5) == math.inf
 
 
 class TestComparators:
@@ -527,7 +506,7 @@ class TestReports:
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("build", [
     lambda coupling: heisenberg_ti(2, coupling, 0.5, REP),
-    lambda coupling: build_heisenberg(coupling, 0.5, REP, box_window([3])),
+    lambda coupling: classical_heisenberg_ti(2, coupling, 0.5),
 ])
 def test_optimized_subnormal_coupling(build):
     """A subnormal coupling keeps the eps* of J = 1 and overflows beta_u to
@@ -587,20 +566,20 @@ def _per_step_beta_u_general(interaction, eps):
     return 0.5 * (lo + hi)
 
 
-def _oracle(interaction, eps):
+def _oracle(spec, eps):
     """The root ``beta_u_general`` must return: target / norm without a
     single-site part (+infinity for a zero norm), the per-step bisection
     with one."""
-    if not zeta_free(interaction):
-        return _per_step_beta_u_general(interaction, eps)
-    norm = norm_eps_zeta(interaction, NormParams(eps + LOG3))
+    if not zeta_free(spec):
+        return _per_step_beta_u_general(spec, eps)
+    norm = norm_eps_zeta(spec, NormParams(eps + LOG3))
     return math.inf if norm == 0.0 else target_fn(eps) / norm
 
 
 def _oracle_cases():
-    """(interaction, eps): random TI specs with and without a single-site
-    part, the couplings 0, 1e-320 and 1e300, weighted norms that overflow, a
-    field of 1e-20, finite families, and classical roots from 2^8 to 2^18."""
+    """(spec, eps): random TI specs with and without a single-site part, the
+    couplings 0, 1e-320 and 1e300, weighted norms that overflow, a field of
+    1e-20, and classical roots from 2^8 to 2^18."""
     rng = random.Random(9)
     cases = []
     for _ in range(120):
@@ -619,10 +598,6 @@ def _oracle_cases():
     cases.append((classical_heisenberg_ti(3, 1e308, 1.0), 0.607))
     cases.append((ising_staggered_ti(3, 1e308, 1.0, REP), 0.607))
     cases.append((ising_staggered_ti(1, 1.0, 1e-20, REP), 0.607))
-    window = box_window([3])
-    for eps in (0.05, 0.607, 2.5):
-        cases.append((build_heisenberg(0.8, 1.3, REP, window), eps))
-        cases.append((build_ising_staggered(1.0, 0.7, REP, window), eps))
     return cases
 
 
@@ -652,13 +627,10 @@ class TestNormOncePerEps:
         assert beta_u_optimized(spec) == bounds.EpsBeta(opt.eps_star, opt.value * factor)
 
     def test_zeta_free(self):
-        window = box_window([3])
         assert zeta_free(classical_heisenberg_ti(2, 1.0, 1.0))
+        assert zeta_free(heisenberg_ti(2, 1.0, 1.0, REP))
         assert zeta_free(ising_staggered_ti(1, 1.0, 0.0, REP))
         assert not zeta_free(ising_staggered_ti(1, 1.0, 0.5, REP))
-        assert zeta_free(build_heisenberg(1.0, 1.0, REP, window))
-        assert zeta_free(build_ising_staggered(1.0, 0.0, REP, window))
-        assert not zeta_free(build_ising_staggered(1.0, 0.5, REP, window))
 
     def test_classical_report_sums_one_norm_per_eps(self, monkeypatch):
         """About one closed-form norm per scanned eps (~1,030 of them); a

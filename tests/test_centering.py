@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from kmsbounds.centering import (
     Decomposition,
-    NotCenteredError,
     ReferenceStates,
     SubsetCapError,
-    centering_residual,
-    decompose_known_free,
+    butterfly,
     decompose_moebius,
     decompose_recursive,
-    decompose_refined,
     gibbs_single_site,
-    haar_random_unitary,
-    haar_trace_identity_check,
+    haar_random_unitaries,
     partial_expectation,
 )
 from kmsbounds.lattice import (
@@ -48,6 +44,29 @@ def unit_observable(region, rng):
     """Random Hermitian observable of operator norm one."""
     m = rand_hermitian(2 ** len(region), rng)
     return LocalOperator(region, m / np.abs(np.linalg.eigvalsh(m)).max(), 2)
+
+
+def residual_at(op, sites, eta):
+    """max over x in ``sites`` of ||eta_x(op)||; 0 for no site."""
+    return max(
+        (operator_norm(partial_expectation(op, Region((x,)), eta)) for x in sites), default=0.0
+    )
+
+
+def refined(product, active, eta):
+    """(index, component) rows of ``butterfly`` over the ``active`` sites of
+    the product's region, as ``ks_residual`` runs it: row j has the index
+    X ∪ base, with X the active sites whose bits are set in j and base the
+    region's other sites.  Checks that there are 2^|active| rows."""
+    region = product.region
+    base = region.difference(active)
+    rows = butterfly(product.matrix, region, active, eta)
+    assert len(rows) == 2 ** len(active)
+    return [
+        (base.union(Region.of(x for k, x in enumerate(active) if j >> k & 1)),
+         LocalOperator(region, row, 2))
+        for j, row in enumerate(rows)
+    ]
 
 
 class TestGibbsSingleSite:
@@ -228,7 +247,7 @@ class TestDecomposition:
         tampered = dict(dec.components)
         tampered[x0] = tampered[x0] + perturb
         tampered[self.window] = tampered[self.window] - perturb
-        forged = Decomposition(self.window, tampered, "tampered")
+        forged = Decomposition(self.window, tampered)
         assert forged.reconstruction_residual(a) <= 1e-10 * operator_norm(a)
         assert forged.centering_residual(self.eta) > 1e-6
 
@@ -259,14 +278,14 @@ class TestDecomposition:
         })
         for d in (dec, forged):
             per_component = max(
-                centering_residual(op, self.eta, index) for index, op in d.components.items()
+                residual_at(op, index, self.eta) for index, op in d.components.items()
             )
             assert d.centering_residual(self.eta) == pytest.approx(
                 per_component, rel=1e-12, abs=1e-15
             )
             # the smallest reference norm that passes, and one just below it
             ratios = [
-                operator_norm(op) / 2.0 ** d.bound_exponent(k) for k, op in d.components.items()
+                operator_norm(op) / 2.0 ** len(k) for k, op in d.components.items()
             ]
             assert d.norm_bound_ok(max(ratios), slack=0.0)
             assert not d.norm_bound_ok(max(ratios) * (1 - 1e-9), slack=0.0)
@@ -280,6 +299,10 @@ class TestDecomposition:
 
 
 class TestRefined:
+    """The subset transform over the support of a prefactor, on its product
+    with an element centered on its own region: the components
+    ``ks_residual`` takes of each dressed element."""
+
     def setup_method(self):
         self.window = box_window([4])
         self.eta = random_eta(self.window, 0.6, np.random.default_rng(31))
@@ -292,24 +315,27 @@ class TestRefined:
         rng = np.random.default_rng(1)
         lam = box_window([2])
         elem = self.centered_on(lam, rng)
-        dec = decompose_refined([], elem, self.eta)
-        assert set(dec.components) == {lam}
-        assert operator_norm(dec.components[lam] - elem) <= 1e-12
+        ((index, comp),) = refined(elem, Region(()), self.eta)
+        assert index == lam
+        assert np.array_equal(comp.matrix, elem.matrix)
 
     def test_disjoint_prefactor_component_count(self):
+        """2^|active| rows, each indexed over the whole centered region, that
+        sum to the product and obey ||A_X|| <= 2^{|X ∩ active|} ||A||."""
         rng = np.random.default_rng(2)
         lam = Region.of([(0,), (1,)])
         elem = self.centered_on(lam, rng)
-        x1 = Region.of([(2,), (3,)])
-        pref = LocalOperator(x1, rand_hermitian(4, rng), 2)
-        dec = decompose_refined([pref], elem, self.eta)
-        # indices are subsets of the prefactor support only: 2^2 components
-        assert len(dec.components) == 4
-        for index in dec.components:
-            assert lam.issubset(index)  # lam = lam_n here (disjoint)
+        pref = LocalOperator(Region.of([(2,), (3,)]), rand_hermitian(4, rng), 2)
         product = pref @ elem
-        assert dec.reconstruction_residual(product) <= 1e-10 * operator_norm(product)
-        assert dec.norm_bound_ok(operator_norm(product))
+        rows = refined(product, pref.region, self.eta)
+        assert len(rows) == 4
+        norm = operator_norm(product)
+        total = LocalOperator(product.region, sum(comp.matrix for _, comp in rows), 2)
+        assert operator_norm(total - product) <= 1e-10 * norm
+        for index, comp in rows:
+            assert lam.issubset(index)
+            active = len(index.intersection(pref.region))
+            assert operator_norm(comp) <= 2.0 ** active * norm * (1 + 1e-9)
 
     def test_matches_full_decomposition(self):
         rng = np.random.default_rng(4)
@@ -317,17 +343,17 @@ class TestRefined:
         elem = self.centered_on(lam, rng)
         x1 = Region.of([(1,), (2,), (3,)])
         pref = LocalOperator(x1, rand_hermitian(8, rng), 2)
-        refined = decompose_refined([pref], elem, self.eta)
         product = pref @ elem
+        rows = dict(refined(product, x1, self.eta))
         full = decompose_recursive(product, self.eta)
         lam_n = lam.difference(x1)
         for index, comp in full.components.items():
-            if index in refined.components:
-                assert operator_norm(comp - refined.components[index]) <= 1e-10
+            if index in rows:
+                assert operator_norm(comp - rows[index]) <= 1e-10
             else:
                 # all components outside the refined index set vanish
                 assert operator_norm(comp) <= 1e-10
-        for index in refined.components:
+        for index in rows:
             assert lam_n.issubset(index)
 
     @pytest.mark.parametrize(
@@ -348,35 +374,37 @@ class TestRefined:
         elem = self.centered_on(lam, rng)
         pref = unit_observable(Region.of(pref_sites), rng)
         product = pref @ elem
-        refined = decompose_known_free(product, pref.region, self.eta)
-        assert len(refined.base) > 0
+        assert len(lam.difference(pref.region)) > 0
         full = decompose_recursive(product, self.eta)
-        for index, comp in refined.components.items():
+        for index, comp in refined(product, pref.region, self.eta):
             assert operator_norm(comp - full.components[index]) <= 1e-11 * operator_norm(product)
 
     def test_refined_centering(self):
+        """Each row is centered on every site of its index: the active sites
+        by the transform, the base because the element is centered there."""
         rng = np.random.default_rng(6)
         lam = Region.of([(0,), (1,)])
         elem = self.centered_on(lam, rng)
         pref = LocalOperator(Region.of([(1,), (2,)]), rand_hermitian(4, rng), 2)
-        dec = decompose_refined([pref], elem, self.eta)
-        assert dec.centering_residual(self.eta) <= 1e-10
+        for index, comp in refined(pref @ elem, pref.region, self.eta):
+            assert residual_at(comp, index, self.eta) <= 1e-10
 
-    def test_rejects_uncentered_tail(self):
-        rng = np.random.default_rng(8)
-        lam = Region.of([(0,), (1,)])
-        not_centered = LocalOperator(lam, rand_hermitian(4, rng), 2)
-        pref = LocalOperator(Region.of([(1,), (2,)]), rand_hermitian(4, rng), 2)
-        with pytest.raises(NotCenteredError):
-            decompose_refined([pref], not_centered, self.eta)
+
+def haar_trace_identity_check(a, samples, seed):
+    """Operator-norm deviation of the average of U A U* over ``samples`` Haar
+    unitaries from (tr A / d) I; O(samples^{-1/2})."""
+    d = a.site_dim
+    u = haar_random_unitaries(samples, d, np.random.default_rng(seed))
+    mean = (u @ a.matrix @ u.conj().transpose(0, 2, 1)).mean(axis=0)
+    return float(np.linalg.norm(mean - np.trace(a.matrix) / d * np.eye(d), 2))
 
 
 class TestHaar:
     def test_unitary(self):
         rng = np.random.default_rng(0)
         for d in (2, 3, 5):
-            u = haar_random_unitary(d, rng)
-            assert np.linalg.norm(u @ u.conj().T - np.eye(d)) < 1e-12
+            for u in haar_random_unitaries(4, d, rng):
+                assert np.linalg.norm(u @ u.conj().T - np.eye(d)) < 1e-12
 
     def test_identity_exact(self):
         ident = LocalOperator.identity(Region(((0,),)), 2)

@@ -667,6 +667,45 @@ def test_threshold_commands_on_accepted_configs(config):
             assert _run_main([command, "--config", path]) == first
 
 
+@st.composite
+def _suite_configs(draw):
+    """Accepted configs with a drawn seed, truncation and ``verify_suites``,
+    and the suite ``verify`` runs on them."""
+    doc = draw(_accepted_configs())
+    doc["seed"] = draw(st.integers(0, 2 ** 32) | st.sampled_from([0, 10 ** 30]))
+    doc["truncation"] = {"dyson_order": draw(st.integers(1, 4)),
+                         "ks_order": draw(st.integers(2, 3)),
+                         "quad_points": draw(st.integers(2, 32))}
+    doc["verify_suites"] = draw(st.lists(st.sampled_from(_SUITE_NAMES), max_size=2))
+    return doc, draw(st.sampled_from(_SUITE_NAMES))
+
+
+@pytest.mark.filterwarnings("error")
+@given(_suite_configs())
+@settings(max_examples=6, deadline=None)
+@example(({"model": "heisenberg", "seed": 3, "verify_suites": ["ks"],
+           "truncation": {"dyson_order": 4, "ks_order": 3, "quad_points": 32}}, "dyson"))
+def test_suite_commands_on_accepted_configs(drawn):
+    """``verify`` with one drawn suite and ``report`` with drawn
+    ``verify_suites`` on any accepted config, with warnings as errors: exit
+    0 or 1 with strict JSON, or exit 2 or 3 with one stderr line."""
+    config, suite = drawn
+    ModelConfig.from_dict(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        for argv in (["verify", "--suite", suite], ["report"]):
+            code, out, err = _run_main([*argv, "--config", path])
+            if code in (0, 1):
+                assert err == ""
+                assert _strict_numbers(json.loads(out, parse_constant=_no_bare_constants))
+            else:
+                assert code in (2, 3)
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _betas(doc):
     return [doc["beta_u"]] + [c["beta"] for c in doc.get("comparators", {}).values()]
 

@@ -14,7 +14,6 @@ from kmsbounds.lattice import (
     SpinRep,
     box_window,
     build_heisenberg,
-    build_ising_staggered,
     embed,
     embed_matrices,
     heisenberg_bond,
@@ -25,6 +24,8 @@ from kmsbounds.lattice import (
     operator_norms,
     spin_matrices,
 )
+
+from ising_staggered import build_ising_staggered
 
 RNG = np.random.default_rng(42)
 
@@ -305,15 +306,6 @@ class TestBuilders:
         (op,) = fam.multilocal().values()
         _, _, s3 = spin_matrices(rep)
         assert np.allclose(op.matrix, -np.kron(s3.matrix, s3.matrix))
-
-    def test_coupling_function(self):
-        fam = build_heisenberg(
-            lambda x, y: float(x[0] + y[0]), 1.0, SpinRep(1), box_window([3])
-        )
-        r01 = Region.of([(0,), (1,)])
-        r12 = Region.of([(1,), (2,)])
-        assert operator_norm(fam.terms[r01]) == pytest.approx(1 * 0.75)
-        assert operator_norm(fam.terms[r12]) == pytest.approx(3 * 0.75)
 
     def test_staggering_signs(self):
         rep = SpinRep(1)

@@ -11,7 +11,6 @@ from kmsbounds.lattice import (
     SpinRep,
     box_window,
     build_heisenberg,
-    build_ising_staggered,
     classical_heisenberg_ti,
     heisenberg_ti,
     ising_staggered_ti,
@@ -23,6 +22,8 @@ from kmsbounds.norms import (
     site_norm_profile,
     window_norms,
 )
+
+from ising_staggered import build_ising_staggered
 
 LOG3 = math.log(3.0)
 REP = SpinRep(1)

@@ -14,20 +14,18 @@ from kmsbounds.lattice import (
     SpinRep,
     box_window,
     build_heisenberg,
-    build_ising_staggered,
     embed,
     operator_norm,
     spin_matrices,
 )
+from kmsbounds.norms import NormParams, norm_eps_zeta, psi_norm_sum
 from kmsbounds.quantum import (
     ConvergenceWarning,
     FiniteSystem,
     SimplexQuadrature,
+    _conjugate,
     constrained_chains,
-    delta_power_bound,
     dyson_truncated,
-    evolve,
-    generator_delta,
     gibbs_expectation,
     hamiltonian,
     kms_residual,
@@ -38,6 +36,8 @@ from kmsbounds.quantum import (
     lemma_sum_check,
     tau_psi,
 )
+
+from ising_staggered import build_ising_staggered
 
 REP = SpinRep(1)
 RNG = np.random.default_rng(77)
@@ -65,6 +65,50 @@ def transverse_system(nsites, beta, field=0.6):
         reg = Region((x,))
         terms[reg] = LocalOperator(reg, field * s1.matrix, 2)
     return FiniteSystem(window, InteractionFamily(terms, 2), beta)
+
+
+def evolve(a, h, t):
+    """e^{itH} A e^{-itH} for Hermitian H and complex time t, on the union of
+    the two regions: a fresh eigendecomposition of H per call.  Real t is a
+    unitary conjugation; t = i sigma is the similarity by e^{-sigma H} and
+    e^{sigma H} used for imaginary-time continuation."""
+    target = a.region.union(h.region)
+    eig = np.linalg.eigh(embed(h, target).matrix)
+    return LocalOperator._raw(target, _conjugate(embed(a, target).matrix, eig, t), a.site_dim)
+
+
+def generator_delta(a, fam):
+    """i sum over X meeting the support of a of [Phi_X, A]."""
+    touching = [op for region, op in fam.terms.items() if len(region.intersection(a.region))]
+    out_region = a.region
+    for op in touching:
+        out_region = out_region.union(op.region)
+    acc = LocalOperator.zero(out_region, a.site_dim)
+    a_e = embed(a, out_region)
+    for op in touching:
+        op_e = embed(op, out_region)
+        acc = acc + 1j * (op_e @ a_e - a_e @ op_e)
+    return acc
+
+
+def delta_power_bound(fam, lam, a_norm, n, eps, zeta):
+    """Norm bound on the n-th power of the generator applied to an observable
+    on ``lam``:
+
+        ||A|| e^{zeta ||Psi||_lam} e^{eps |lam|} n! 2^n zeta^{-n}
+            sum_{k=0}^{n} ((zeta/eps) ||Phi_bar||_{eps, zeta})^k
+    """
+    q = (zeta / eps) * norm_eps_zeta(fam, NormParams(eps, zeta))
+    geom = sum(q ** k for k in range(n + 1))
+    return (
+        a_norm
+        * math.exp(zeta * psi_norm_sum(fam, lam))
+        * math.exp(eps * len(lam))
+        * math.factorial(n)
+        * 2.0 ** n
+        * zeta ** (-n)
+        * geom
+    )
 
 
 class TestHamiltonian:
