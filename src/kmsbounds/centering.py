@@ -14,6 +14,9 @@ region only, for a product whose other sites are already centered.
 
 Components are stored embedded on the full region so that sums and residuals
 are plain matrix arithmetic; the support is recorded in the index.
+
+The same code runs a stack of B draws: an operator whose matrix is (B, D, D)
+(built with ``LocalOperator._raw``), with one density per draw, (B, d, d).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .lattice import (
     Region,
     Site,
     embed,
-    is_hermitian_matrix,
+    hermitian_mask,
     operator_norm,
     operator_norms,
 )
@@ -44,37 +47,40 @@ class NotCenteredError(ValueError):
     """An element assumed centered fails the residual check."""
 
 
-def gibbs_single_site(psi: np.ndarray, beta: float) -> np.ndarray:
-    """Density matrix e^{-beta psi} / tr e^{-beta psi} of a Hermitian psi."""
+def gibbs_single_site(psi: np.ndarray, beta) -> np.ndarray:
+    """Density matrix e^{-beta psi} / tr e^{-beta psi} of a Hermitian psi, or
+    of each psi of a stack (B, d, d), with one beta or one per psi."""
     psi = np.asarray(psi, dtype=complex)
-    if not is_hermitian_matrix(psi):
+    if not hermitian_mask(psi).all():
         raise ValueError("single-site potential must be Hermitian")
     w, v = np.linalg.eigh(psi)
-    g = np.exp(-beta * (w - w.min()))
-    g /= g.sum()
-    return (v * g) @ v.conj().T
+    g = np.exp(-np.asarray(beta)[..., None] * (w - w.min(axis=-1, keepdims=True)))
+    g /= g.sum(axis=-1, keepdims=True)
+    return (v * g[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 @dataclass
 class ReferenceStates:
-    """Per-site reference densities rho_x at a fixed inverse temperature.
+    """Per-site reference densities rho_x at inverse temperature ``beta``.
 
-    Sites without a single-site potential carry the maximally mixed state.
+    A density is (d, d), or a (B, d, d) stack with one density (and one
+    beta) per draw; each density of a stack passes the same checks.  Sites
+    without a single-site potential carry the maximally mixed state.
     """
 
-    beta: float
+    beta: float  # or a (B,) array, one beta per draw
     site_dim: int
-    rho: dict = field(default_factory=dict)  # Site -> (d, d) ndarray
+    rho: dict = field(default_factory=dict)  # Site -> (d, d) or (B, d, d) ndarray
 
     def __post_init__(self):
         d = self.site_dim
         for x, r in self.rho.items():
             r = np.asarray(r, dtype=complex)
-            if r.shape != (d, d):
+            if r.shape[-2:] != (d, d) or r.ndim > 3:
                 raise ValueError(f"density at {x} has shape {r.shape}")
-            if np.linalg.norm(r - r.conj().T) > 1e-12:
+            if np.any(np.linalg.norm(r - r.conj().swapaxes(-2, -1), axis=(-2, -1)) > 1e-12):
                 raise ValueError(f"density at {x} is not Hermitian")
-            if abs(np.trace(r) - 1.0) > 1e-12:
+            if np.any(abs(np.trace(r, axis1=-2, axis2=-1) - 1.0) > 1e-12):
                 raise ValueError(f"density at {x} is not trace one")
             if np.linalg.eigvalsh(r).min() < -1e-12:
                 raise ValueError(f"density at {x} is not positive semidefinite")
@@ -98,22 +104,28 @@ class ReferenceStates:
 
 def _site_contraction(mats: np.ndarray, nsites: int, i: int, rho: np.ndarray) -> np.ndarray:
     """eta_x on the last two axes of a stack on a region of ``nsites`` sites
-    whose ``i``-th site is x: (..., d^n, d^n) -> (..., d^(n-1), d^(n-1))."""
-    d = len(rho)
-    batch = mats.ndim - 2
+    whose ``i``-th site is x: (..., d^n, d^n) -> (..., d^(n-1), d^(n-1)).
+    A density stack ``rho`` (B, d, d) runs along the axis before the matrix
+    axes, one density per draw."""
+    d = rho.shape[-1]
+    batch = mats.shape[:-2]
+    k = len(batch)
     before, after = d ** i, d ** (nsites - i - 1)
-    legs = mats.reshape(mats.shape[:batch] + (before, d, after) * 2)
+    legs = mats.reshape(batch + (before, d, after) * 2)
     # the row leg of x carries the bra index, its column leg the ket index;
-    # eta(A) = tr_x[(rho ox 1) A] contracts rho[a, b] with (ket=a, bra=b)
-    out = np.tensordot(rho, legs, axes=([0, 1], [batch + 4, batch + 1]))
-    return out.reshape(mats.shape[:batch] + (before * after,) * 2)
+    # eta(A) = tr_x[(rho ox 1) A] contracts rho[a, b] with (ket=a, bra=b);
+    # one product per density, over all axes not matched to the densities
+    front = k if rho.ndim > 2 else 0
+    legs = np.moveaxis(legs, (k + 4, k + 1), (front, front + 1))
+    out = rho.reshape(rho.shape[:-2] + (1, d * d)) @ legs.reshape(batch[:front] + (d * d, -1))
+    return out.reshape(batch + (before * after,) * 2)
 
 
 def site_expectation(mats: np.ndarray, nsites: int, i: int, rho: np.ndarray) -> np.ndarray:
     """E_x = eta_x (x) 1_x on the last two axes of a stack on a region of
     ``nsites`` sites whose ``i``-th site is x, for the density ``rho`` at x:
     the contraction at x, embedded back on the region (same shape)."""
-    d = len(rho)
+    d = rho.shape[-1]
     batch = mats.shape[:-2]
     before, after = d ** i, d ** (nsites - i - 1)
     reduced = _site_contraction(mats, nsites, i, rho)
@@ -151,65 +163,65 @@ def centering_residual(a: LocalOperator, eta: ReferenceStates) -> float:
     )
 
 
+def _norms(mats: np.ndarray) -> np.ndarray:
+    """``operator_norms`` over any leading axes: (..., D, D) -> (...)."""
+    return operator_norms(mats.reshape((-1,) + mats.shape[-2:])).reshape(mats.shape[:-2])
+
+
 class Decomposition:
     """Centered components of an observable, embedded on the full region.
 
     ``components`` maps each index X to its component A_X; ``stack`` holds
-    their matrices in the same order as one (K, D, D) array, which the
-    residual and norm checks read.
+    their matrices in the same order as one (K, D, D) array, or (K, B, D, D)
+    for B draws, which each residual and norm check reads in one norm call.
     """
 
-    def __init__(self, region: Region, components: dict, stack: np.ndarray = None):
+    def __init__(self, region: Region, components: dict, stack: np.ndarray):
         self.region = region
         self.components = components
-        self.stack = (
-            np.stack([op.matrix for op in components.values()]) if stack is None else stack
-        )
+        self.stack = stack
 
-    def reconstruction(self) -> LocalOperator:
-        return LocalOperator._raw(self.region, self.stack.sum(axis=0), self._site_dim())
-
-    def _site_dim(self) -> int:
-        return next(iter(self.components.values())).site_dim
-
-    def reconstruction_residual(self, original: LocalOperator) -> float:
-        return operator_norm(self.reconstruction() - embed(original, self.region))
+    def reconstruction_residual(self, original: LocalOperator):
+        """||sum_X A_X - A||; a (B,) array of them for a stack of draws."""
+        return _norms(self.stack.sum(axis=0) - embed(original, self.region).matrix)[()]
 
     def centering_residual(self, eta: ReferenceStates) -> float:
         """max over components A_X and sites x in X of ||eta_x(A_X)||: per
         site one contraction of the components whose index holds it."""
-        worst = 0.0
-        indices = list(self.components)
+        reduced = []
         for i, x in enumerate(self.region):
-            rows = [k for k, index in enumerate(indices) if x in index]
+            rows = [k for k, index in enumerate(self.components) if x in index]
             if rows:
-                reduced = _site_contraction(
-                    self.stack[rows], len(self.region), i, eta.density(x)
-                )
-                worst = max(worst, float(operator_norms(reduced).max()))
-        return worst
+                out = _site_contraction(self.stack[rows], len(self.region), i, eta.density(x))
+                reduced.append(out.reshape((-1,) + out.shape[-2:]))
+        return float(operator_norms(np.concatenate(reduced)).max()) if reduced else 0.0
 
-    def norm_bound_ok(self, reference_norm: float, slack: float = 1e-9) -> bool:
-        """||A_X|| <= 2^{|X|} ||A||."""
-        bounds = np.exp2([len(index) for index in self.components]) * reference_norm
-        return not np.any(operator_norms(self.stack) > bounds * (1.0 + slack) + 1e-300)
+    def norm_bound_ok(self, reference_norm, slack: float = 1e-9) -> bool:
+        """||A_X|| <= 2^{|X|} ||A||, with one ||A|| per draw for a stack."""
+        sizes = np.exp2([len(index) for index in self.components])
+        bounds = np.multiply.outer(sizes, reference_norm)
+        return not np.any(_norms(self.stack) > bounds * (1.0 + slack) + 1e-300)
 
 
 def decompose_recursive(a: LocalOperator, eta: ReferenceStates) -> Decomposition:
     """Components by the defining recursion: the empty component is the full
     expectation, and each A_X is the complement-expectation minus all proper
-    sub-components.  Iteration by increasing size, then lexicographic."""
+    sub-components.  Iteration by increasing size, then lexicographic; for
+    a stack of draws, every step runs on the whole stack."""
     lam = a.region
     if len(lam) > SUBSET_CAP:
         raise SubsetCapError(f"|region| = {len(lam)} exceeds cap {SUBSET_CAP}")
-    comps = {}
-    for X in lam.subsets():
-        acc = embed(partial_expectation(a, lam.difference(X), eta), lam)
+    subsets = list(lam.subsets())
+    row = {X: k for k, X in enumerate(subsets)}
+    stack = np.empty((len(subsets),) + a.matrix.shape, dtype=complex)
+    for k, X in enumerate(subsets):
+        acc = embed(partial_expectation(a, lam.difference(X), eta), lam).matrix
         for Y in X.subsets():
             if Y != X:
-                acc = acc - comps[Y]
-        comps[X] = acc
-    return Decomposition(region=lam, components=comps)
+                acc = acc - stack[row[Y]]
+        stack[k] = acc
+    comps = {X: LocalOperator._raw(lam, mat, a.site_dim) for X, mat in zip(subsets, stack)}
+    return Decomposition(lam, comps, stack)
 
 
 def butterfly(mats: np.ndarray, region: Region, active: Region,

@@ -65,9 +65,14 @@ class CheckResult:
 
 
 def _rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random Hermitian matrix, unscaled; ``_unit_norm`` scales it."""
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = (m + m.conj().T) / 2.0
-    return m / np.abs(np.linalg.eigvalsh(m)).max()
+    return (m + m.conj().T) / 2.0
+
+
+def _unit_norm(mats: np.ndarray) -> np.ndarray:
+    """Each Hermitian matrix of a stack (..., D, D) over its operator norm."""
+    return mats / np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)[..., None, None]
 
 
 def _le(name: str, value: float, threshold: float) -> CheckResult:
@@ -78,31 +83,45 @@ def _ge(name: str, value: float, threshold: float) -> CheckResult:
     return CheckResult(name, value >= threshold, value, threshold)
 
 
+#: draws per stack in the decompose suite; bounds its working set
+DRAW_BLOCK = 8
+
+
 def run_decompose_suite(seed: int = 0, draws: int = 100,
                         betas: Sequence[float] = (0.3, 1.0)) -> list:
     """Random Hermitian observables on one to three spin-1/2 sites with random
     single-site potentials: reconstruction, centering, cross-method agreement
-    and the 2^|X| norm bound."""
+    and the 2^|X| norm bound.
+
+    The inputs are drawn one draw at a time; the draws of each site count
+    then run as stacks of at most ``DRAW_BLOCK``, each draw with its own
+    densities, and each check reads a stack in one norm call."""
     rng = np.random.default_rng(seed)
-    worst_recon = worst_center = worst_cross = 0.0
-    bound_ok = True
+    by_sites = {1: [], 2: [], 3: []}  # nsites -> [(beta, potentials, observable)]
     for i in range(draws):
         nsites = 1 + (i % 3)
+        psi = [_rand_hermitian(2, rng) for _ in range(nsites)]
+        by_sites[nsites].append((betas[i % len(betas)], psi, _rand_hermitian(2 ** nsites, rng)))
+    worst_recon = worst_center = worst_cross = 0.0
+    bound_ok = True
+    for nsites, group in by_sites.items():
         window = box_window([nsites])
-        beta = betas[i % len(betas)]
-        rho = {
-            x: gibbs_single_site(_rand_hermitian(2, rng), beta) for x in window
-        }
-        eta = ReferenceStates(beta=beta, site_dim=2, rho=rho)
-        a = LocalOperator(window, _rand_hermitian(2 ** nsites, rng), 2)
-        rec = decompose_recursive(a, eta)
-        moe = decompose_moebius(a, eta)
-        a_norm = operator_norm(a)
-        worst_recon = max(worst_recon, rec.reconstruction_residual(a) / a_norm)
-        worst_center = max(worst_center, rec.centering_residual(eta))
-        # both list their components in the order of Region.subsets
-        worst_cross = max(worst_cross, float(operator_norms(rec.stack - moe.stack).max()))
-        bound_ok = bound_ok and rec.norm_bound_ok(a_norm)
+        dim = 2 ** nsites
+        for lo in range(0, len(group), DRAW_BLOCK):
+            beta, psi, mats = (np.array(col) for col in zip(*group[lo:lo + DRAW_BLOCK]))
+            psi, mats = _unit_norm(psi), _unit_norm(mats)
+            rho = {x: gibbs_single_site(psi[:, k], beta) for k, x in enumerate(window)}
+            eta = ReferenceStates(beta=beta, site_dim=2, rho=rho)
+            a = LocalOperator._raw(window, mats, 2)
+            rec = decompose_recursive(a, eta)
+            moe = decompose_moebius(a, eta)
+            a_norms = operator_norms(mats)
+            worst_recon = max(worst_recon, float((rec.reconstruction_residual(a) / a_norms).max()))
+            worst_center = max(worst_center, rec.centering_residual(eta))
+            # both list their components in the order of Region.subsets
+            cross = operator_norms((rec.stack - moe.stack).reshape(-1, dim, dim))
+            worst_cross = max(worst_cross, float(cross.max()))
+            bound_ok = bound_ok and rec.norm_bound_ok(a_norms)
     return [
         _le("reconstruction_residual_rel", worst_recon, 1e-10),
         _le("centering_residual", worst_center, 1e-10),
@@ -115,33 +134,32 @@ def run_kms_suite(seed: int = 0, draws: int = 50,
                   betas: Sequence[float] = (0.5, 1.0, 2.0)) -> list:
     """Gibbs states satisfy the analytic-continuation identity to roundoff;
     the maximally mixed state (at beta > 0 with nontrivial dynamics) visibly
-    violates it on at least 90 percent of random observables."""
+    violates it on at least 90 percent of random observables.  The draws of
+    each (number of sites, beta) system run as one stack."""
     rng = np.random.default_rng(seed)
     rep = SpinRep(1)
-    worst_rel = 0.0
-    mismatch_hits = 0
-    systems = {}  # (nsites, beta) -> (system, ||H||), built on first use
+    by_system = {}  # (nsites, beta) -> [(a, b)], in draw order
     for i in range(draws):
         nsites = 2 + (i % 2)
-        beta = betas[i % len(betas)]
-        if (nsites, beta) not in systems:
-            window = box_window([nsites])
-            system = FiniteSystem(window, build_heisenberg(1.0, 1.0, rep, window), beta)
-            systems[nsites, beta] = system, operator_norm(system.h)
-        system, h_norm = systems[nsites, beta]
-        window = system.gamma
-        dim = 2 ** nsites
-        a = LocalOperator(window, _rand_hermitian(dim, rng), 2)
-        b = LocalOperator(window, _rand_hermitian(dim, rng), 2)
+        pair = tuple(_rand_hermitian(2 ** nsites, rng) for _ in range(2))
+        by_system.setdefault((nsites, betas[i % len(betas)]), []).append(pair)
+    worst_rel = 0.0
+    mismatch_hits = 0
+    for (nsites, beta), pairs in by_system.items():
+        window = box_window([nsites])
+        system = FiniteSystem(window, build_heisenberg(1.0, 1.0, rep, window), beta)
+        a_mats, b_mats = (_unit_norm(np.array(col)) for col in zip(*pairs))
+        a, b = (LocalOperator._raw(window, mats, 2) for mats in (a_mats, b_mats))
         tolerance = (
             1e-9
-            * operator_norm(a)
-            * operator_norm(b)
-            * math.exp(2 * beta * h_norm)
+            * operator_norms(a_mats)
+            * operator_norms(b_mats)
+            * math.exp(2 * beta * operator_norm(system.h))
         )
-        worst_rel = max(worst_rel, kms_residual(system, a, b) / tolerance)
+        worst_rel = max(worst_rel, float((kms_residual(system, a, b) / tolerance).max()))
+        dim = 2 ** nsites
         maximally_mixed = (np.eye(dim, dtype=complex), np.full(dim, 1.0 / dim))
-        mismatch_hits += kms_residual(system, a, b, maximally_mixed) > 1e-3
+        mismatch_hits += int(np.count_nonzero(kms_residual(system, a, b, maximally_mixed) > 1e-3))
     return [
         _le("gibbs_residual_vs_tolerance", worst_rel, 1.0),
         _ge("mismatched_state_detection_rate", mismatch_hits / draws, 0.9),
@@ -175,10 +193,9 @@ def run_lemma_suite(seed: int = 0, draws: int = 500,
     rng = np.random.default_rng(seed)
     window = box_window([4])
     sites = list(window)
-    all_regions = []
-    for size in (1, 2, 3):
-        for combo in combinations(sites, size):
-            all_regions.append(Region.of(combo))
+    all_regions = [
+        Region._raw(combo) for size in (1, 2, 3) for combo in combinations(sites, size)
+    ]
     violations = 0
     worst_margin = 0.0
     for i in range(draws):
@@ -186,9 +203,9 @@ def run_lemma_suite(seed: int = 0, draws: int = 500,
         chosen = rng.choice(len(all_regions), size=count, replace=False)
         alpha = {all_regions[k]: float(rng.uniform(0.05, 1.0)) for k in chosen}
         lam_size = int(rng.integers(1, 4))
-        lam = Region.of(
-            sites[k] for k in rng.choice(len(sites), size=lam_size, replace=False)
-        )
+        picked = rng.choice(len(sites), size=lam_size, replace=False)
+        # the window's sites are sorted, so sorted indices give a region
+        lam = Region._raw(tuple(sites[k] for k in sorted(picked)))
         n = int(rng.integers(1, 4))
         eps = eps_values[i % len(eps_values)]
         lhs, rhs = lemma_sum_check(alpha, lam, n, eps)
@@ -211,7 +228,7 @@ def _two_site_benchmark(beta: float):
 
 def _centered_test_element(system: FiniteSystem, rng: np.random.Generator) -> LocalOperator:
     a = LocalOperator(
-        system.gamma, _rand_hermitian(2 ** len(system.gamma), rng), system.site_dim
+        system.gamma, _unit_norm(_rand_hermitian(2 ** len(system.gamma), rng)), system.site_dim
     )
     elem = decompose_recursive(a, system.reference_states).components[system.gamma]
     if operator_norm(elem) < 1e-6:

@@ -26,6 +26,7 @@ from kmsbounds.lattice import (
     operator_norms,
     spin_matrices,
 )
+from kmsbounds.verify import run_decompose_suite
 
 RNG = np.random.default_rng(12)
 
@@ -44,6 +45,11 @@ def unit_observable(region, rng):
     """Random Hermitian observable of operator norm one."""
     m = rand_hermitian(2 ** len(region), rng)
     return LocalOperator(region, m / np.abs(np.linalg.eigvalsh(m)).max(), 2)
+
+
+def forge(region, components):
+    """A Decomposition of arbitrary components, e.g. tampered ones."""
+    return Decomposition(region, components, np.stack([op.matrix for op in components.values()]))
 
 
 def residual_at(op, sites, eta):
@@ -247,7 +253,7 @@ class TestDecomposition:
         tampered = dict(dec.components)
         tampered[x0] = tampered[x0] + perturb
         tampered[self.window] = tampered[self.window] - perturb
-        forged = Decomposition(self.window, tampered)
+        forged = forge(self.window, tampered)
         assert forged.reconstruction_residual(a) <= 1e-10 * operator_norm(a)
         assert forged.centering_residual(self.eta) > 1e-6
 
@@ -272,7 +278,7 @@ class TestDecomposition:
         rng = np.random.default_rng(5)
         a = unit_observable(self.window, rng)
         dec = decompose_recursive(a, self.eta)
-        forged = Decomposition(self.window, {
+        forged = forge(self.window, {
             k: op + LocalOperator(self.window, 0.1 * rand_hermitian(8, rng), 2)
             for k, op in dec.components.items()
         })
@@ -296,6 +302,91 @@ class TestDecomposition:
         a = LocalOperator.zero(window, 2)
         with pytest.raises(SubsetCapError):
             decompose_recursive(a, eta)
+
+
+class TestStackedDraws:
+    """B draws, each with its own densities, decomposed as one stack: every
+    slice is the decomposition of that draw alone."""
+
+    def draws(self, nsites, count, rng):
+        """Per-draw densities as (B, d, d) stacks and observables (B, D, D)."""
+        window = box_window([nsites])
+        psi = np.array([[rand_hermitian(2, rng) for _ in window] for _ in range(count)])
+        betas = rng.uniform(0.1, 2.0, size=count)
+        rho = {x: gibbs_single_site(psi[:, k], betas) for k, x in enumerate(window)}
+        mats = np.array([rand_hermitian(2 ** nsites, rng) for _ in range(count)])
+        return window, ReferenceStates(betas, 2, rho), mats
+
+    @pytest.mark.parametrize("nsites", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_slices_match_single_draws(self, nsites, count):
+        rng = np.random.default_rng(60 + 10 * nsites + count)
+        window, eta, mats = self.draws(nsites, count, rng)
+        a = LocalOperator._raw(window, mats, 2)
+        stacked = [decompose_recursive(a, eta), decompose_moebius(a, eta)]
+        norms = operator_norms(mats)
+        for k in range(count):
+            alone = ReferenceStates(eta.beta[k], 2, {x: r[k] for x, r in eta.rho.items()})
+            single = LocalOperator(window, mats[k], 2)
+            for dec, method in zip(stacked, (decompose_recursive, decompose_moebius)):
+                ref = method(single, alone)
+                assert list(dec.components) == list(ref.components)
+                assert dec.stack.shape == (2 ** nsites, count) + mats.shape[1:]
+                assert np.abs(dec.stack[:, k] - ref.stack).max() <= 1e-14
+                assert dec.reconstruction_residual(a)[k] == pytest.approx(
+                    ref.reconstruction_residual(single), abs=1e-14
+                )
+        for dec in stacked:
+            assert dec.centering_residual(eta) <= 1e-14
+            assert dec.norm_bound_ok(norms)
+
+    def test_density_stack_matches_single_densities(self):
+        rng = np.random.default_rng(3)
+        psi = np.array([rand_hermitian(3, rng) for _ in range(4)])
+        betas = np.array([0.2, 0.7, 1.0, 3.0])
+        stacked = gibbs_single_site(psi, betas)
+        for k in range(4):
+            assert np.array_equal(stacked[k], gibbs_single_site(psi[k], betas[k]))
+        # one beta for the whole stack
+        assert np.array_equal(gibbs_single_site(psi, 0.7)[1], stacked[1])
+
+    @pytest.mark.parametrize("fault", ["non-hermitian", "trace", "negative"])
+    def test_one_bad_density_in_a_stack(self, fault):
+        """Each density of a stack passes the checks one density would."""
+        rng = np.random.default_rng(4)
+        rho = gibbs_single_site(np.array([rand_hermitian(2, rng) for _ in range(5)]), 1.0)
+        ReferenceStates(1.0, 2, {(0,): rho})
+        bad = rho.copy()
+        if fault == "non-hermitian":
+            bad[2, 0, 1] += 1e-6
+        elif fault == "trace":
+            bad[2] *= 1.0 + 1e-9
+        else:
+            bad[2] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError):
+            ReferenceStates(1.0, 2, {(0,): bad})
+
+    def test_one_non_hermitian_potential_in_a_stack(self):
+        psi = np.array([rand_hermitian(2) for _ in range(3)])
+        psi[1, 0, 1] += 0.5
+        with pytest.raises(ValueError):
+            gibbs_single_site(psi, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (1, 2, 2, 2)])
+    def test_density_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            ReferenceStates(1.0, 2, {(0,): np.zeros(shape)})
+
+    @pytest.mark.parametrize("draws", [1, 2, 3, 4, 100])
+    def test_suite_at_few_draws(self, draws):
+        """Site counts without draws, or with one, leave empty or one-draw
+        stacks; every check holds at every count."""
+        checks = run_decompose_suite(seed=7, draws=draws)
+        assert [c.name for c in checks] == [
+            "reconstruction_residual_rel", "centering_residual",
+            "recursive_vs_moebius", "component_norm_bound",
+        ]
+        assert all(c.passed for c in checks)
 
 
 class TestRefined:

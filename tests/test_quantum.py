@@ -23,6 +23,7 @@ from kmsbounds.quantum import (
     ConvergenceWarning,
     FiniteSystem,
     SimplexQuadrature,
+    _chains,
     _conjugate,
     constrained_chains,
     dyson_truncated,
@@ -562,6 +563,24 @@ class TestKMS:
         assert hits >= 9
 
 
+    def test_stack_matches_one_at_a_time(self):
+        """Residuals of a stack of draws, in the Gibbs and in a mismatched
+        state, are bit for bit those of each draw alone."""
+        rng = np.random.default_rng(8)
+        system = heisenberg_system(3, 1.0)
+        a_mats, b_mats = (np.array([rand_hermitian(8, rng) for _ in range(5)]) for _ in "ab")
+        a, b = (LocalOperator._raw(system.gamma, m, 2) for m in (a_mats, b_mats))
+        for state in (None, (np.eye(8, dtype=complex), np.full(8, 1 / 8))):
+            stacked = kms_residual(system, a, b, state)
+            assert stacked.shape == (5,)
+            for k in range(5):
+                single = kms_residual(
+                    system, LocalOperator(system.gamma, a_mats[k], 2),
+                    LocalOperator(system.gamma, b_mats[k], 2), state,
+                )
+                assert stacked[k] == single
+
+
 class TestGibbsState:
     """Each system diagonalizes its Hamiltonian once and builds its reference
     states once, however many expectations, residuals and kernels read them."""
@@ -682,6 +701,75 @@ class TestLemma:
             lhs_c, rhs_c = lemma_sum_check(scaled, lam, n, 0.5)
             assert lhs_c == pytest.approx(c ** n * lhs, rel=1e-12)
             assert rhs_c == pytest.approx(c ** n * rhs, rel=1e-12)
+
+
+def enumerated_chain_sum(alpha, lam, n):
+    """The chain sum by enumeration: every constrained chain over all regions
+    of ``alpha``, zero weights included, contributes its weight product."""
+    return sum(math.prod(alpha[r] for r in chain) for chain in _chains(list(alpha), n, lam))
+
+
+def random_family(window, rng, zero_share=0.0):
+    """2 to 6 regions of one to three sites of ``window`` with uniform
+    weights, each set to zero with probability ``zero_share``."""
+    from itertools import combinations
+
+    sites = list(window)
+    regions = [Region.of(c) for size in (1, 2, 3) for c in combinations(sites, size)]
+    chosen = rng.choice(len(regions), size=int(rng.integers(2, 7)), replace=False)
+    return {
+        regions[k]: 0.0 if rng.uniform() < zero_share else float(rng.uniform(0.05, 1.0))
+        for k in chosen
+    }
+
+
+class TestLemmaChainSum:
+    """The memoized recursion of ``lemma_sum_check`` against the enumeration
+    of every constrained chain (``quantum._chains``)."""
+
+    @pytest.mark.parametrize("extents", [[4], [5], [2, 2], [3, 2]])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_enumeration(self, extents, n):
+        window = box_window(extents)
+        sites = list(window)
+        rng = np.random.default_rng(len(sites) + 10 * n)
+        for _ in range(8):
+            alpha = random_family(window, rng)
+            # a start that meets the family's first region
+            picked = rng.choice(len(sites), size=int(rng.integers(0, 3)), replace=False)
+            lam = Region.of([next(iter(alpha)).sites[0], *(sites[k] for k in picked)])
+            lhs, _ = lemma_sum_check(alpha, lam, n, 0.7)
+            oracle = enumerated_chain_sum(alpha, lam, n)
+            assert oracle > 0
+            assert lhs == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_zero_weights(self, n):
+        """Zero weights contribute nothing, and a family of only zero weights
+        sums to zero with a zero bound."""
+        window = box_window([3, 2])
+        rng = np.random.default_rng(40 + n)
+        lam = Region.of([(0, 0), (1, 1)])
+        for _ in range(8):
+            alpha = random_family(window, rng, zero_share=0.4)
+            lhs, _ = lemma_sum_check(alpha, lam, n, 0.7)
+            assert lhs == pytest.approx(enumerated_chain_sum(alpha, lam, n), rel=1e-13, abs=0.0)
+        zeros = dict.fromkeys(alpha, 0.0)
+        assert lemma_sum_check(zeros, lam, n, 0.7) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_start_disjoint_from_every_region(self, n):
+        """A start outside every region of the family (on sites 0-2 of a
+        five-site chain): no chain starts, so the sum is exactly zero, while
+        the bound is not."""
+        rng = np.random.default_rng(50 + n)
+        for _ in range(5):
+            alpha = random_family(box_window([3]), rng)
+            lam = Region.of([(4,)]) if n % 2 else Region.of([(3,), (4,)])
+            lhs, rhs = lemma_sum_check(alpha, lam, n, 0.7)
+            assert enumerated_chain_sum(alpha, lam, n) == 0
+            assert lhs == 0.0
+            assert rhs > 0.0
 
 
 class TestKSKernel:
