@@ -84,7 +84,7 @@ def _ge(name: str, value: float, threshold: float) -> CheckResult:
 
 
 #: draws per stack in the decompose suite; bounds its working set
-DRAW_BLOCK = 8
+DRAW_BLOCK = 4
 
 
 def run_decompose_suite(seed: int = 0, draws: int = 100,

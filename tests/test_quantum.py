@@ -1,5 +1,5 @@
 import math
-from itertools import product as iterproduct
+from itertools import combinations, product as iterproduct
 
 import numpy as np
 import pytest
@@ -562,7 +562,6 @@ class TestKMS:
             hits += r > 1e-3
         assert hits >= 9
 
-
     def test_stack_matches_one_at_a_time(self):
         """Residuals of a stack of draws, in the Gibbs and in a mismatched
         state, are bit for bit those of each draw alone."""
@@ -712,8 +711,6 @@ def enumerated_chain_sum(alpha, lam, n):
 def random_family(window, rng, zero_share=0.0):
     """2 to 6 regions of one to three sites of ``window`` with uniform
     weights, each set to zero with probability ``zero_share``."""
-    from itertools import combinations
-
     sites = list(window)
     regions = [Region.of(c) for size in (1, 2, 3) for c in combinations(sites, size)]
     chosen = rng.choice(len(regions), size=int(rng.integers(2, 7)), replace=False)
