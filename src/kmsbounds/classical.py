@@ -8,7 +8,15 @@ act on a single marked site by pulling back observables.  Sup norms come
 from a grid search, except for potentials that carry a closed form, which
 bypass it.
 
-Quadrature configurations have shape (N, k, 3) but are component-major in
+The window grid stays factored: a quadrature chunk is the product of
+per-site vector lists, and a potential is evaluated on its own sites' lists,
+its values shaped to broadcast over the other sites.  A two-site potential
+with a 3x3 ``coupling`` C is the bilinear form u^T C w, evaluated as the
+matmul V_a C V_b^T.  Rotating a site rotates only its list, V_x R; a stack
+of rotations is a leading axis that the matmul carries.  Other potentials
+are evaluated by ``fn``.
+
+Materialized configurations have shape (N, k, 3) but are component-major in
 memory: a transposed view of a C-order (k, 3, N) array, so each ``[:, s, c]``
 is contiguous.  Potentials and observables index them, must not write into
 them (the window grid is cached per ``SphereGrid`` and read-only) and must
@@ -36,34 +44,26 @@ class ClassicalPotential:
     of shape (...).  The array is a read-only, component-major view (see the
     module docstring): ``fn`` indexes it and must neither write into it nor
     assume it is C-contiguous.  ``sup_norm`` may carry a closed-form supremum.
+    A two-site potential may carry a 3x3 ``coupling`` C; it is then the
+    bilinear form u^T C w of its two spins, and ``fn`` must equal it.
     """
 
     region: Region
     fn: Callable
     sup_norm: float = None
-
-    def restrict(self, window: Region, configs: np.ndarray) -> np.ndarray:
-        """Evaluate on configurations given over a larger window."""
-        idx = [window.index(x) for x in self.region]
-        if idx and idx == list(range(idx[0], idx[-1] + 1)):
-            # a contiguous run of window sites: a view, not a copy
-            return self.fn(configs[..., idx[0] : idx[-1] + 1, :])
-        return self.fn(configs[..., idx, :])
+    coupling: np.ndarray = None
 
 
 def heisenberg_bond_potential(x: Site, y: Site, coupling: float, delta: float) -> ClassicalPotential:
-    """-J (delta (s1 s1 + s2 s2) + s3 s3) on the pair {x, y}; the supremum
-    over unit vectors is |J| max(|delta|, 1)."""
-    region = Region.of([x, y])
+    """-J (delta (s1 s1 + s2 s2) + s3 s3) on the pair {x, y}, the bilinear
+    form of -J diag(delta, delta, 1); the supremum over unit vectors is
+    |J| max(|delta|, 1)."""
+    c = -coupling * np.diag([delta, delta, 1.0])
 
     def fn(v):
-        u, w = v[..., 0, :], v[..., 1, :]
-        return -coupling * (
-            delta * (u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1])
-            + u[..., 2] * w[..., 2]
-        )
+        return ((v[..., 0, :] @ c) * v[..., 1, :]).sum(axis=-1)
 
-    return ClassicalPotential(region, fn, sup_norm=abs(coupling) * max(abs(delta), 1.0))
+    return ClassicalPotential(Region.of([x, y]), fn, abs(coupling) * max(abs(delta), 1.0), c)
 
 
 class SphereGrid:
@@ -84,8 +84,7 @@ class SphereGrid:
         ).reshape(-1, 3)
         w2d = np.broadcast_to((weights / 2.0)[:, None], cos_t.shape) / (2 * order)
         self.weights = w2d.reshape(-1).copy()
-        # read-only (configs, weights) product grids by window size, filled
-        # by _window_chunks
+        # read-only window chunks by window size, filled by _window_chunks
         self._windows = {}
 
     def integrate(self, values: np.ndarray) -> float:
@@ -104,18 +103,20 @@ def _product(*site_vectors: np.ndarray) -> np.ndarray:
 
 
 def _window_chunks(grid: SphereGrid, nsites: int):
-    """Yield read-only (configs, weights) chunks covering the product grid
-    over the window.  Windows of at most two sites are one chunk, built once
-    per grid; the outermost of three sites is chunked to bound memory."""
+    """Yield read-only (configs, weights, lists) chunks covering the product
+    grid over the window; configs is ``_product(*lists)``.  Windows of at
+    most two sites are one chunk, built once per grid; the outermost of
+    three sites is chunked to bound memory."""
     if nsites > 3:
         raise ValueError("quadrature windows are limited to three sites")
     v, w = grid.vectors, grid.weights
     if nsites == 3:
         pair = np.outer(w, w).ravel()
         for i in range(len(w)):
-            configs = _product(v[i : i + 1], v, v)
+            lists = (v[i : i + 1], v, v)
+            configs = _product(*lists)
             configs.flags.writeable = False
-            yield configs, w[i] * pair
+            yield configs, w[i] * pair, lists
         return
     if nsites not in grid._windows:
         weights = np.ones(1)
@@ -123,26 +124,47 @@ def _window_chunks(grid: SphereGrid, nsites: int):
             weights = np.outer(weights, w).ravel()
         configs = _product(*[v] * nsites)
         configs.flags.writeable = weights.flags.writeable = False
-        grid._windows[nsites] = configs, weights
+        grid._windows[nsites] = configs, weights, (v,) * nsites
     yield grid._windows[nsites]
+
+
+def _values(pot: ClassicalPotential, window: Region, lists: Sequence[np.ndarray]) -> np.ndarray:
+    """Values of ``pot`` on the product of per-site vector lists over the
+    window, shaped (..., n_1, ..., n_k) with length-one axes off its region.
+    At most one list may carry leading (rotation) axes; they lead."""
+    idx = [window.index(s) for s in pot.region]
+    own = [lists[i] for i in idx]
+    lead = max((v.shape[:-2] for v in own), key=len, default=())
+    if pot.coupling is not None:
+        vals = own[0] @ pot.coupling @ np.swapaxes(own[1], -1, -2)
+    else:
+        # fn on the product of the region's own lists, with the leading axes
+        # folded into their site's rows and then moved to the front
+        p = next((j for j, v in enumerate(own) if v.ndim > 2), 0)
+        vals = pot.fn(_product(*[v.reshape(-1, 3) for v in own]))
+        vals = np.moveaxis(vals.reshape([d for v in own for d in v.shape[:-1]]),
+                           range(p, p + len(lead)), range(len(lead)))
+    shape = [lists[i].shape[-2] if i in idx else 1 for i in range(len(lists))]
+    return vals.reshape(lead + tuple(shape))
 
 
 def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
                     beta: float, observables: Sequence[Callable],
                     grid: SphereGrid) -> list:
     """Gibbs averages of several observables from one quadrature pass that
-    shares the energy h of each chunk."""
+    shares the energy h of each chunk.  Each observable maps a chunk's
+    configs, its per-site vector lists and the potentials' values on it (as
+    ``_values`` gives them) to one value per configuration."""
     for pot in potentials:
         if not pot.region.issubset(window):
             raise ValueError(f"potential on {pot.region} escapes the window")
     # streaming accumulation with a running energy shift so the Boltzmann
     # factors stay bounded regardless of chunk order
     nums, den, shift = [0.0] * len(observables), 0.0, None
-    for configs, weights in _window_chunks(grid, len(window)):
-        h = np.zeros(configs.shape[0])
-        for pot in potentials:
-            h = h + pot.restrict(window, configs)
-        local = float(h.min()) if h.size else 0.0
+    for configs, weights, lists in _window_chunks(grid, len(window)):
+        values = [_values(pot, window, lists) for pot in potentials]
+        h = sum(values, np.zeros([len(v) for v in lists])).reshape(-1)
+        local = float(h.min())
         if shift is None:
             shift = local
         elif local < shift:
@@ -152,7 +174,7 @@ def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
             shift = local
         boltz = weights * np.exp(-beta * (h - shift))
         del h  # free the energies before the observables make their temporaries
-        nums = [num + float(boltz @ np.asarray(obs(configs), dtype=float))
+        nums = [num + float(boltz @ np.asarray(obs(configs, lists, values), dtype=float))
                 for num, obs in zip(nums, observables)]
         den += float(boltz.sum())
     return [num / den for num in nums]
@@ -164,7 +186,8 @@ def classical_gibbs_expectation(window: Region, potentials: Sequence[ClassicalPo
     """Quadrature evaluation of the finite-volume Gibbs average
     int e^{-beta h} a dmu / int e^{-beta h} dmu with h the sum of the given
     potentials.  ``observable`` takes configs of shape (..., |window|, 3)."""
-    return _gibbs_averages(window, potentials, beta, [observable], grid or SphereGrid())[0]
+    return _gibbs_averages(window, potentials, beta, [lambda configs, *_: observable(configs)],
+                           grid or SphereGrid())[0]
 
 
 def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3) -> float:
@@ -240,31 +263,6 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def rotate_site(configs: np.ndarray, site_index: int, r: np.ndarray) -> np.ndarray:
-    """Pull-back configuration map: replace the vector at one site by
-    R^{-1} applied to it, leaving all other sites untouched.
-
-    ``configs`` has shape (..., k, 3).  A single rotation (3, 3) gives the
-    same shape; a stack (R, 3, 3) gives (R, ..., k, 3), one slice per
-    rotation.  Either way each slice has the memory layout of ``configs``.
-    """
-    r = np.asarray(r)
-    if r.ndim == 2:
-        out = np.empty_like(configs)
-    else:
-        # axes of configs from slowest to fastest, the rotation axis outermost;
-        # sorted in Python, as numpy's sorts would page in code of their own
-        axes = sorted(range(configs.ndim), key=lambda a: -configs.strides[a])
-        out = np.empty((len(r), *[configs.shape[a] for a in axes]))
-        out = out.transpose(0, *[1 + axes.index(a) for a in range(configs.ndim)])
-        r = r.reshape(len(r), *[1] * (configs.ndim - 3), 3, 3)
-    out[..., :site_index, :] = configs[..., :site_index, :]
-    out[..., site_index + 1 :, :] = configs[..., site_index + 1 :, :]
-    # v -> R^T v = R^{-1} v
-    np.matmul(configs[..., site_index, :], r, out=out[..., site_index, :])
-    return out
-
-
 def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential],
                         beta: float, observable: Callable, x: Site, r: np.ndarray,
                         grid: SphereGrid = None) -> float:
@@ -277,18 +275,20 @@ def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential]
     """
     r = require_rotation(r)
     xi = window.index(x)
-    touching = [p for p in potentials if x in p.region]
 
-    def dressed(configs):
-        rotated = rotate_site(configs, xi, r)
-        exponent = np.zeros(configs.shape[0])
-        for pot in touching:
-            exponent += pot.restrict(window, configs) - pot.restrict(window, rotated)
-        values = np.asarray(observable(rotated), dtype=float)
-        del rotated  # free the rotated grid before the dressing factor is formed
-        return np.exp(beta * exponent) * values
+    def dressed(configs, lists, values):
+        # only the list of x rotates, and the unrotated values are the
+        # energy's; the rotated grid is freed before the dressing factor
+        rotated = [v @ r if s == xi else v for s, v in enumerate(lists)]
+        obs = np.asarray(observable(_product(*rotated)), dtype=float)
+        exponent = sum((vals - _values(pot, window, rotated)
+                        for pot, vals in zip(potentials, values) if x in pot.region),
+                       np.zeros([len(v) for v in lists]))
+        exponent *= beta
+        return np.exp(exponent, out=exponent).reshape(-1) * obs
 
-    lhs, rhs = _gibbs_averages(window, potentials, beta, [observable, dressed],
+    lhs, rhs = _gibbs_averages(window, potentials, beta,
+                               [lambda configs, *_: observable(configs), dressed],
                                grid or SphereGrid())
     return abs(lhs - rhs)
 
@@ -304,8 +304,8 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
     exceeds 2^n prod_l sup|phi_l| in absolute value (each factor is a
     difference of two values bounded by sup|phi_l|, and the weight is a
     convex average).  Returns (max sampled lhs, rhs bound).  Each chunk
-    rotates in blocks of at most 2^20 configuration rows, one ``fn`` call per
-    potential and block.
+    rotates the list of x in blocks of at most 2^20 (rotation, configuration)
+    pairs, one ``_values`` call per potential and block.
     """
     n = len(bonds)
     if n < 1 or n > 3:
@@ -322,20 +322,20 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
     rotations = np.array([random_rotation(rng) for _ in range(rotation_samples)])
     xi = window.index(x)
     lhs_max = 0.0
-    for configs, _ in _window_chunks(grid, len(window)):
-        m = configs.shape[0]
-        prods = np.empty((rotation_samples, m))
-        logw = np.zeros((rotation_samples, m))
-        base_vals = [pot.restrict(window, configs) for pot in bonds]
-        step = max(1, (1 << 20) // m)
+    for _, _, lists in _window_chunks(grid, len(window)):
+        shape = [len(v) for v in lists]
+        prods = np.empty([rotation_samples, *shape])
+        logw = np.zeros([rotation_samples, *shape])
+        base_vals = [_values(pot, window, lists) for pot in bonds]
+        step = max(1, (1 << 20) // math.prod(shape))
         for i in range(0, rotation_samples, step):
-            rotated = rotate_site(configs, xi, rotations[i : i + step])
+            rotated = [v @ rotations[i : i + step] if s == xi else v for s, v in enumerate(lists)]
             term = 1.0
             for pot, base in zip(bonds, base_vals):
-                term = term * (base - pot.restrict(window, rotated))
+                term = term * (base - _values(pot, window, rotated))
             prods[i : i + step] = term
             if site_field is not None:
-                logw[i : i + step] = -beta * site_field.restrict(window, rotated)
+                logw[i : i + step] = -beta * _values(site_field, window, rotated)
         weights = np.exp(logw - logw.max(axis=0, keepdims=True))
         weights /= weights.sum(axis=0, keepdims=True)
         averaged = (weights * prods).sum(axis=0)

@@ -8,6 +8,7 @@ from kmsbounds.classical import (
     ClassicalPotential,
     SphereGrid,
     _product,
+    _values,
     _window_chunks,
     classical_gibbs_expectation,
     classical_kernel_bound_check,
@@ -15,7 +16,6 @@ from kmsbounds.classical import (
     heisenberg_bond_potential,
     invariance_residual,
     random_rotation,
-    rotate_site,
 )
 from kmsbounds.lattice import Region, box_window, classical_heisenberg_ti
 
@@ -86,8 +86,10 @@ def test_window_chunks_cover_product_grid(nsites):
     grid = SphereGrid(4)
     m = len(grid.weights)
     rows, total = 0, 0.0
-    for configs, weights in _window_chunks(grid, nsites):
+    for configs, weights, lists in _window_chunks(grid, nsites):
         assert configs.shape == (len(weights), nsites, 3)
+        assert len(lists) == nsites
+        assert np.array_equal(configs, _product(*lists))
         rows += len(weights)
         total += weights.sum()
     assert rows == m ** nsites
@@ -97,9 +99,9 @@ def test_window_chunks_cover_product_grid(nsites):
 class TestWindowCache:
     def test_window_built_once_per_grid(self):
         grid = SphereGrid(4)
-        configs, weights = next(_window_chunks(grid, 2))
-        again, weights_again = next(_window_chunks(grid, 2))
-        assert again is configs and weights_again is weights
+        configs, weights, lists = next(_window_chunks(grid, 2))
+        again, weights_again, lists_again = next(_window_chunks(grid, 2))
+        assert again is configs and weights_again is weights and lists_again is lists
         assert np.array_equal(configs, c_order_product(grid.vectors, grid.vectors))
 
     def test_cached_window_is_read_only(self):
@@ -107,7 +109,7 @@ class TestWindowCache:
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.5)
         obs = lambda c: c[:, 0, 2] * c[:, 1, 0]
         before = classical_gibbs_expectation(W2, [bond], 0.8, obs, grid)
-        configs, weights = next(_window_chunks(grid, 2))
+        configs, weights, _ = next(_window_chunks(grid, 2))
         with pytest.raises(ValueError):
             configs[0, 0, 0] = 2.0
         with pytest.raises(ValueError):
@@ -268,12 +270,14 @@ class TestInvariance:
         bond = heisenberg_bond_potential((0,), (1,), 0.8, 1.4)
         field = site_field_potential((1,), lambda v: 0.3 * v[..., 0])
         beta, r = 0.9, random_rotation(np.random.default_rng(4))
+        v = GRID.vectors
 
         def dressed(c):
-            rotated = rotate_site(c, 0, r)
-            exponent = np.zeros(c.shape[0])
-            exponent += bond.restrict(W2, c) - bond.restrict(W2, rotated)
-            return np.exp(beta * exponent) * self.observable(rotated)
+            # the bond's values from the factored grid, as the energy has them
+            rotated = [v @ r, v]
+            exponent = np.zeros((len(v), len(v)))
+            exponent += _values(bond, W2, [v, v]) - _values(bond, W2, rotated)
+            return np.exp(beta * exponent).reshape(-1) * self.observable(_product(*rotated))
 
         lhs = classical_gibbs_expectation(W2, [bond, field], beta, self.observable, GRID)
         rhs = classical_gibbs_expectation(W2, [bond, field], beta, dressed, GRID)
@@ -295,6 +299,32 @@ class TestInvariance:
             W2, [bond, field], 0.8, self.observable, (0,), random_rotation(rng), GRID
         )
         assert resid < 1e-6
+
+
+def rotate_site(configs: np.ndarray, site_index: int, r: np.ndarray) -> np.ndarray:
+    """Pull-back configuration map on a materialized grid: replace the vector
+    at one site by R^{-1} applied to it, leaving all other sites untouched.
+
+    ``configs`` has shape (..., k, 3).  A single rotation (3, 3) gives the
+    same shape; a stack (R, 3, 3) gives (R, ..., k, 3), one slice per
+    rotation.  Either way each slice has the memory layout of ``configs``.
+    The quadratures rotate the site's vector list instead; this is their
+    oracle.
+    """
+    r = np.asarray(r)
+    if r.ndim == 2:
+        out = np.empty_like(configs)
+    else:
+        # axes of configs from slowest to fastest, the rotation axis outermost
+        axes = sorted(range(configs.ndim), key=lambda a: -configs.strides[a])
+        out = np.empty((len(r), *[configs.shape[a] for a in axes]))
+        out = out.transpose(0, *[1 + axes.index(a) for a in range(configs.ndim)])
+        r = r.reshape(len(r), *[1] * (configs.ndim - 3), 3, 3)
+    out[..., :site_index, :] = configs[..., :site_index, :]
+    out[..., site_index + 1 :, :] = configs[..., site_index + 1 :, :]
+    # v -> R^T v = R^{-1} v
+    np.matmul(configs[..., site_index, :], r, out=out[..., site_index, :])
+    return out
 
 
 def component_major(configs):
@@ -333,8 +363,9 @@ class TestRotateSite:
 
 
 def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid=None):
-    """``classical_kernel_bound_check`` as a loop over rotations: one rotated
-    copy per rotation and one ``fn`` call per rotation and potential."""
+    """``classical_kernel_bound_check`` as a loop over rotations: the lists
+    with x rotated by one rotation, and one ``_values`` call per rotation and
+    potential."""
     common = bonds[0].region
     for b in bonds[1:]:
         common = common.intersection(b.region)
@@ -343,25 +374,124 @@ def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid
     rng = np.random.default_rng(seed)
     rotations = [random_rotation(rng) for _ in range(rotation_samples)]
     lhs_max = 0.0
-    for configs, _ in _window_chunks(grid or SphereGrid(4), len(window)):
-        m = configs.shape[0]
-        prods = np.empty((rotation_samples, m))
-        logw = np.zeros((rotation_samples, m))
-        base_vals = [pot.restrict(window, configs) for pot in bonds]
+    for _, _, lists in _window_chunks(grid or SphereGrid(4), len(window)):
+        shape = [len(v) for v in lists]
+        prods = np.empty([rotation_samples, *shape])
+        logw = np.zeros([rotation_samples, *shape])
+        base_vals = [_values(pot, window, lists) for pot in bonds]
         for i, r in enumerate(rotations):
-            rotated = configs.copy()
-            rotated[:, xi, :] = configs[:, xi, :] @ r
-            term = np.ones(m)
+            rotated = list(lists)
+            rotated[xi] = lists[xi] @ r
+            term = np.ones(shape)
             for pot, base in zip(bonds, base_vals):
-                term = term * (base - pot.restrict(window, rotated))
+                term = term * (base - _values(pot, window, rotated))
             prods[i] = term
             if site_field is not None:
-                logw[i] = -beta * site_field.restrict(window, rotated)
+                logw[i] = -beta * _values(site_field, window, rotated)
         weights = np.exp(logw - logw.max(axis=0, keepdims=True))
         weights /= weights.sum(axis=0, keepdims=True)
         averaged = (weights * prods).sum(axis=0)
         lhs_max = max(lhs_max, float(np.abs(averaged).max()))
     return lhs_max
+
+
+def bilinear_potential(x, y, c):
+    """The bilinear form u^T C w on {x, y}, with an ``fn`` of its own; its
+    supremum over unit vectors is the spectral norm of C."""
+
+    def fn(v):
+        return np.einsum("...i,ij,...j->...", v[..., 0, :], c, v[..., 1, :])
+
+    return ClassicalPotential(Region.of([x, y]), fn, float(np.linalg.norm(c, 2)), c)
+
+
+def window_potentials(window, rng):
+    """Drawn potentials on every site and pair of the window: Heisenberg
+    bonds and general bilinear forms (the ``coupling`` path), single-site
+    fields and a two-site potential that is not bilinear (the ``fn`` path)."""
+    sites = list(window)
+    pots = [site_field_potential(
+        x, lambda v, a=rng.normal(size=3): np.sin(a[0] * v[..., 0] + a[1] * v[..., 1] + a[2] * v[..., 2]))
+        for x in sites]
+    for i, x in enumerate(sites):
+        for y in sites[i + 1 :]:
+            pots.append(heisenberg_bond_potential(
+                x, y, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-3.0, 3.0))))
+            pots.append(bilinear_potential(x, y, rng.normal(size=(3, 3))))
+            pots.append(ClassicalPotential(
+                Region.of([x, y]), lambda v: v[..., 0, 2] * v[..., 1, 0] ** 2 + v[..., 1, 1]))
+    return pots
+
+
+class TestFactoredValues:
+    """``_values`` on per-site vector lists against ``fn`` row by row on the
+    materialized ``_product`` grid, unrotated, with one site rotated by one
+    rotation and by a stack of rotations."""
+
+    @staticmethod
+    def tolerance(pot):
+        # each path sums u_i C_ij w_j in some order, within gamma_6 |u||C||w|
+        # <= 6 eps sqrt(3) sup_norm of the exact form (|C| <= ||C||_F <=
+        # sqrt(3) ||C||_2); a fn potential is evaluated by the same fn on
+        # the same rows, and these fns act row by row without a matmul, so
+        # it must agree exactly
+        eps = np.finfo(float).eps
+        return 0.0 if pot.coupling is None else 24 * eps * pot.sup_norm
+
+    def check(self, window, pot, lists, rotated, r):
+        """Compare on the lists with the given site rotated by r (None, one
+        rotation or a stack)."""
+        shape = tuple(len(v) for v in lists)
+        if r is None:
+            grids, moved = [_product(*lists)], lists
+        else:
+            moved = [v @ r if s == rotated else v for s, v in enumerate(lists)]
+            grids = [_product(*[v @ q if s == rotated else v for s, v in enumerate(lists)])
+                     for q in (r if r.ndim == 3 else r[None])]
+        got = _values(pot, window, moved)
+        lead = () if r is None or r.ndim == 2 else (len(r),)
+        # a rotation stack leads the values only where it moves the potential
+        touched = r is not None and window.sites[rotated] in pot.region
+        assert got.ndim == len(shape) + (len(lead) if touched else 0)
+        got = np.broadcast_to(got, lead + shape).reshape(-1, math.prod(shape))
+        for row, grid in zip(got, grids):
+            expected = pot.fn(grid[..., [window.index(s) for s in pot.region], :])
+            assert np.max(np.abs(row - expected)) <= self.tolerance(pot)
+
+    @pytest.mark.parametrize("nsites", [1, 2, 3])
+    def test_matches_fn_on_materialized_grid(self, nsites):
+        rng = np.random.default_rng(10 + nsites)
+        window = box_window([nsites])
+        pots = window_potentials(window, rng)
+        rotations = np.array([random_rotation(rng) for _ in range(3)])
+        chunks = list(_window_chunks(SphereGrid(3), nsites))
+        for _, _, lists in chunks[:2]:
+            for pot in pots:
+                self.check(window, pot, lists, None, None)
+                for site in range(nsites):
+                    self.check(window, pot, lists, site, rotations[0])
+                    self.check(window, pot, lists, site, rotations)
+
+    def test_rotated_list_is_rotated_grid(self):
+        # rotating a site's list and materializing gives the rotated grid
+        # (each component a 3-term dot product of unit-bounded terms)
+        rng = np.random.default_rng(3)
+        grid = SphereGrid(3)
+        configs, _, lists = next(_window_chunks(grid, 2))
+        r = random_rotation(rng)
+        for site in range(2):
+            moved = [v @ r if s == site else v for s, v in enumerate(lists)]
+            diff = _product(*moved) - rotate_site(configs, site, r)
+            assert np.max(np.abs(diff)) <= 12 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("coupling,delta", [(1.0, 1.0), (0.7, -1.8), (-1.3, 0.4)])
+    def test_heisenberg_fn_is_its_coupling(self, coupling, delta):
+        bond = heisenberg_bond_potential((0,), (1,), coupling, delta)
+        assert np.array_equal(bond.coupling, -coupling * np.diag([delta, delta, 1.0]))
+        configs, _, _ = next(_window_chunks(SphereGrid(8), 2))
+        u, w = configs[:, 0, :], configs[:, 1, :]
+        expected = -coupling * (delta * (u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) + u[:, 2] * w[:, 2])
+        assert np.max(np.abs(bond.fn(configs) - expected)) <= self.tolerance(bond)
 
 
 class TestKernelBound:
