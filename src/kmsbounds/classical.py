@@ -26,7 +26,7 @@ not assume they are C-contiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ class ClassicalPotential:
     region: Region
     fn: Callable
     sup_norm: float = None
-    coupling: np.ndarray = None
+    coupling: np.ndarray = field(default=None, compare=False)
 
 
 def heisenberg_bond_potential(x: Site, y: Site, coupling: float, delta: float) -> ClassicalPotential:
@@ -61,7 +61,7 @@ def heisenberg_bond_potential(x: Site, y: Site, coupling: float, delta: float) -
     c = -coupling * np.diag([delta, delta, 1.0])
 
     def fn(v):
-        return ((v[..., 0, :] @ c) * v[..., 1, :]).sum(axis=-1)
+        return np.einsum("...i,ij,...j->...", v[..., 0, :], c, v[..., 1, :])
 
     return ClassicalPotential(Region.of([x, y]), fn, abs(coupling) * max(abs(delta), 1.0), c)
 

@@ -438,20 +438,20 @@ class TestFactoredValues:
         eps = np.finfo(float).eps
         return 0.0 if pot.coupling is None else 24 * eps * pot.sup_norm
 
-    def check(self, window, pot, lists, rotated, r):
+    def check(self, window, pot, lists, site, r):
         """Compare on the lists with the given site rotated by r (None, one
         rotation or a stack)."""
         shape = tuple(len(v) for v in lists)
         if r is None:
             grids, moved = [_product(*lists)], lists
         else:
-            moved = [v @ r if s == rotated else v for s, v in enumerate(lists)]
-            grids = [_product(*[v @ q if s == rotated else v for s, v in enumerate(lists)])
+            moved = [v @ r if s == site else v for s, v in enumerate(lists)]
+            grids = [_product(*[v @ q if s == site else v for s, v in enumerate(lists)])
                      for q in (r if r.ndim == 3 else r[None])]
         got = _values(pot, window, moved)
         lead = () if r is None or r.ndim == 2 else (len(r),)
         # a rotation stack leads the values only where it moves the potential
-        touched = r is not None and window.sites[rotated] in pot.region
+        touched = r is not None and window.sites[site] in pot.region
         assert got.ndim == len(shape) + (len(lead) if touched else 0)
         got = np.broadcast_to(got, lead + shape).reshape(-1, math.prod(shape))
         for row, grid in zip(got, grids):
@@ -473,8 +473,9 @@ class TestFactoredValues:
                     self.check(window, pot, lists, site, rotations)
 
     def test_rotated_list_is_rotated_grid(self):
-        # rotating a site's list and materializing gives the rotated grid
-        # (each component a 3-term dot product of unit-bounded terms)
+        # rotating a site's list and materializing gives the rotated grid;
+        # each component is a 3-term dot product of terms bounded by one,
+        # within 3 sqrt(3) eps per path
         rng = np.random.default_rng(3)
         grid = SphereGrid(3)
         configs, _, lists = next(_window_chunks(grid, 2))
