@@ -9,18 +9,26 @@ from a grid search, except for potentials that carry a closed form, which
 bypass it.
 
 The window grid stays factored: a quadrature chunk is the product of
-per-site vector lists, and a potential is evaluated on its own sites' lists,
-its values shaped to broadcast over the other sites.  A two-site potential
-with a 3x3 ``coupling`` C is the bilinear form u^T C w, evaluated as the
-matmul V_a C V_b^T.  Rotating a site rotates only its list, V_x R; a stack
-of rotations is a leading axis that the matmul carries.  Other potentials
-are evaluated by ``fn``.
+per-site vector lists V_1, ..., V_k with weights of shape (n_1, ..., n_k),
+and no configuration array is built for it.  A potential is evaluated on its
+own sites' lists, its values shaped to broadcast over the other sites.  A
+two-site potential with a 3x3 ``coupling`` C is the bilinear form u^T C w,
+evaluated as the matmul V_a C V_b^T.  Rotating a site rotates only its list,
+V_x R; a stack of rotations is a leading axis that the matmul carries.
+Other potentials are evaluated by ``fn`` on the product of their own lists.
 
-Materialized configurations have shape (N, k, 3) but are component-major in
-memory: a transposed view of a C-order (k, 3, N) array, so each ``[:, s, c]``
-is contiguous.  Potentials and observables index them, must not write into
-them (the window grid is cached per ``SphereGrid`` and read-only) and must
-not assume they are C-contiguous.
+Observables are sums of products of one-site functions.  An observable maps
+the window's lists (V_1, ..., V_k) to one factor matrix F_s of shape
+(n_s, r) per site; its value at configuration (i_1, ..., i_k) is
+sum_t prod_s F_s[i_s, t].  A Gibbs average contracts the chunk's Boltzmann
+weights W against the factors, for two sites ((W @ F_2) * F_1).sum().  The
+lists are read-only views of the grid, or fresh rotated copies: observables
+must not write into them.
+
+Each ``SphereGrid`` caches its window weights and holds two scratch buffers
+for the per-chunk (n_1, ..., n_k) arrays (energies and Boltzmann weights,
+the dressing of a rotated average), so a quadrature does not map fresh
+memory for them at each call; one quadrature at a time may use a grid.
 """
 
 from __future__ import annotations
@@ -41,9 +49,9 @@ class ClassicalPotential:
 
     ``fn`` is vectorized: it maps an array of shape (..., k, 3) of unit
     vectors (one row per site of the region, in region order) to real values
-    of shape (...).  The array is a read-only, component-major view (see the
-    module docstring): ``fn`` indexes it and must neither write into it nor
-    assume it is C-contiguous.  ``sup_norm`` may carry a closed-form supremum.
+    of shape (...).  The array is component-major (see ``_product``): ``fn``
+    indexes it and must neither write into it nor assume it is
+    C-contiguous.  ``sup_norm`` may carry a closed-form supremum.
     A two-site potential may carry a 3x3 ``coupling`` C; it is then the
     bilinear form u^T C w of its two spins, and ``fn`` must equal it.
     """
@@ -84,8 +92,11 @@ class SphereGrid:
         ).reshape(-1, 3)
         w2d = np.broadcast_to((weights / 2.0)[:, None], cos_t.shape) / (2 * order)
         self.weights = w2d.reshape(-1).copy()
-        # read-only window chunks by window size, filled by _window_chunks
+        self.vectors.flags.writeable = self.weights.flags.writeable = False
+        # read-only window weights by window size, filled by _window_chunks,
+        # and the two scratch buffers that _scratch grows
         self._windows = {}
+        self._buffers = (np.empty(0), np.empty(0))
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
@@ -93,7 +104,10 @@ class SphereGrid:
 
 def _product(*site_vectors: np.ndarray) -> np.ndarray:
     """Configurations of the Cartesian product of per-site vector lists,
-    first site slowest: shape (n_1 ... n_k, k, 3), component-major."""
+    first site slowest: shape (n_1 ... n_k, k, 3), component-major in memory
+    (a transposed view of a C-order (k, 3, n_1 ... n_k) array, so each
+    ``[:, s, c]`` is contiguous).  Only ``fn`` potentials and the sup-norm
+    search materialize configurations."""
     shape = tuple(len(v) for v in site_vectors)
     k = len(shape)
     out = np.empty((k, 3) + shape)
@@ -103,29 +117,35 @@ def _product(*site_vectors: np.ndarray) -> np.ndarray:
 
 
 def _window_chunks(grid: SphereGrid, nsites: int):
-    """Yield read-only (configs, weights, lists) chunks covering the product
-    grid over the window; configs is ``_product(*lists)``.  Windows of at
-    most two sites are one chunk, built once per grid; the outermost of
+    """Yield (weights, lists) chunks covering the product grid over the
+    window: read-only per-site vector lists, and the weights of their
+    product, shape (n_1, ..., n_k).  Windows of at most two sites are one
+    chunk whose read-only weights are built once per grid; the outermost of
     three sites is chunked to bound memory."""
     if nsites > 3:
         raise ValueError("quadrature windows are limited to three sites")
     v, w = grid.vectors, grid.weights
     if nsites == 3:
-        pair = np.outer(w, w).ravel()
+        pair = np.outer(w, w)
         for i in range(len(w)):
-            lists = (v[i : i + 1], v, v)
-            configs = _product(*lists)
-            configs.flags.writeable = False
-            yield configs, w[i] * pair, lists
+            yield (w[i] * pair)[None], (v[i : i + 1], v, v)
         return
     if nsites not in grid._windows:
-        weights = np.ones(1)
+        weights = np.ones(())
         for _ in range(nsites):
-            weights = np.outer(weights, w).ravel()
-        configs = _product(*[v] * nsites)
-        configs.flags.writeable = weights.flags.writeable = False
-        grid._windows[nsites] = configs, weights, (v,) * nsites
-    yield grid._windows[nsites]
+            weights = np.multiply.outer(weights, w)
+        weights.flags.writeable = False
+        grid._windows[nsites] = weights
+    yield grid._windows[nsites], (v,) * nsites
+
+
+def _scratch(grid: SphereGrid, shape: Sequence[int]) -> list:
+    """Two arrays of a chunk's shape on the grid's buffers, which grow to the
+    largest chunk asked for; they hold whatever their last user left."""
+    size = math.prod(shape)
+    if grid._buffers[0].size < size:
+        grid._buffers = (np.empty(size), np.empty(size))
+    return [b[:size].reshape(shape) for b in grid._buffers]
 
 
 def _values(pot: ClassicalPotential, window: Region, lists: Sequence[np.ndarray]) -> np.ndarray:
@@ -148,23 +168,43 @@ def _values(pot: ClassicalPotential, window: Region, lists: Sequence[np.ndarray]
     return vals.reshape(lead + tuple(shape))
 
 
+def _contract(weights: np.ndarray, factors: Sequence[np.ndarray]) -> float:
+    """sum_i weights[i_1, ..., i_k] sum_t prod_s F_s[i_s, t]: the weights
+    contracted against each site's factor matrix, last site first."""
+    acc = weights @ factors[-1]
+    for f in factors[-2::-1]:
+        acc = (acc * f).sum(axis=-2)
+    return float(acc.sum())
+
+
+def _gibbs_weights(boltz, lists, spare):
+    """The weighting of the Gibbs average itself: its own weights and lists."""
+    return boltz, lists
+
+
 def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
-                    beta: float, observables: Sequence[Callable],
+                    beta: float, observable: Callable, weightings: Sequence[Callable],
                     grid: SphereGrid) -> list:
-    """Gibbs averages of several observables from one quadrature pass that
-    shares the energy h of each chunk.  Each observable maps a chunk's
-    configs, its per-site vector lists and the potentials' values on it (as
-    ``_values`` gives them) to one value per configuration."""
+    """Averages of one observable under several weightings of the Gibbs
+    state, from one quadrature pass that shares the energy h of each chunk.
+    Observables are sums of products of one-site functions (see the module
+    docstring).  A weighting maps a chunk's Boltzmann weights W, its
+    per-site lists and a spare buffer of W's shape to the weights and lists
+    it contracts the observable's factors on; ``_gibbs_weights`` gives the
+    Gibbs average.  Every average is divided by the sum of W.  W and the
+    spare buffer are the grid's scratch buffers (see ``_scratch``)."""
     for pot in potentials:
         if not pot.region.issubset(window):
             raise ValueError(f"potential on {pot.region} escapes the window")
     # streaming accumulation with a running energy shift so the Boltzmann
     # factors stay bounded regardless of chunk order
-    nums, den, shift = [0.0] * len(observables), 0.0, None
-    for configs, weights, lists in _window_chunks(grid, len(window)):
-        values = [_values(pot, window, lists) for pot in potentials]
-        h = sum(values, np.zeros([len(v) for v in lists])).reshape(-1)
-        local = float(h.min())
+    nums, den, shift = [0.0] * len(weightings), 0.0, None
+    for weights, lists in _window_chunks(grid, len(window)):
+        boltz, spare = _scratch(grid, weights.shape)
+        boltz.fill(0.0)
+        for pot in potentials:
+            boltz += _values(pot, window, lists)
+        local = float(boltz.min())
         if shift is None:
             shift = local
         elif local < shift:
@@ -172,10 +212,14 @@ def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
             nums = [num * rescale for num in nums]
             den *= rescale
             shift = local
-        boltz = weights * np.exp(-beta * (h - shift))
-        del h  # free the energies before the observables make their temporaries
-        nums = [num + float(boltz @ np.asarray(obs(configs, lists, values), dtype=float))
-                for num, obs in zip(nums, observables)]
+        # the energies become weights * exp(-beta (h - shift)) in place
+        boltz -= shift
+        boltz *= -beta
+        np.exp(boltz, out=boltz)
+        boltz *= weights
+        for j, weigh in enumerate(weightings):
+            w, at = weigh(boltz, lists, spare)
+            nums[j] += _contract(w, observable(*at))
         den += float(boltz.sum())
     return [num / den for num in nums]
 
@@ -185,8 +229,9 @@ def classical_gibbs_expectation(window: Region, potentials: Sequence[ClassicalPo
                                 grid: SphereGrid = None) -> float:
     """Quadrature evaluation of the finite-volume Gibbs average
     int e^{-beta h} a dmu / int e^{-beta h} dmu with h the sum of the given
-    potentials.  ``observable`` takes configs of shape (..., |window|, 3)."""
-    return _gibbs_averages(window, potentials, beta, [lambda configs, *_: observable(configs)],
+    potentials.  ``observable`` maps the window's per-site vector lists to
+    one (n_s, r) factor matrix per site; a is sum_t prod_s F_s[i_s, t]."""
+    return _gibbs_averages(window, potentials, beta, observable, [_gibbs_weights],
                            grid or SphereGrid())[0]
 
 
@@ -271,25 +316,39 @@ def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential]
         omega( exp(beta sum_{X at x} (phi_X - phi_X o rotation)) a o rotation ),
 
     an exact identity for the finite Gibbs state (change of variables), so the
-    returned value reflects quadrature error only.
+    returned value reflects quadrature error only.  Observables are sums of
+    products of one-site functions, as in ``classical_gibbs_expectation``;
+    the dressed average contracts its weights against the factors on the
+    lists with the list of x rotated.
     """
     r = require_rotation(r)
     xi = window.index(x)
 
-    def dressed(configs, lists, values):
-        # only the list of x rotates, and the unrotated values are the
-        # energy's; the rotated grid is freed before the dressing factor
-        rotated = [v @ r if s == xi else v for s, v in enumerate(lists)]
-        obs = np.asarray(observable(_product(*rotated)), dtype=float)
-        exponent = sum((vals - _values(pot, window, rotated)
-                        for pot, vals in zip(potentials, values) if x in pot.region),
-                       np.zeros([len(v) for v in lists]))
-        exponent *= beta
-        return np.exp(exponent, out=exponent).reshape(-1) * obs
+    def dressed(boltz, lists, spare):
+        # only the list of x rotates; spare becomes
+        # boltz * exp(beta sum (phi - phi o R)), where a bilinear potential,
+        # linear in the spin at x, gives phi - phi o R as its form on the
+        # list V_x - V_x R: one matmul, without its unrotated values
+        rotated = list(lists)
+        rotated[xi] = lists[xi] @ r
+        moved = list(lists)
+        moved[xi] = lists[xi] - rotated[xi]
+        spare.fill(0.0)
+        for pot in potentials:
+            if x not in pot.region:
+                continue
+            if pot.coupling is not None:
+                spare += _values(pot, window, moved)
+            else:
+                spare += _values(pot, window, lists)
+                spare -= _values(pot, window, rotated)
+        spare *= beta
+        np.exp(spare, out=spare)
+        spare *= boltz
+        return spare, rotated
 
-    lhs, rhs = _gibbs_averages(window, potentials, beta,
-                               [lambda configs, *_: observable(configs), dressed],
-                               grid or SphereGrid())
+    lhs, rhs = _gibbs_averages(window, potentials, beta, observable,
+                               [_gibbs_weights, dressed], grid or SphereGrid())
     return abs(lhs - rhs)
 
 
@@ -322,10 +381,10 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
     rotations = np.array([random_rotation(rng) for _ in range(rotation_samples)])
     xi = window.index(x)
     lhs_max = 0.0
-    for _, _, lists in _window_chunks(grid, len(window)):
+    for _, lists in _window_chunks(grid, len(window)):
         shape = [len(v) for v in lists]
         prods = np.empty([rotation_samples, *shape])
-        logw = np.zeros([rotation_samples, *shape])
+        logw = None if site_field is None else np.empty([rotation_samples, *shape])
         base_vals = [_values(pot, window, lists) for pot in bonds]
         step = max(1, (1 << 20) // math.prod(shape))
         for i in range(0, rotation_samples, step):
@@ -336,9 +395,13 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
             prods[i : i + step] = term
             if site_field is not None:
                 logw[i : i + step] = -beta * _values(site_field, window, rotated)
-        weights = np.exp(logw - logw.max(axis=0, keepdims=True))
-        weights /= weights.sum(axis=0, keepdims=True)
-        averaged = (weights * prods).sum(axis=0)
+        if site_field is None:
+            # without a site field the weights are uniform
+            averaged = prods.mean(axis=0)
+        else:
+            weights = np.exp(logw - logw.max(axis=0, keepdims=True))
+            weights /= weights.sum(axis=0, keepdims=True)
+            averaged = (weights * prods).sum(axis=0)
         lhs_max = max(lhs_max, float(np.abs(averaged).max()))
     rhs = 2.0 ** n
     for pot in bonds:

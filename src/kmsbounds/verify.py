@@ -343,13 +343,15 @@ def run_classical_suite(seed: int = 0, draws: int = 20, grid_order: int = 16) ->
         rotation = random_rotation(rng)
         c = rng.normal(size=6)
 
-        def observable(cfg, c=c):
+        def observable(u, w, c=c):
+            # c0 u_z + c1 w_x + c2 sin(u_x + c3 w_z) + c4 u_y w_y + c5 as a
+            # sum of five products of one-site functions, by
+            # sin(a + b) = sin a cos b + cos a sin b
             return (
-                c[0] * cfg[:, 0, 2]
-                + c[1] * cfg[:, 1, 0]
-                + c[2] * np.sin(cfg[:, 0, 0] + c[3] * cfg[:, 1, 2])
-                + c[4] * cfg[:, 0, 1] * cfg[:, 1, 1]
-                + c[5]
+                np.stack([c[0] * u[:, 2] + c[5], np.ones(len(u)), c[2] * np.sin(u[:, 0]),
+                          c[2] * np.cos(u[:, 0]), c[4] * u[:, 1]], axis=-1),
+                np.stack([np.ones(len(w)), c[1] * w[:, 0], np.cos(c[3] * w[:, 2]),
+                          np.sin(c[3] * w[:, 2]), w[:, 1]], axis=-1),
             )
 
         worst = max(

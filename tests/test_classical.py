@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from kmsbounds.classical import (
     ClassicalPotential,
     SphereGrid,
+    _gibbs_averages,
     _product,
     _values,
     _window_chunks,
@@ -18,6 +20,7 @@ from kmsbounds.classical import (
     random_rotation,
 )
 from kmsbounds.lattice import Region, box_window, classical_heisenberg_ti
+from kmsbounds.verify import run_classical_suite
 
 GRID = SphereGrid(16)
 W1 = Region(((0,),))
@@ -27,6 +30,20 @@ W2 = box_window([2])
 def site_field_potential(x, fn_single) -> ClassicalPotential:
     """A potential on the one site ``x``: ``fn_single`` of its spin."""
     return ClassicalPotential(Region.of([x]), lambda v: fn_single(v[..., 0, :]))
+
+
+def ones(v):
+    """The one-site factor of a constant: one column of ones."""
+    return np.ones((len(v), 1))
+
+
+def sine_observable(u, w):
+    """sin(u_x + w_z / 2) + u_z w_y on two sites, as a sum of three products
+    of one-site functions, by sin(a + b) = sin a cos b + cos a sin b."""
+    return (
+        np.stack([np.sin(u[:, 0]), np.cos(u[:, 0]), u[:, 2]], axis=-1),
+        np.stack([np.cos(0.5 * w[:, 2]), np.sin(0.5 * w[:, 2]), w[:, 1]], axis=-1),
+    )
 
 
 def rotation_about_z(angle: float) -> np.ndarray:
@@ -56,6 +73,13 @@ class TestSphereGrid:
         with pytest.raises(ValueError):
             SphereGrid(1)
 
+    def test_vectors_and_weights_read_only(self):
+        grid = SphereGrid(4)
+        with pytest.raises(ValueError):
+            grid.vectors[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            grid.weights[0] = 2.0
+
 
 def c_order_product(*site_vectors):
     """The product grid built C-order, (n_1 ... n_k, k, 3) with first site
@@ -81,58 +105,75 @@ def test_product_matches_c_order(nsites):
             assert configs[:, s, c].flags.c_contiguous
 
 
+def c_order_weights(weights, nsites):
+    """The product weights of the grid over ``nsites`` sites, first site
+    slowest, in the row order of ``c_order_product``."""
+    out = np.ones(1)
+    for _ in range(nsites):
+        out = (out[:, None] * weights).reshape(-1)
+    return out
+
+
 @pytest.mark.parametrize("nsites", [0, 1, 2, 3])
 def test_window_chunks_cover_product_grid(nsites):
     grid = SphereGrid(4)
-    m = len(grid.weights)
-    rows, total = 0, 0.0
-    for configs, weights, lists in _window_chunks(grid, nsites):
-        assert configs.shape == (len(weights), nsites, 3)
+    chunks = list(_window_chunks(grid, nsites))
+    for weights, lists in chunks:
         assert len(lists) == nsites
-        assert np.array_equal(configs, _product(*lists))
-        rows += len(weights)
-        total += weights.sum()
-    assert rows == m ** nsites
-    assert total == pytest.approx(1.0, abs=1e-13)
+        assert weights.shape == tuple(len(v) for v in lists)
+        assert not any(v.flags.writeable for v in lists)
+    # the chunks in order are the product grid, row for row and weight for
+    # weight; each weight is a product of nsites grid weights, rounded once
+    # per factor
+    configs = np.concatenate([c_order_product(*lists) for _, lists in chunks])
+    assert np.array_equal(configs, c_order_product(*[grid.vectors] * nsites))
+    weights = np.concatenate([w.reshape(-1) for w, _ in chunks])
+    expected = c_order_weights(grid.weights, nsites)
+    assert np.max(np.abs(weights - expected) / expected) <= 4 * np.finfo(float).eps
+    assert weights.sum() == pytest.approx(1.0, abs=1e-13)
 
 
 class TestWindowCache:
     def test_window_built_once_per_grid(self):
         grid = SphereGrid(4)
-        configs, weights, lists = next(_window_chunks(grid, 2))
-        again, weights_again, lists_again = next(_window_chunks(grid, 2))
-        assert again is configs and weights_again is weights and lists_again is lists
-        assert np.array_equal(configs, c_order_product(grid.vectors, grid.vectors))
+        weights, lists = next(_window_chunks(grid, 2))
+        weights_again, lists_again = next(_window_chunks(grid, 2))
+        assert weights_again is weights
+        assert all(v is grid.vectors for v in lists + lists_again)
+        assert np.array_equal(weights, np.outer(grid.weights, grid.weights))
 
     def test_cached_window_is_read_only(self):
         grid = SphereGrid(4)
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.5)
-        obs = lambda c: c[:, 0, 2] * c[:, 1, 0]
+        obs = lambda u, w: (u[:, 2:3], w[:, 0:1])
         before = classical_gibbs_expectation(W2, [bond], 0.8, obs, grid)
-        configs, weights, _ = next(_window_chunks(grid, 2))
+        weights, _ = next(_window_chunks(grid, 2))
         with pytest.raises(ValueError):
-            configs[0, 0, 0] = 2.0
-        with pytest.raises(ValueError):
-            weights[0] = 2.0
+            weights[0, 0] = 2.0
 
-        def writing(c):
-            c[:, 0, 2] *= 2.0
-            return c[:, 0, 2]
+        def writing(u, w):
+            u[:, 2] *= 2.0
+            return u[:, 2:3], w[:, 0:1]
 
         with pytest.raises(ValueError):
             classical_gibbs_expectation(W2, [bond], 0.8, writing, grid)
+        with pytest.raises(ValueError):
+            invariance_residual(W2, [bond], 0.8, writing, (1,), rotation_about_z(0.4), grid)
         # the rejected writes left the grid as it was
-        assert np.array_equal(configs, c_order_product(grid.vectors, grid.vectors))
+        fresh_grid = SphereGrid(4)
+        assert np.array_equal(grid.vectors, fresh_grid.vectors)
+        assert np.array_equal(grid.weights, fresh_grid.weights)
+        assert np.array_equal(weights, np.outer(grid.weights, grid.weights))
         after = classical_gibbs_expectation(W2, [bond], 0.8, obs, grid)
-        fresh = classical_gibbs_expectation(W2, [bond], 0.8, obs, SphereGrid(4))
+        fresh = classical_gibbs_expectation(W2, [bond], 0.8, obs, fresh_grid)
         assert after.hex() == before.hex() == fresh.hex()
 
     def test_repeated_expectations_bit_identical(self):
+        # the second call reuses the grid's cached weights and scratch buffers
         bond = heisenberg_bond_potential((0,), (1,), 0.9, -1.2)
-        obs = lambda c: np.sin(c[:, 0, 0] + 0.5 * c[:, 1, 2]) + c[:, 0, 2] * c[:, 1, 1]
         grid = SphereGrid(16)
-        first = classical_gibbs_expectation(W2, [bond], 0.6, obs, grid)
-        second = classical_gibbs_expectation(W2, [bond], 0.6, obs, grid)
+        first = classical_gibbs_expectation(W2, [bond], 0.6, sine_observable, grid)
+        second = classical_gibbs_expectation(W2, [bond], 0.6, sine_observable, grid)
         assert first.hex() == second.hex()
 
 
@@ -140,14 +181,14 @@ class TestGibbsExpectation:
     def test_normalization(self):
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.0)
         value = classical_gibbs_expectation(
-            W2, [bond], 0.7, lambda c: np.ones(c.shape[0]), GRID
+            W2, [bond], 0.7, lambda u, w: (ones(u), ones(w)), GRID
         )
         assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_single_site_langevin(self):
         field = site_field_potential((0,), lambda v: v[..., 2])
         value = classical_gibbs_expectation(
-            W1, [field], 1.0, lambda c: c[:, 0, 2], GRID
+            W1, [field], 1.0, lambda u: (u[:, 2:3],), GRID
         )
         exact = -(1.0 / math.tanh(1.0) - 1.0)
         assert value == pytest.approx(exact, abs=1e-12)
@@ -155,13 +196,13 @@ class TestGibbsExpectation:
     def test_beta_zero_sphere_average(self):
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.0)
         value = classical_gibbs_expectation(
-            W2, [bond], 0.0, lambda c: c[:, 0, 2] ** 2, GRID
+            W2, [bond], 0.0, lambda u, w: (u[:, 2:3] ** 2, ones(w)), GRID
         )
         assert value == pytest.approx(1 / 3, abs=1e-10)
 
     def test_order_doubling_converges(self):
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.5)
-        obs = lambda c: np.exp(c[:, 0, 2]) * c[:, 1, 0] ** 2
+        obs = lambda u, w: (np.exp(u[:, 2:3]), w[:, 0:1] ** 2)
         coarse = classical_gibbs_expectation(W2, [bond], 1.0, obs, SphereGrid(16))
         fine = classical_gibbs_expectation(W2, [bond], 1.0, obs, SphereGrid(32))
         assert abs(coarse - fine) <= 1e-6 * abs(fine)
@@ -173,7 +214,7 @@ class TestGibbsExpectation:
         ]
         grid = SphereGrid(6)
         value = classical_gibbs_expectation(
-            box_window([3]), pots, 0.5, lambda c: c[:, 1, 2], grid
+            box_window([3]), pots, 0.5, lambda u, v, w: (ones(u), v[:, 2:3], ones(w)), grid
         )
         # odd under global flip of all spins, so the average vanishes
         assert abs(value) < 1e-12
@@ -181,7 +222,7 @@ class TestGibbsExpectation:
     def test_window_too_large(self):
         with pytest.raises(ValueError):
             classical_gibbs_expectation(
-                box_window([4]), [], 1.0, lambda c: np.ones(c.shape[0]), SphereGrid(4)
+                box_window([4]), [], 1.0, lambda *lists: [ones(v) for v in lists], SphereGrid(4)
             )
 
 
@@ -234,8 +275,7 @@ class TestSupNorm:
 
 
 class TestInvariance:
-    def observable(self, c):
-        return np.sin(c[:, 0, 0] + 0.5 * c[:, 1, 2]) + c[:, 0, 2] * c[:, 1, 1]
+    observable = staticmethod(sine_observable)
 
     def test_identity_rotation(self):
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.0)
@@ -266,21 +306,25 @@ class TestInvariance:
         assert resid < 1e-10
 
     def test_one_pass_matches_two_expectations(self):
-        # the shared pass gives the same bits as two separate Gibbs averages
+        # the shared pass gives the same bits as two separate passes, one for
+        # the Gibbs average and one for the dressed average alone
         bond = heisenberg_bond_potential((0,), (1,), 0.8, 1.4)
         field = site_field_potential((1,), lambda v: 0.3 * v[..., 0])
         beta, r = 0.9, random_rotation(np.random.default_rng(4))
-        v = GRID.vectors
 
-        def dressed(c):
-            # the bond's values from the factored grid, as the energy has them
-            rotated = [v @ r, v]
-            exponent = np.zeros((len(v), len(v)))
-            exponent += _values(bond, W2, [v, v]) - _values(bond, W2, rotated)
-            return np.exp(beta * exponent).reshape(-1) * self.observable(_product(*rotated))
+        def dressed(boltz, lists, spare):
+            # the bond is bilinear, so phi - phi o R is its form on the list
+            # V - V R, as the library has it; the field is off the rotated site
+            u, w = lists
+            spare.fill(0.0)
+            spare += _values(bond, W2, [u - u @ r, w])
+            spare *= beta
+            np.exp(spare, out=spare)
+            spare *= boltz
+            return spare, [u @ r, w]
 
         lhs = classical_gibbs_expectation(W2, [bond, field], beta, self.observable, GRID)
-        rhs = classical_gibbs_expectation(W2, [bond, field], beta, dressed, GRID)
+        rhs = _gibbs_averages(W2, [bond, field], beta, self.observable, [dressed], GRID)[0]
         resid = invariance_residual(W2, [bond, field], beta, self.observable, (0,), r, GRID)
         assert resid == abs(lhs - rhs)
 
@@ -362,10 +406,13 @@ class TestRotateSite:
             assert np.array_equal(out, rotate_site(configs, 1, r))
 
 
-def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid=None):
+def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid=None,
+                      weighted=False):
     """``classical_kernel_bound_check`` as a loop over rotations: the lists
     with x rotated by one rotation, and one ``_values`` call per rotation and
-    potential."""
+    potential.  Without a site field the average over rotations is a mean;
+    ``weighted`` takes it with the normalized weights of an all-zero site
+    field instead."""
     common = bonds[0].region
     for b in bonds[1:]:
         common = common.intersection(b.region)
@@ -374,7 +421,7 @@ def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid
     rng = np.random.default_rng(seed)
     rotations = [random_rotation(rng) for _ in range(rotation_samples)]
     lhs_max = 0.0
-    for _, _, lists in _window_chunks(grid or SphereGrid(4), len(window)):
+    for _, lists in _window_chunks(grid or SphereGrid(4), len(window)):
         shape = [len(v) for v in lists]
         prods = np.empty([rotation_samples, *shape])
         logw = np.zeros([rotation_samples, *shape])
@@ -388,9 +435,12 @@ def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid
             prods[i] = term
             if site_field is not None:
                 logw[i] = -beta * _values(site_field, window, rotated)
-        weights = np.exp(logw - logw.max(axis=0, keepdims=True))
-        weights /= weights.sum(axis=0, keepdims=True)
-        averaged = (weights * prods).sum(axis=0)
+        if site_field is None and not weighted:
+            averaged = prods.mean(axis=0)
+        else:
+            weights = np.exp(logw - logw.max(axis=0, keepdims=True))
+            weights /= weights.sum(axis=0, keepdims=True)
+            averaged = (weights * prods).sum(axis=0)
         lhs_max = max(lhs_max, float(np.abs(averaged).max()))
     return lhs_max
 
@@ -465,7 +515,7 @@ class TestFactoredValues:
         pots = window_potentials(window, rng)
         rotations = np.array([random_rotation(rng) for _ in range(3)])
         chunks = list(_window_chunks(SphereGrid(3), nsites))
-        for _, _, lists in chunks[:2]:
+        for _, lists in chunks[:2]:
             for pot in pots:
                 self.check(window, pot, lists, None, None)
                 for site in range(nsites):
@@ -478,7 +528,8 @@ class TestFactoredValues:
         # within 3 sqrt(3) eps per path
         rng = np.random.default_rng(3)
         grid = SphereGrid(3)
-        configs, _, lists = next(_window_chunks(grid, 2))
+        _, lists = next(_window_chunks(grid, 2))
+        configs = _product(*lists)
         r = random_rotation(rng)
         for site in range(2):
             moved = [v @ r if s == site else v for s, v in enumerate(lists)]
@@ -489,10 +540,87 @@ class TestFactoredValues:
     def test_heisenberg_fn_is_its_coupling(self, coupling, delta):
         bond = heisenberg_bond_potential((0,), (1,), coupling, delta)
         assert np.array_equal(bond.coupling, -coupling * np.diag([delta, delta, 1.0]))
-        configs, _, _ = next(_window_chunks(SphereGrid(8), 2))
+        configs = _product(*next(_window_chunks(SphereGrid(8), 2))[1])
         u, w = configs[:, 0, :], configs[:, 1, :]
         expected = -coupling * (delta * (u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) + u[:, 2] * w[:, 2])
         assert np.max(np.abs(bond.fn(configs) - expected)) <= self.tolerance(bond)
+
+
+def drawn_observable(rng, nsites, rank=3):
+    """A sum of ``rank`` products of drawn one-site functions sin(v a + b),
+    in factored form."""
+    coeffs = [(rng.normal(size=(3, rank)), rng.normal(size=rank)) for _ in range(nsites)]
+    return lambda *lists: [np.sin(v @ a + b) for v, (a, b) in zip(lists, coeffs)]
+
+
+def dense_values(observable, configs):
+    """A factored observable on materialized configurations (N, k, 3): each
+    one-site function on its own site's spin, the products summed over the
+    rank."""
+    factors = observable(*[configs[:, s, :] for s in range(configs.shape[1])])
+    return np.prod(factors, axis=0).sum(axis=-1)
+
+
+class TestDenseOracle:
+    """Gibbs averages and invariance residuals from the factored contraction
+    against dense evaluation on the ``c_order_product`` grid: the energy by
+    ``fn`` row by row, the observable by ``dense_values``, one weighted sum
+    over all rows.  Three sites take the chunked path."""
+
+    # each side is a weighted sum over at most 32^3 rows whose terms agree
+    # to a few ulp; the bound is relative to the sum of absolute terms
+    rtol = 1e-12
+
+    @staticmethod
+    def drawn_case(nsites):
+        rng = np.random.default_rng(20 + nsites)
+        window = box_window([nsites])
+        return window, window_potentials(window, rng), drawn_observable(rng, nsites), rng
+
+    @staticmethod
+    def energy(window, pots, configs):
+        return sum(pot.fn(configs[:, [window.index(s) for s in pot.region], :]) for pot in pots)
+
+    def dense_average(self, weights, values):
+        """The weighted average of the values, and the bound on its error."""
+        return (weights @ values) / weights.sum(), self.rtol * (weights @ np.abs(values)) / weights.sum()
+
+    @pytest.mark.parametrize("nsites", [1, 2, 3])
+    def test_gibbs_expectation(self, nsites):
+        window, pots, obs, _ = self.drawn_case(nsites)
+        grid, beta = SphereGrid(4), 0.7
+        configs = c_order_product(*[grid.vectors] * nsites)
+        h = self.energy(window, pots, configs)
+        weights = c_order_weights(grid.weights, nsites) * np.exp(-beta * (h - h.min()))
+        expected, tol = self.dense_average(weights, dense_values(obs, configs))
+        got = classical_gibbs_expectation(window, pots, beta, obs, grid)
+        assert abs(got - expected) <= tol
+
+    @pytest.mark.parametrize("nsites,x", [(1, (0,)), (2, (1,)), (3, (1,))])
+    def test_invariance_residual(self, nsites, x):
+        window, pots, obs, rng = self.drawn_case(nsites)
+        grid, beta, r = SphereGrid(4), 0.6, random_rotation(rng)
+        xi = window.index(x)
+        configs = c_order_product(*[grid.vectors] * nsites)
+        rotated = configs.copy()
+        rotated[:, xi, :] = configs[:, xi, :] @ r
+        touching = [pot for pot in pots if x in pot.region]
+        h = self.energy(window, pots, configs)
+        dressing = np.exp(beta * (self.energy(window, touching, configs)
+                                  - self.energy(window, touching, rotated)))
+        weights = c_order_weights(grid.weights, nsites) * np.exp(-beta * (h - h.min()))
+        lhs, lhs_tol = self.dense_average(weights, dense_values(obs, configs))
+        rhs, rhs_tol = self.dense_average(weights, dressing * dense_values(obs, rotated))
+        # the order-4 grid is far from exact for the rotated integrand, so
+        # the residual is a quadrature error well above the roundoff bound
+        assert abs(lhs - rhs) > 1e3 * (lhs_tol + rhs_tol)
+        got = invariance_residual(window, pots, beta, obs, x, r, grid)
+        assert abs(got - abs(lhs - rhs)) <= lhs_tol + rhs_tol
+
+    @pytest.mark.parametrize("nsites,x", [(1, (0,)), (2, (1,)), (3, (1,))])
+    def test_identity_rotation_exact(self, nsites, x):
+        window, pots, obs, _ = self.drawn_case(nsites)
+        assert invariance_residual(window, pots, 0.6, obs, x, np.eye(3), SphereGrid(4)) == 0.0
 
 
 class TestKernelBound:
@@ -512,6 +640,18 @@ class TestKernelBound:
         grid = SphereGrid(16)
         lhs, _ = classical_kernel_bound_check([bond], 0.5, 10, seed=2, grid=grid)
         assert lhs.hex() == kernel_bound_loop([bond], 0.5, 10, 2, grid=grid).hex()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mean_matches_uniform_weights(self, seed):
+        # without a site field the average over rotations is a plain mean; the
+        # normalized weights of an all-zero field gave the same to roundoff
+        bonds = [
+            heisenberg_bond_potential((0,), (1,), 1.0, 1.0),
+            heisenberg_bond_potential((-1,), (0,), 0.7, 2.0),
+        ]
+        lhs, _ = classical_kernel_bound_check(bonds, 0.5, 100, seed=seed)
+        weighted = kernel_bound_loop(bonds, 0.5, 100, seed, weighted=True)
+        assert abs(lhs - weighted) <= 1e-15 * weighted
 
     def test_single_bond_pointwise(self):
         bond = heisenberg_bond_potential((0,), (1,), 1.0, 1.0)
@@ -562,3 +702,17 @@ class TestComposition:
             beta = beta_u_classical(norm)
             expected = 1.0 / (18 * coupling * nu * max(abs(delta), 1.0))
             assert beta == pytest.approx(expected, rel=1e-3)
+
+
+def test_suite_memory_peak():
+    # at order 16 the suite holds its grid's window weights and two scratch
+    # buffers (2 MB each) and makes one (512, 512) temporary at a time;
+    # one materialized 262,144 x 2 x 3 grid (12.6 MB) and its rotated copy
+    # would not fit under the bound
+    tracemalloc.start()
+    try:
+        run_classical_suite(seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
