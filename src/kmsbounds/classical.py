@@ -1,40 +1,38 @@
 """Classical unit-sphere spin systems on finite windows.
 
-Configurations assign a unit 3-vector to each site; potentials are bounded
-functions of the configuration restricted to their region.  Expectations use
-a product quadrature per site (Gauss-Legendre in cos(theta) crossed with a
-uniform angular rule), normalized so the sphere has measure one.  Rotations
-act on a single marked site by pulling back observables.  Sup norms come
-from a grid search, except for potentials that carry a closed form, which
-bypass it.
+Configurations assign a unit 3-vector to each site.  Potentials and
+observables alike are sums of products of one-site functions: a callable of
+per-site vector lists (V_1, ..., V_k), V_s of shape (n_s, 3), returns one
+factor matrix F_s of shape (n_s, r) per site, and its value at configuration
+(i_1, ..., i_k) is sum_t prod_s F_s[i_s, t].  A potential lives on one or two
+sites, so its values are F_1.sum(-1) or the matmul F_1 F_2^T; one of its
+lists may carry leading (rotation) axes, which the factors and the matmul
+carry.  A bilinear bond u^T C w has the factors (V_a C, V_b).
 
-The window grid stays factored: a quadrature chunk is the product of
-per-site vector lists V_1, ..., V_k with weights of shape (n_1, ..., n_k),
-and no configuration array is built for it.  A potential is evaluated on its
-own sites' lists, its values shaped to broadcast over the other sites.  A
-two-site potential with a 3x3 ``coupling`` C is the bilinear form u^T C w,
-evaluated as the matmul V_a C V_b^T.  Rotating a site rotates only its list,
-V_x R; a stack of rotations is a leading axis that the matmul carries.
-Other potentials are evaluated by ``fn`` on the product of their own lists.
-
-Observables are sums of products of one-site functions.  An observable maps
-the window's lists (V_1, ..., V_k) to one factor matrix F_s of shape
-(n_s, r) per site; its value at configuration (i_1, ..., i_k) is
-sum_t prod_s F_s[i_s, t].  A Gibbs average contracts the chunk's Boltzmann
-weights W against the factors, for two sites ((W @ F_2) * F_1).sum().  The
-lists are read-only views of the grid, or fresh rotated copies: observables
+Expectations use a product quadrature per site (Gauss-Legendre in
+cos(theta) crossed with a uniform angular rule), normalized so the sphere
+has measure one.  The window grid stays factored: a quadrature chunk is the
+product of per-site vector lists with weights of shape (n_1, ..., n_k), and
+no configuration array is built for it.  A Gibbs average contracts the
+chunk's Boltzmann weights W against an observable's factors, for two sites
+((W @ F_2) * F_1).sum().  A rotation R acts on one marked site x by pulling
+back: it replaces the list V_x by V_x R, and phi - phi o R is the same
+contraction with the factor of x replaced by F_x(V_x) - F_x(V_x R).  The
+lists are read-only views of the grid, or fresh rotated copies: factors
 must not write into them.
 
-Each ``SphereGrid`` caches its window weights and holds two scratch buffers
-for the per-chunk (n_1, ..., n_k) arrays (energies and Boltzmann weights,
-the dressing of a rotated average), so a quadrature does not map fresh
-memory for them at each call; one quadrature at a time may use a grid.
+Sup norms come from a grid search over the factors, except for potentials
+that carry a closed form, which bypass it.  Each ``SphereGrid`` caches its
+window weights and holds two scratch buffers for the per-chunk
+(n_1, ..., n_k) arrays (energies and Boltzmann weights, the dressing of a
+rotated average), so a quadrature does not map fresh memory for them at
+each call; one quadrature at a time may use a grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,33 +43,32 @@ from .lattice import Region, Site
 
 @dataclass(frozen=True)
 class ClassicalPotential:
-    """Real-valued bounded function of the spins in a region.
+    """Real-valued bounded function of the spins in a region of one or two
+    sites, a sum of products of one-site functions.
 
-    ``fn`` is vectorized: it maps an array of shape (..., k, 3) of unit
-    vectors (one row per site of the region, in region order) to real values
-    of shape (...).  The array is component-major (see ``_product``): ``fn``
-    indexes it and must neither write into it nor assume it is
-    C-contiguous.  ``sup_norm`` may carry a closed-form supremum.
-    A two-site potential may carry a 3x3 ``coupling`` C; it is then the
-    bilinear form u^T C w of its two spins, and ``fn`` must equal it.
+    ``factors`` maps the region's per-site vector lists, in region order, to
+    one (n_s, r) factor matrix per site (see the module docstring); one list
+    may carry leading axes, which its factor then carries.  ``sup_norm`` may
+    carry a closed-form supremum.  Any other region size raises
+    ``ValueError``.
     """
 
     region: Region
-    fn: Callable
+    factors: Callable
     sup_norm: float = None
-    coupling: np.ndarray = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not 1 <= len(self.region) <= 2:
+            raise ValueError("a classical potential lives on one or two sites")
 
 
-def heisenberg_bond_potential(x: Site, y: Site, coupling: float, delta: float) -> ClassicalPotential:
+def heisenberg_bond_potential(x: Site, y: Site, j: float, delta: float) -> ClassicalPotential:
     """-J (delta (s1 s1 + s2 s2) + s3 s3) on the pair {x, y}, the bilinear
-    form of -J diag(delta, delta, 1); the supremum over unit vectors is
-    |J| max(|delta|, 1)."""
-    c = -coupling * np.diag([delta, delta, 1.0])
-
-    def fn(v):
-        return np.einsum("...i,ij,...j->...", v[..., 0, :], c, v[..., 1, :])
-
-    return ClassicalPotential(Region.of([x, y]), fn, abs(coupling) * max(abs(delta), 1.0), c)
+    form u^T C w with C = -J diag(delta, delta, 1), factored as (u C, w); the
+    supremum over unit vectors is |J| max(|delta|, 1)."""
+    c = -j * np.diag([delta, delta, 1.0])
+    return ClassicalPotential(Region.of([x, y]), lambda u, w: (u @ c, w),
+                              abs(j) * max(abs(delta), 1.0))
 
 
 class SphereGrid:
@@ -100,20 +97,6 @@ class SphereGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
-
-
-def _product(*site_vectors: np.ndarray) -> np.ndarray:
-    """Configurations of the Cartesian product of per-site vector lists,
-    first site slowest: shape (n_1 ... n_k, k, 3), component-major in memory
-    (a transposed view of a C-order (k, 3, n_1 ... n_k) array, so each
-    ``[:, s, c]`` is contiguous).  Only ``fn`` potentials and the sup-norm
-    search materialize configurations."""
-    shape = tuple(len(v) for v in site_vectors)
-    k = len(shape)
-    out = np.empty((k, 3) + shape)
-    for s, v in enumerate(site_vectors):
-        out[s] = v.T.reshape((3,) + (1,) * s + (len(v),) + (1,) * (k - s - 1))
-    return out.reshape(k, 3, math.prod(shape)).transpose(2, 0, 1)
 
 
 def _window_chunks(grid: SphereGrid, nsites: int):
@@ -148,24 +131,37 @@ def _scratch(grid: SphereGrid, shape: Sequence[int]) -> list:
     return [b[:size].reshape(shape) for b in grid._buffers]
 
 
+def _spread(pot: ClassicalPotential, window: Region, lists: Sequence[np.ndarray],
+            factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The values sum_t prod_s F_s[i_s, t] of factors on the sites of
+    ``pot``, F_1.sum(-1) or F_1 F_2^T, shaped (..., n_1, ..., n_k) over the
+    window's lists with length-one axes off its region; leading axes lead."""
+    if len(factors) == 1:
+        vals = factors[0].sum(axis=-1)
+    else:
+        vals = factors[0] @ np.swapaxes(factors[1], -1, -2)
+    idx = [window.index(s) for s in pot.region]
+    shape = [v.shape[-2] if i in idx else 1 for i, v in enumerate(lists)]
+    return vals.reshape(vals.shape[: vals.ndim - len(idx)] + tuple(shape))
+
+
 def _values(pot: ClassicalPotential, window: Region, lists: Sequence[np.ndarray]) -> np.ndarray:
     """Values of ``pot`` on the product of per-site vector lists over the
-    window, shaped (..., n_1, ..., n_k) with length-one axes off its region.
-    At most one list may carry leading (rotation) axes; they lead."""
-    idx = [window.index(s) for s in pot.region]
-    own = [lists[i] for i in idx]
-    lead = max((v.shape[:-2] for v in own), key=len, default=())
-    if pot.coupling is not None:
-        vals = own[0] @ pot.coupling @ np.swapaxes(own[1], -1, -2)
-    else:
-        # fn on the product of the region's own lists, with the leading axes
-        # folded into their site's rows and then moved to the front
-        p = next((j for j, v in enumerate(own) if v.ndim > 2), 0)
-        vals = pot.fn(_product(*[v.reshape(-1, 3) for v in own]))
-        vals = np.moveaxis(vals.reshape([d for v in own for d in v.shape[:-1]]),
-                           range(p, p + len(lead)), range(len(lead)))
-    shape = [lists[i].shape[-2] if i in idx else 1 for i in range(len(lists))]
-    return vals.reshape(lead + tuple(shape))
+    window (see ``_spread``).  At most one list may carry leading axes."""
+    return _spread(pot, window, lists, pot.factors(*[lists[window.index(s)] for s in pot.region]))
+
+
+def _difference(pot: ClassicalPotential, window: Region, lists: Sequence[np.ndarray],
+                x: Site, rotated: np.ndarray) -> np.ndarray:
+    """phi - phi o R on the window's lists, where ``rotated`` is the list of
+    x rotated, V_x R (a stack of rotations is a leading axis): the factors
+    with the factor of x replaced by F_x(V_x) - F_x(V_x R)."""
+    own = [lists[window.index(s)] for s in pot.region]
+    p = pot.region.index(x)
+    factors = list(pot.factors(*own))
+    own[p] = rotated
+    factors[p] = factors[p] - pot.factors(*own)[p]
+    return _spread(pot, window, lists, factors)
 
 
 def _contract(weights: np.ndarray, factors: Sequence[np.ndarray]) -> float:
@@ -238,17 +234,12 @@ def classical_gibbs_expectation(window: Region, potentials: Sequence[ClassicalPo
 def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3) -> float:
     """Supremum of |phi| over unit-vector configurations.
 
-    Returns the closed form when one is attached; otherwise a coarse
-    (theta, phi) grid per site (at most two sites) followed by local grid
-    refinement, halving the resolution each round.
+    Returns the closed form when one is attached; otherwise the factors on
+    a coarse (theta, phi) grid per site followed by local grid refinement,
+    halving the resolution each round.
     """
     if pot.sup_norm is not None:
         return pot.sup_norm
-    k = len(pot.region)
-    if k == 0:
-        return abs(float(pot.fn(np.zeros((1, 0, 3)))[0]))
-    if k > 2:
-        raise ValueError("grid search supports at most two sites; supply a closed form")
 
     def directions(thetas, phis):
         t, p = np.meshgrid(thetas, phis, indexing="ij")
@@ -258,14 +249,15 @@ def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3
 
     def search(grids):
         # first argmax of |phi| over the product of the per-site grids,
-        # blocked over the first site; returns it with its angles per site
+        # blocked over the first site so a block has at most 2^20 values;
+        # returns it with its angles per site
         vecs, tfs, pfs = zip(*grids)
         rest = [len(v) for v in vecs[1:]]
         block = max(1, (1 << 20) // math.prod(rest))
         best_val, best = -1.0, None
         for i0 in range(0, len(vecs[0]), block):
             left = vecs[0][i0 : i0 + block]
-            vals = np.abs(pot.fn(_product(left, *vecs[1:])))
+            vals = np.abs(_values(pot, pot.region, [left, *vecs[1:]])).reshape(-1)
             j = int(np.argmax(vals))
             if vals[j] > best_val:
                 best_val = float(vals[j])
@@ -275,7 +267,7 @@ def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3
 
     thetas = (np.arange(coarse) + 0.5) * math.pi / coarse
     phis = 2.0 * math.pi * np.arange(coarse) / coarse
-    best_val, best_angles = search([directions(thetas, phis)] * k)
+    best_val, best_angles = search([directions(thetas, phis)] * len(pot.region))
     step_t = math.pi / coarse
     step_p = 2.0 * math.pi / coarse
     for _ in range(rounds):
@@ -326,22 +318,13 @@ def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential]
 
     def dressed(boltz, lists, spare):
         # only the list of x rotates; spare becomes
-        # boltz * exp(beta sum (phi - phi o R)), where a bilinear potential,
-        # linear in the spin at x, gives phi - phi o R as its form on the
-        # list V_x - V_x R: one matmul, without its unrotated values
+        # boltz * exp(beta sum (phi - phi o R)), one potential at a time
         rotated = list(lists)
         rotated[xi] = lists[xi] @ r
-        moved = list(lists)
-        moved[xi] = lists[xi] - rotated[xi]
         spare.fill(0.0)
         for pot in potentials:
-            if x not in pot.region:
-                continue
-            if pot.coupling is not None:
-                spare += _values(pot, window, moved)
-            else:
-                spare += _values(pot, window, lists)
-                spare -= _values(pot, window, rotated)
+            if x in pot.region:
+                spare += _difference(pot, window, lists, x, rotated[xi])
         spare *= beta
         np.exp(spare, out=spare)
         spare *= boltz
@@ -364,7 +347,7 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
     difference of two values bounded by sup|phi_l|, and the weight is a
     convex average).  Returns (max sampled lhs, rhs bound).  Each chunk
     rotates the list of x in blocks of at most 2^20 (rotation, configuration)
-    pairs, one ``_values`` call per potential and block.
+    pairs, one ``_difference`` call per bond and block.
     """
     n = len(bonds)
     if n < 1 or n > 3:
@@ -385,13 +368,12 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
         shape = [len(v) for v in lists]
         prods = np.empty([rotation_samples, *shape])
         logw = None if site_field is None else np.empty([rotation_samples, *shape])
-        base_vals = [_values(pot, window, lists) for pot in bonds]
         step = max(1, (1 << 20) // math.prod(shape))
         for i in range(0, rotation_samples, step):
             rotated = [v @ rotations[i : i + step] if s == xi else v for s, v in enumerate(lists)]
             term = 1.0
-            for pot, base in zip(bonds, base_vals):
-                term = term * (base - _values(pot, window, rotated))
+            for pot in bonds:
+                term = term * _difference(pot, window, lists, x, rotated[xi])
             prods[i : i + step] = term
             if site_field is not None:
                 logw[i : i + step] = -beta * _values(site_field, window, rotated)

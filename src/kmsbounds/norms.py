@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .lattice import InteractionFamily, Region, Site, TIInteractionSpec, operator_norm
+from .lattice import InteractionFamily, Region, Site, TIInteractionSpec
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,9 @@ class WindowNorms:
     """Per-site weighted sums of a TI spec instantiated on a finite window.
 
     ``interior`` is the sup over sites whose full motif neighbourhood lies
-    inside the window; these match the translation-invariant closed form
-    exactly.  Truncated boundary sites are reported separately.
+    inside the window; their sums are those of the translation-invariant
+    closed form, bit for bit.  Truncated boundary sites are reported
+    separately.
     """
 
     interior: float
@@ -126,28 +127,29 @@ class WindowNorms:
 def window_norms(spec: TIInteractionSpec, window: Region, params: NormParams) -> WindowNorms:
     """Per-site sums of the motif translates inside ``window``.
 
-    Each motif's weighted term norm is computed once (motifs must carry
-    operators) and added at x once per anchor whose translate onto x fits
-    in the window; x is a boundary site when one does not fit.  Motifs whose
-    regions are translates of each other count separately, as in the closed
-    form.  A window of another lattice dimension raises ``ValueError``.
+    A motif contributes (number of its anchors whose translate onto x fits
+    in the window x weight) x scalar norm at x, motif by motif in the
+    closed form's order; x is a boundary site when some translate does not
+    fit.  Motifs whose regions are translates of each other count
+    separately, as in the closed form.  A window of another lattice
+    dimension raises ``ValueError``.
     """
-    values = []
+    terms = []
     for motif in spec.motifs:
-        norm = operator_norm(motif.coefficient * motif.operator)
         k = len(motif.region)
         weight = _weight(k, params.eps, params.zeta * k, spec.psi_site_norm)
-        values.append(weight * norm if norm else 0.0)
+        terms.append((weight, motif.scalar_norm()))
     per_site, interior, boundary = {}, 0.0, 0.0
     for x in window:
         total, inside = 0.0, True
-        for motif, value in zip(spec.motifs, values):
+        for motif, (weight, norm) in zip(spec.motifs, terms):
+            fitting = 0
             for anchor in motif.region:
                 v = tuple(c - a for c, a in zip(x, anchor, strict=True))
-                if motif.translate(v).issubset(window):
-                    total += value
-                else:
-                    inside = False
+                fitting += motif.translate(v).issubset(window)
+            inside = inside and fitting == len(motif.region)
+            if norm and fitting:
+                total += fitting * weight * norm
         per_site[x] = total
         if inside:
             interior = max(interior, total)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from kmsbounds.classical import (
     ClassicalPotential,
     SphereGrid,
+    _difference,
     _gibbs_averages,
-    _product,
     _values,
     _window_chunks,
     classical_gibbs_expectation,
@@ -28,8 +29,9 @@ W2 = box_window([2])
 
 
 def site_field_potential(x, fn_single) -> ClassicalPotential:
-    """A potential on the one site ``x``: ``fn_single`` of its spin."""
-    return ClassicalPotential(Region.of([x]), lambda v: fn_single(v[..., 0, :]))
+    """A potential on the one site ``x``: ``fn_single`` maps a list of its
+    spins (..., n, 3) to values (..., n), the potential's one factor."""
+    return ClassicalPotential(Region.of([x]), lambda v: (fn_single(v)[..., None],))
 
 
 def ones(v):
@@ -83,26 +85,13 @@ class TestSphereGrid:
 
 def c_order_product(*site_vectors):
     """The product grid built C-order, (n_1 ... n_k, k, 3) with first site
-    slowest: the reference values of ``_product``."""
+    slowest: the configurations that the oracles evaluate pointwise."""
     shape = tuple(len(v) for v in site_vectors)
     k = len(shape)
     out = np.empty(shape + (k, 3))
     for s, v in enumerate(site_vectors):
         out[..., s, :] = v.reshape((1,) * s + (len(v),) + (1,) * (k - s - 1) + (3,))
     return out.reshape(math.prod(shape), k, 3)
-
-
-@pytest.mark.parametrize("nsites", [0, 1, 2, 3])
-def test_product_matches_c_order(nsites):
-    rng = np.random.default_rng(nsites)
-    vectors = [rng.normal(size=(n, 3)) for n in (5, 3, 4)[:nsites]]
-    configs = _product(*vectors)
-    assert configs.shape == (math.prod(len(v) for v in vectors), nsites, 3)
-    assert np.array_equal(configs, c_order_product(*vectors))
-    # component-major: every (site, component) column is contiguous
-    for s in range(nsites):
-        for c in range(3):
-            assert configs[:, s, c].flags.c_contiguous
 
 
 def c_order_weights(weights, nsites):
@@ -265,13 +254,20 @@ class TestSupNorm:
         assert classical_supnorm(pot) == pytest.approx(oracle, abs=1e-4)
 
     def test_closed_form_bypass(self):
-        pot = ClassicalPotential(W2, lambda v: v[..., 0, 2], sup_norm=4.2)
+        pot = ClassicalPotential(W2, lambda u, w: (u[..., 2:], ones(w)), sup_norm=4.2)
         assert classical_supnorm(pot) == 4.2
 
-    def test_large_region_needs_closed_form(self):
-        pot = ClassicalPotential(box_window([3]), lambda v: v[..., 0, 2])
-        with pytest.raises(ValueError):
-            classical_supnorm(pot)
+
+def test_potential_region_size_rejected():
+    # a potential lives on one or two sites, closed form or not; the
+    # sup-norm search and the quadratures rely on it
+    factors = lambda *lists: [v[..., 2:] for v in lists]
+    for region in (Region(()), box_window([3])):
+        for sup_norm in (None, 1.0):
+            with pytest.raises(ValueError):
+                ClassicalPotential(region, factors, sup_norm)
+    for region in (W1, W2):
+        assert len(ClassicalPotential(region, factors).region) == len(region)
 
 
 class TestInvariance:
@@ -313,11 +309,12 @@ class TestInvariance:
         beta, r = 0.9, random_rotation(np.random.default_rng(4))
 
         def dressed(boltz, lists, spare):
-            # the bond is bilinear, so phi - phi o R is its form on the list
-            # V - V R, as the library has it; the field is off the rotated site
+            # phi - phi o R is the bond's factors with the factor of the
+            # rotated site replaced by F(V) - F(V R); the field is off that site
             u, w = lists
+            f_u, f_w = bond.factors(u, w)
             spare.fill(0.0)
-            spare += _values(bond, W2, [u - u @ r, w])
+            spare += (f_u - bond.factors(u @ r, w)[0]) @ f_w.T
             spare *= beta
             np.exp(spare, out=spare)
             spare *= boltz
@@ -409,15 +406,16 @@ class TestRotateSite:
 def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid=None,
                       weighted=False):
     """``classical_kernel_bound_check`` as a loop over rotations: the lists
-    with x rotated by one rotation, and one ``_values`` call per rotation and
-    potential.  Without a site field the average over rotations is a mean;
+    with x rotated by one rotation, and one ``_difference`` call per rotation
+    and bond.  Without a site field the average over rotations is a mean;
     ``weighted`` takes it with the normalized weights of an all-zero site
     field instead."""
     common = bonds[0].region
     for b in bonds[1:]:
         common = common.intersection(b.region)
     window = Region.of([s for b in bonds for s in b.region])
-    xi = window.index(common.min_site())
+    x = common.min_site()
+    xi = window.index(x)
     rng = np.random.default_rng(seed)
     rotations = [random_rotation(rng) for _ in range(rotation_samples)]
     lhs_max = 0.0
@@ -425,13 +423,12 @@ def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid
         shape = [len(v) for v in lists]
         prods = np.empty([rotation_samples, *shape])
         logw = np.zeros([rotation_samples, *shape])
-        base_vals = [_values(pot, window, lists) for pot in bonds]
         for i, r in enumerate(rotations):
             rotated = list(lists)
             rotated[xi] = lists[xi] @ r
             term = np.ones(shape)
-            for pot, base in zip(bonds, base_vals):
-                term = term * (base - _values(pot, window, rotated))
+            for pot in bonds:
+                term = term * _difference(pot, window, lists, x, rotated[xi])
             prods[i] = term
             if site_field is not None:
                 logw[i] = -beta * _values(site_field, window, rotated)
@@ -445,58 +442,88 @@ def kernel_bound_loop(bonds, beta, rotation_samples, seed, site_field=None, grid
     return lhs_max
 
 
-def bilinear_potential(x, y, c):
-    """The bilinear form u^T C w on {x, y}, with an ``fn`` of its own; its
-    supremum over unit vectors is the spectral norm of C."""
+@dataclasses.dataclass(frozen=True)
+class Drawn:
+    """A drawn potential with its pointwise oracle: ``pointwise`` maps
+    configurations (N, k, 3) of the potential's own sites, in region order,
+    to values (N,).  ``scale`` bounds the sum of the absolute terms of both
+    evaluations, the yardstick of their roundoff."""
 
-    def fn(v):
-        return np.einsum("...i,ij,...j->...", v[..., 0, :], c, v[..., 1, :])
+    pot: ClassicalPotential
+    pointwise: Callable
+    scale: float
 
-    return ClassicalPotential(Region.of([x, y]), fn, float(np.linalg.norm(c, 2)), c)
+
+def sine_of_projection(v, a):
+    """sin(a . v) of each spin in ``v``, summed in a fixed order."""
+    return np.sin(a[0] * v[..., 0] + a[1] * v[..., 1] + a[2] * v[..., 2])
+
+
+def heisenberg_pointwise(u, w, j, delta):
+    """-J (delta (u_1 w_1 + u_2 w_2) + u_3 w_3) row by row."""
+    return -j * (delta * (u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) + u[:, 2] * w[:, 2])
 
 
 def window_potentials(window, rng):
-    """Drawn potentials on every site and pair of the window: Heisenberg
-    bonds and general bilinear forms (the ``coupling`` path), single-site
-    fields and a two-site potential that is not bilinear (the ``fn`` path)."""
+    """Drawn potentials on every site and pair of the window: single-site
+    fields sin(a . u) and u_x u_y + cos(u_z) (rank two), Heisenberg bonds,
+    general bilinear forms u^T C w and the two-site potential
+    u_z w_x^2 + w_y, which is not bilinear."""
     sites = list(window)
-    pots = [site_field_potential(
-        x, lambda v, a=rng.normal(size=3): np.sin(a[0] * v[..., 0] + a[1] * v[..., 1] + a[2] * v[..., 2]))
-        for x in sites]
+    drawn = []
+    for x in sites:
+        a = rng.normal(size=3)
+        drawn.append(Drawn(site_field_potential(x, lambda v, a=a: sine_of_projection(v, a)),
+                           lambda c, a=a: sine_of_projection(c[:, 0, :], a), 1.0))
+        drawn.append(Drawn(
+            ClassicalPotential(Region.of([x]), lambda v: (
+                np.stack([v[..., 0] * v[..., 1], np.cos(v[..., 2])], axis=-1),)),
+            lambda c: c[:, 0, 0] * c[:, 0, 1] + np.cos(c[:, 0, 2]), 2.0))
     for i, x in enumerate(sites):
         for y in sites[i + 1 :]:
-            pots.append(heisenberg_bond_potential(
-                x, y, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-3.0, 3.0))))
-            pots.append(bilinear_potential(x, y, rng.normal(size=(3, 3))))
-            pots.append(ClassicalPotential(
-                Region.of([x, y]), lambda v: v[..., 0, 2] * v[..., 1, 0] ** 2 + v[..., 1, 1]))
-    return pots
+            j, delta = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-3.0, 3.0))
+            bond = heisenberg_bond_potential(x, y, j, delta)
+            drawn.append(Drawn(
+                bond, lambda c, j=j, delta=delta: heisenberg_pointwise(c[:, 0], c[:, 1], j, delta),
+                bond.sup_norm))
+            m = rng.normal(size=(3, 3))
+            bilinear = ClassicalPotential(Region.of([x, y]), lambda u, w, m=m: (u @ m, w),
+                                          float(np.linalg.norm(m, 2)))
+            drawn.append(Drawn(bilinear, lambda c, m=m: np.einsum("ni,ij,nj->n", c[:, 0], m, c[:, 1]),
+                               bilinear.sup_norm))
+            drawn.append(Drawn(
+                ClassicalPotential(Region.of([x, y]), lambda u, w: (
+                    np.stack([u[..., 2], np.ones(u.shape[:-1])], axis=-1),
+                    np.stack([w[..., 0] ** 2, w[..., 1]], axis=-1))),
+                lambda c: c[:, 0, 2] * c[:, 1, 0] ** 2 + c[:, 1, 1], 2.0))
+    return drawn
 
 
 class TestFactoredValues:
-    """``_values`` on per-site vector lists against ``fn`` row by row on the
-    materialized ``_product`` grid, unrotated, with one site rotated by one
+    """``_values`` and ``_difference`` on per-site vector lists against each
+    drawn potential's pointwise oracle on the materialized
+    ``c_order_product`` grid, unrotated, with one site rotated by one
     rotation and by a stack of rotations."""
 
     @staticmethod
-    def tolerance(pot):
-        # each path sums u_i C_ij w_j in some order, within gamma_6 |u||C||w|
-        # <= 6 eps sqrt(3) sup_norm of the exact form (|C| <= ||C||_F <=
-        # sqrt(3) ||C||_2); a fn potential is evaluated by the same fn on
-        # the same rows, and these fns act row by row without a matmul, so
-        # it must agree exactly
-        eps = np.finfo(float).eps
-        return 0.0 if pot.coupling is None else 24 * eps * pot.sup_norm
+    def tolerance(drawn):
+        # a bilinear form is summed in another order on each side, each
+        # within gamma_6 |u||C||w| <= 6 eps sqrt(3) ||C||_2 (|C| <=
+        # ||C||_F <= sqrt(3) ||C||_2); the other potentials form the same
+        # terms on both sides and add at most two of them, bounded by scale
+        return 24 * np.finfo(float).eps * drawn.scale
 
-    def check(self, window, pot, lists, site, r):
+    def check(self, window, drawn, lists, site, r):
         """Compare on the lists with the given site rotated by r (None, one
         rotation or a stack)."""
-        shape = tuple(len(v) for v in lists)
+        pot, shape = drawn.pot, tuple(len(v) for v in lists)
+        idx = [window.index(s) for s in pot.region]
+        base = drawn.pointwise(c_order_product(*lists)[:, idx, :])
         if r is None:
-            grids, moved = [_product(*lists)], lists
+            grids, moved = [c_order_product(*lists)], lists
         else:
             moved = [v @ r if s == site else v for s, v in enumerate(lists)]
-            grids = [_product(*[v @ q if s == site else v for s, v in enumerate(lists)])
+            grids = [c_order_product(*[v @ q if s == site else v for s, v in enumerate(lists)])
                      for q in (r if r.ndim == 3 else r[None])]
         got = _values(pot, window, moved)
         lead = () if r is None or r.ndim == 2 else (len(r),)
@@ -504,23 +531,29 @@ class TestFactoredValues:
         touched = r is not None and window.sites[site] in pot.region
         assert got.ndim == len(shape) + (len(lead) if touched else 0)
         got = np.broadcast_to(got, lead + shape).reshape(-1, math.prod(shape))
-        for row, grid in zip(got, grids):
-            expected = pot.fn(grid[..., [window.index(s) for s in pot.region], :])
-            assert np.max(np.abs(row - expected)) <= self.tolerance(pot)
+        if touched:
+            diff = _difference(pot, window, lists, window.sites[site], moved[site])
+            assert diff.ndim == len(lead) + len(shape)
+            diff = np.broadcast_to(diff, lead + shape).reshape(-1, math.prod(shape))
+        for n, grid in enumerate(grids):
+            expected = drawn.pointwise(grid[:, idx, :])
+            assert np.max(np.abs(got[n] - expected)) <= self.tolerance(drawn)
+            if touched:
+                assert np.max(np.abs(diff[n] - (base - expected))) <= 2 * self.tolerance(drawn)
 
     @pytest.mark.parametrize("nsites", [1, 2, 3])
     def test_matches_fn_on_materialized_grid(self, nsites):
         rng = np.random.default_rng(10 + nsites)
         window = box_window([nsites])
-        pots = window_potentials(window, rng)
+        drawn = window_potentials(window, rng)
         rotations = np.array([random_rotation(rng) for _ in range(3)])
         chunks = list(_window_chunks(SphereGrid(3), nsites))
         for _, lists in chunks[:2]:
-            for pot in pots:
-                self.check(window, pot, lists, None, None)
+            for d in drawn:
+                self.check(window, d, lists, None, None)
                 for site in range(nsites):
-                    self.check(window, pot, lists, site, rotations[0])
-                    self.check(window, pot, lists, site, rotations)
+                    self.check(window, d, lists, site, rotations[0])
+                    self.check(window, d, lists, site, rotations)
 
     def test_rotated_list_is_rotated_grid(self):
         # rotating a site's list and materializing gives the rotated grid;
@@ -529,21 +562,62 @@ class TestFactoredValues:
         rng = np.random.default_rng(3)
         grid = SphereGrid(3)
         _, lists = next(_window_chunks(grid, 2))
-        configs = _product(*lists)
+        configs = c_order_product(*lists)
         r = random_rotation(rng)
         for site in range(2):
             moved = [v @ r if s == site else v for s, v in enumerate(lists)]
-            diff = _product(*moved) - rotate_site(configs, site, r)
+            diff = c_order_product(*moved) - rotate_site(configs, site, r)
             assert np.max(np.abs(diff)) <= 12 * np.finfo(float).eps
 
     @pytest.mark.parametrize("coupling,delta", [(1.0, 1.0), (0.7, -1.8), (-1.3, 0.4)])
     def test_heisenberg_fn_is_its_coupling(self, coupling, delta):
+        # the bond is the bilinear form of C = -J diag(delta, delta, 1),
+        # factored as (u C, w), and its values are the matmul (V_a C) V_b^T
         bond = heisenberg_bond_potential((0,), (1,), coupling, delta)
-        assert np.array_equal(bond.coupling, -coupling * np.diag([delta, delta, 1.0]))
-        configs = _product(*next(_window_chunks(SphereGrid(8), 2))[1])
-        u, w = configs[:, 0, :], configs[:, 1, :]
-        expected = -coupling * (delta * (u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) + u[:, 2] * w[:, 2])
-        assert np.max(np.abs(bond.fn(configs) - expected)) <= self.tolerance(bond)
+        c = -coupling * np.diag([delta, delta, 1.0])
+        lists = next(_window_chunks(SphereGrid(8), 2))[1]
+        f_u, f_w = bond.factors(*lists)
+        assert np.array_equal(f_u, lists[0] @ c)
+        assert f_w is lists[1]
+        values = _values(bond, W2, lists)
+        assert np.array_equal(values, (lists[0] @ c) @ lists[1].T)
+        configs = c_order_product(*lists)
+        expected = heisenberg_pointwise(configs[:, 0], configs[:, 1], coupling, delta)
+        assert np.max(np.abs(values.reshape(-1) - expected)) <= 24 * np.finfo(float).eps * bond.sup_norm
+
+
+def recording(pot, seen):
+    """``pot`` with factors that record the shape of every list they get."""
+
+    def factors(*lists):
+        seen.extend(v.shape for v in lists)
+        return pot.factors(*lists)
+
+    return dataclasses.replace(pot, factors=factors)
+
+
+def test_factors_get_per_site_lists():
+    # the quadratures, the rotations and the sup-norm search hand a
+    # potential's factors its own sites' lists (one of them with a leading
+    # rotation axis at most), never a configuration grid over several sites
+    seen = []
+    grid = SphereGrid(4)
+    n = len(grid.vectors)
+    bond = recording(heisenberg_bond_potential((0,), (1,), 1.0, 1.5), seen)
+    other = recording(heisenberg_bond_potential((-1,), (0,), 0.7, 2.0), seen)
+    field = recording(site_field_potential((0,), lambda v: 0.8 * v[..., 2]), seen)
+    window = Region.of([(-1,), (0,), (1,)])
+    obs = lambda *lists: [v[:, 2:] for v in lists]
+    classical_gibbs_expectation(window, [bond, other, field], 0.6, obs, grid)
+    invariance_residual(window, [bond, other, field], 0.6, obs, (0,), rotation_about_z(0.5), grid)
+    classical_kernel_bound_check([bond, other], 0.5, 10, seed=1, site_field=field, grid=grid)
+    assert seen and all(len(shape) <= 3 and shape[-2] <= n and shape[-1] == 3 for shape in seen)
+    # the search's direction grids have 64^2 rows per site; their product
+    # would have 64^4
+    seen.clear()
+    classical_supnorm(dataclasses.replace(bond, sup_norm=None))
+    classical_supnorm(dataclasses.replace(field, sup_norm=None))
+    assert seen and all(len(shape) == 2 and shape[0] <= 64 ** 2 and shape[1] == 3 for shape in seen)
 
 
 def drawn_observable(rng, nsites, rank=3):
@@ -564,8 +638,9 @@ def dense_values(observable, configs):
 class TestDenseOracle:
     """Gibbs averages and invariance residuals from the factored contraction
     against dense evaluation on the ``c_order_product`` grid: the energy by
-    ``fn`` row by row, the observable by ``dense_values``, one weighted sum
-    over all rows.  Three sites take the chunked path."""
+    the drawn potentials' pointwise oracles, the observable by
+    ``dense_values``, one weighted sum over all rows.  Three sites take the
+    chunked path."""
 
     # each side is a weighted sum over at most 32^3 rows whose terms agree
     # to a few ulp; the bound is relative to the sum of absolute terms
@@ -578,8 +653,9 @@ class TestDenseOracle:
         return window, window_potentials(window, rng), drawn_observable(rng, nsites), rng
 
     @staticmethod
-    def energy(window, pots, configs):
-        return sum(pot.fn(configs[:, [window.index(s) for s in pot.region], :]) for pot in pots)
+    def energy(window, drawn, configs):
+        return sum(d.pointwise(configs[:, [window.index(s) for s in d.pot.region], :])
+                   for d in drawn)
 
     def dense_average(self, weights, values):
         """The weighted average of the values, and the bound on its error."""
@@ -587,25 +663,25 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("nsites", [1, 2, 3])
     def test_gibbs_expectation(self, nsites):
-        window, pots, obs, _ = self.drawn_case(nsites)
+        window, drawn, obs, _ = self.drawn_case(nsites)
         grid, beta = SphereGrid(4), 0.7
         configs = c_order_product(*[grid.vectors] * nsites)
-        h = self.energy(window, pots, configs)
+        h = self.energy(window, drawn, configs)
         weights = c_order_weights(grid.weights, nsites) * np.exp(-beta * (h - h.min()))
         expected, tol = self.dense_average(weights, dense_values(obs, configs))
-        got = classical_gibbs_expectation(window, pots, beta, obs, grid)
+        got = classical_gibbs_expectation(window, [d.pot for d in drawn], beta, obs, grid)
         assert abs(got - expected) <= tol
 
     @pytest.mark.parametrize("nsites,x", [(1, (0,)), (2, (1,)), (3, (1,))])
     def test_invariance_residual(self, nsites, x):
-        window, pots, obs, rng = self.drawn_case(nsites)
+        window, drawn, obs, rng = self.drawn_case(nsites)
         grid, beta, r = SphereGrid(4), 0.6, random_rotation(rng)
         xi = window.index(x)
         configs = c_order_product(*[grid.vectors] * nsites)
         rotated = configs.copy()
         rotated[:, xi, :] = configs[:, xi, :] @ r
-        touching = [pot for pot in pots if x in pot.region]
-        h = self.energy(window, pots, configs)
+        touching = [d for d in drawn if x in d.pot.region]
+        h = self.energy(window, drawn, configs)
         dressing = np.exp(beta * (self.energy(window, touching, configs)
                                   - self.energy(window, touching, rotated)))
         weights = c_order_weights(grid.weights, nsites) * np.exp(-beta * (h - h.min()))
@@ -614,12 +690,13 @@ class TestDenseOracle:
         # the order-4 grid is far from exact for the rotated integrand, so
         # the residual is a quadrature error well above the roundoff bound
         assert abs(lhs - rhs) > 1e3 * (lhs_tol + rhs_tol)
-        got = invariance_residual(window, pots, beta, obs, x, r, grid)
+        got = invariance_residual(window, [d.pot for d in drawn], beta, obs, x, r, grid)
         assert abs(got - abs(lhs - rhs)) <= lhs_tol + rhs_tol
 
     @pytest.mark.parametrize("nsites,x", [(1, (0,)), (2, (1,)), (3, (1,))])
     def test_identity_rotation_exact(self, nsites, x):
-        window, pots, obs, _ = self.drawn_case(nsites)
+        window, drawn, obs, _ = self.drawn_case(nsites)
+        pots = [d.pot for d in drawn]
         assert invariance_residual(window, pots, 0.6, obs, x, np.eye(3), SphereGrid(4)) == 0.0
 
 
@@ -677,7 +754,7 @@ class TestKernelBound:
         assert lhs <= rhs
 
     def test_zero_potential(self):
-        zero = ClassicalPotential(W2, lambda v: np.zeros(v.shape[:-2]), sup_norm=0.0)
+        zero = ClassicalPotential(W2, lambda u, w: (0.0 * u[..., :1], w[..., :1]), sup_norm=0.0)
         lhs, rhs = classical_kernel_bound_check([zero], 0.5, 10, seed=1)
         assert lhs == 0.0
         assert rhs == 0.0
