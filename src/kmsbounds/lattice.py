@@ -144,9 +144,11 @@ def hermitian_mask(mats: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray
     Frobenius norms finite for entries near the top of the float range."""
     peak = np.abs(mats).max(axis=(-2, -1))
     # the reciprocal of a subnormal peak would overflow
-    unit = mats * (1.0 / np.maximum(peak, sys.float_info.min))[..., None, None]
-    skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
-    return skew <= rtol * np.linalg.norm(unit, axis=(-2, -1))
+    skew = mats * (1.0 / np.maximum(peak, sys.float_info.min))[..., None, None]
+    bound = rtol * np.linalg.norm(skew, axis=(-2, -1))
+    # M - M* in place of M: its conjugate transpose is the one other buffer
+    skew -= np.conjugate(skew.swapaxes(-2, -1))
+    return np.linalg.norm(skew, axis=(-2, -1)) <= bound
 
 
 def is_hermitian_matrix(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:

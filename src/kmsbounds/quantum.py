@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import product as iterproduct
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -325,49 +325,6 @@ def kms_residual(sys: FiniteSystem, a: LocalOperator, b: LocalOperator,
     return np.hypot(diff.real, diff.imag)
 
 
-def lemma_sum_check(alpha: Mapping[Region, float], lam: Region, n: int, eps: float):
-    """Exact constrained chain sum against its combinatorial bound.
-
-    Returns (lhs, rhs) with
-      lhs = sum over constrained chains of prod alpha_{X_j},
-      rhs = n! eps^{-n} e^{eps |lam|} (sup_x sum_{X : x} e^{eps(|X|-1)} alpha_X)^n.
-
-    lhs is f_n(lam) for the recursion f_k(S) = sum over X meeting S of
-    alpha_X f_{k-1}(S u X), f_0 = 1, memoized on (k, S) with S a site
-    bitmask: one term per region and grown set instead of one per chain.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    support = {r: w for r, w in alpha.items() if w != 0.0}
-    bits = {}  # site -> its bit
-    for site in (*lam, *(site for region in support for site in region)):
-        bits.setdefault(site, 1 << len(bits))
-    weights = [(sum(bits[x] for x in r), w) for r, w in support.items()]
-
-    @lru_cache(maxsize=None)
-    def chain_sum(k: int, grown: int) -> float:
-        if k == 0:
-            return 1.0
-        total = 0.0
-        for mask, w in weights:
-            if mask & grown:
-                total += w * chain_sum(k - 1, grown | mask)
-        return total
-
-    lhs = chain_sum(n, sum(bits[x] for x in lam))
-    site_sup = 0.0
-    for x in bits:
-        s = sum(math.exp(eps * (len(r) - 1)) * w for r, w in support.items() if x in r)
-        site_sup = max(site_sup, s)
-    rhs = (
-        math.factorial(n)
-        * eps ** (-n)
-        * math.exp(eps * len(lam))
-        * site_sup ** n
-    )
-    return lhs, rhs
-
-
 def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
               times: Sequence[float]) -> LocalOperator:
     """Exact unitary average of the nested-commutator action on the dressed
@@ -448,11 +405,12 @@ def ks_kernel_haar_mc(sys: FiniteSystem, x: Site, region: Region, time: float,
     unitaries at the site: mean of U* [B, e^{-beta Psi_x} U] / c with
     the normalizer c = tr e^{-beta Psi_x} / d.
 
-    The unitaries are drawn and applied in stacks of ``HAAR_CHUNK``; every
-    sample is the same arithmetic, on the same random stream, as drawing and
-    applying them one at a time.  Returns (mean matrix on the region,
-    aggregated standard error) so the exact expansion can be checked to a
-    few sigma.
+    The unitaries are drawn and applied, and the samples' squared deviations
+    summed, in stacks of ``HAAR_CHUNK``; every sample is the same arithmetic,
+    on the same random stream, as drawing and applying them one at a time,
+    and the variance is ``np.var``'s bit for bit.  Returns (mean matrix on
+    the region, aggregated standard error) so the exact expansion can be
+    checked to a few sigma.
     """
     x = tuple(x)
     if x not in region:
@@ -475,7 +433,16 @@ def ks_kernel_haar_mc(sys: FiniteSystem, x: Site, region: Region, time: float,
         draws[lo:lo + count] = (u.conj().transpose(0, 2, 1) @ m) / normalizer
     mean = draws.mean(axis=0)
     if samples > 1:
-        var = draws.var(axis=0, ddof=1) / samples
+        # draws.var(axis=0, ddof=1) without its two sample-sized temporaries:
+        # the squared deviations as np.var forms them, a chunk at a time, each
+        # chunk summed behind the running total, so the rows add in the order
+        # of one sum over axis 0
+        total = np.zeros(mean.shape)
+        for lo in range(0, samples, HAAR_CHUNK):
+            dev = draws[lo:lo + HAAR_CHUNK] - mean
+            sq = np.square(dev.real) + np.square(dev.imag)
+            total = np.concatenate([total[None], sq]).sum(axis=0)
+        var = total / (samples - 1) / samples
         sigma = math.sqrt(float(np.abs(var).sum()))
     else:
         sigma = math.inf

@@ -206,6 +206,38 @@ class TestOperatorNorm:
         assert is_hermitian_matrix(scale * hermitian)
         assert not is_hermitian_matrix(scale * symmetric)
 
+    @pytest.mark.filterwarnings("error")
+    def test_hermitian_mask_matches_three_temporary_formula(self):
+        """The mask that forms M - M* in one buffer gives the masks of the
+        formula with a separate conjugate transpose and difference, on random
+        stacks near the tolerance, with entries near the float maximum and
+        with a subnormal peak."""
+        import sys
+
+        def reference(mats, rtol=lattice.HERMITIAN_RTOL):
+            peak = np.abs(mats).max(axis=(-2, -1))
+            unit = mats * (1.0 / np.maximum(peak, sys.float_info.min))[..., None, None]
+            skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
+            return skew <= rtol * np.linalg.norm(unit, axis=(-2, -1))
+
+        rng = np.random.default_rng(23)
+        general = np.array([rand_matrix(4, rng) for _ in range(64)])
+        hermitian = (general + general.conj().swapaxes(-2, -1)) / 2
+        # skew parts around the tolerance, so both outcomes occur
+        scales = np.geomspace(1e-14, 1e-10, len(general))[:, None, None]
+        near = hermitian + scales * (general - general.conj().swapaxes(-2, -1))
+        unit = near / np.abs(near).max()
+        stacks = [
+            general, hermitian, near, near.real, np.zeros((3, 4, 4)),
+            unit * 1.7e308,  # entries near the float maximum
+            (unit * 1e-310).reshape(8, 8, 4, 4),  # subnormal peaks
+        ]
+        for mats in stacks:
+            mask = lattice.hermitian_mask(mats)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, reference(mats))
+        assert 0 < lattice.hermitian_mask(near).sum() < len(near)
+
     @given(st.floats(-4, 4))
     @settings(max_examples=25, deadline=None)
     def test_homogeneity(self, c):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import lru_cache
 from itertools import combinations, product as iterproduct
 
 import numpy as np
@@ -34,7 +36,6 @@ from kmsbounds.quantum import (
     ks_kernel_haar_mc,
     ks_kernel_norm_bound,
     ks_residual,
-    lemma_sum_check,
     tau_psi,
 )
 
@@ -665,6 +666,50 @@ class TestGibbsState:
             system.beta = 2.0
 
 
+def lemma_sum_check(alpha, lam, n, eps):
+    """Exact constrained chain sum against its combinatorial bound, one
+    family at a time: the oracle of the lemma suite's array program.
+
+    Returns (lhs, rhs) with
+      lhs = sum over constrained chains of prod alpha_{X_j},
+      rhs = n! eps^{-n} e^{eps |lam|} (sup_x sum_{X : x} e^{eps(|X|-1)} alpha_X)^n.
+
+    lhs is f_n(lam) for the recursion f_k(S) = sum over X meeting S of
+    alpha_X f_{k-1}(S u X), f_0 = 1, memoized on (k, S) with S a site
+    bitmask: one term per region and grown set instead of one per chain.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    support = {r: w for r, w in alpha.items() if w != 0.0}
+    bits = {}  # site -> its bit
+    for site in (*lam, *(site for region in support for site in region)):
+        bits.setdefault(site, 1 << len(bits))
+    weights = [(sum(bits[x] for x in r), w) for r, w in support.items()]
+
+    @lru_cache(maxsize=None)
+    def chain_sum(k, grown):
+        if k == 0:
+            return 1.0
+        total = 0.0
+        for mask, w in weights:
+            if mask & grown:
+                total += w * chain_sum(k - 1, grown | mask)
+        return total
+
+    lhs = chain_sum(n, sum(bits[x] for x in lam))
+    site_sup = 0.0
+    for x in bits:
+        s = sum(math.exp(eps * (len(r) - 1)) * w for r, w in support.items() if x in r)
+        site_sup = max(site_sup, s)
+    rhs = (
+        math.factorial(n)
+        * eps ** (-n)
+        * math.exp(eps * len(lam))
+        * site_sup ** n
+    )
+    return lhs, rhs
+
+
 class TestLemma:
     def test_single_region_order_one(self):
         region = Region.of([(0,), (1,)])
@@ -769,6 +814,72 @@ class TestLemmaChainSum:
             assert rhs > 0.0
 
 
+def lemma_family(weights, lam):
+    """One row of the lemma suite's draws as ``lemma_sum_check``'s family
+    and start: regions and sites by their bitmasks on the four-site window."""
+    from kmsbounds.verify import LEMMA_REGIONS, LEMMA_SITES
+
+    def region(mask):
+        return Region.of([(k,) for k in range(LEMMA_SITES) if mask >> k & 1])
+
+    alpha = {region(m): float(w) for m, w in zip(LEMMA_REGIONS, weights) if w != 0.0}
+    return alpha, region(int(lam))
+
+
+class TestLemmaSuite:
+    """The lemma suite's array program: its draws follow the stated
+    distributions, and each draw's sides are the oracle's."""
+
+    EPS = (0.3, 0.7, 1.5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sides_match_oracle(self, seed):
+        from kmsbounds.verify import _lemma_draws, _lemma_sides, run_lemma_suite
+
+        weights, lam, n, eps = _lemma_draws(np.random.default_rng(seed), 500, self.EPS)
+        lhs, rhs = _lemma_sides(weights, lam, n, eps)
+        ratios = []
+        for row in range(500):
+            alpha, start = lemma_family(weights[row], lam[row])
+            lhs_o, rhs_o = lemma_sum_check(alpha, start, int(n[row]), float(eps[row]))
+            assert lhs[row] == pytest.approx(lhs_o, rel=1e-12, abs=0.0)
+            assert rhs[row] == pytest.approx(rhs_o, rel=1e-12, abs=0.0)
+            ratios.append(lhs_o / rhs_o)
+        checks = {c.name: c for c in run_lemma_suite(seed, 500, self.EPS)}
+        assert checks["worst_lhs_over_rhs"].value == pytest.approx(max(ratios), rel=1e-12)
+        assert checks["chain_sum_violations"].value == 0.0
+
+    def test_draw_distributions(self):
+        """2-6 distinct regions of 1-3 of the four sites, weights U(0.05, 1),
+        lam of 1-3 distinct sites and n of 1-3 (each count uniform, each
+        region and site equally likely), eps cycling by draw index."""
+        from kmsbounds.verify import LEMMA_REGIONS, _lemma_draws
+
+        sizes = [bin(m).count("1") for m in LEMMA_REGIONS]
+        assert sorted(LEMMA_REGIONS) == [m for m in range(16) if 1 <= bin(m).count("1") <= 3]
+        assert len(set(LEMMA_REGIONS)) == len(LEMMA_REGIONS) == 14 and max(sizes) == 3
+        draws = 3000
+        weights, lam, n, eps = _lemma_draws(np.random.default_rng(5), draws, self.EPS)
+        assert weights.shape == (draws, len(LEMMA_REGIONS))
+        chosen = weights != 0.0
+        count = chosen.sum(axis=1)
+        lam_size = np.array([bin(m).count("1") for m in lam])
+        assert 0 <= lam.min() and lam.max() < 16
+        for values, support in ((count, range(2, 7)), (lam_size, range(1, 4)), (n, range(1, 4))):
+            assert set(values.tolist()) == set(support)
+            shares = np.bincount(values, minlength=support.stop)[support.start:] / draws
+            assert np.abs(shares - 1 / len(support)).max() < 0.04
+        # each region and each site is equally likely to be picked
+        assert np.abs(chosen.mean(axis=0) - count.mean() / 14).max() < 0.04
+        lam_sites = (lam[:, None] >> np.arange(4)) & 1
+        assert np.abs(lam_sites.mean(axis=0) - lam_size.mean() / 4).max() < 0.04
+        picked = weights[chosen]
+        assert 0.05 <= picked.min() and picked.max() < 1.0
+        assert picked.mean() == pytest.approx(0.525, abs=0.01)
+        assert np.abs(np.histogram(picked, bins=5, range=(0.05, 1.0))[0] / len(picked) - 0.2).max() < 0.03
+        assert eps.tolist() == [self.EPS[i % 3] for i in range(draws)]
+
+
 class TestKSKernel:
     def test_order_one_without_single_site(self):
         system = heisenberg_system(2, 0.8)
@@ -839,6 +950,21 @@ class TestKSKernel:
         far_bond = regions[1]  # {(1,),(2,)} does not contain (0,)
         with pytest.raises(ValueError):
             ks_kernel(system, (0,), [far_bond], [0.1])
+
+
+def test_ks_suite_memory_peak():
+    # the Haar kernel holds its 10,000 two-site samples (2.56 MB) and sums
+    # their squared deviations a chunk at a time; np.var's two more arrays of
+    # that size would not fit under the bound
+    from kmsbounds.verify import run_ks_suite
+
+    tracemalloc.start()
+    try:
+        run_ks_suite(seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
 
 
 class TestKSResidual:
