@@ -258,7 +258,7 @@ def cmd_norms(config: ModelConfig) -> dict:
         "target": target_fn(eps),
         "psi_site_norm": spec.psi_site_norm,
     }
-    # a finite window needs motif operators; classical motifs carry only norms
+    # only the quantum models report the window; classical motifs carry no operator
     if all(motif.operator is not None for motif in spec.motifs):
         report = window_norms(spec, box_window(config.window), NormParams(eps))
         out["window"] = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -113,9 +113,8 @@ def box_window(extents: Sequence[int]) -> Region:
     """Rectangular window {0..L1-1} x ... x {0..Lnu-1} as a Region."""
     if not extents or any(e < 1 for e in extents):
         raise ValueError("extents must be positive")
-    grids = np.meshgrid(*[np.arange(e) for e in extents], indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    return Region.of(tuple(map(int, row)) for row in coords)
+    # product() yields the sites in lexicographic order, each once
+    return Region._raw(tuple(product(*map(range, extents))))
 
 
 @dataclass(frozen=True)
@@ -403,27 +402,18 @@ def _bonds(window: Region):
                 yield x, y
 
 
-def _bond_product(s: np.ndarray, d: int, x: Site, y: Site) -> LocalOperator:
-    """S_x S_y on the bond {x, y} for the single-site matrix ``s``."""
-    reg = Region.of([x, y])
-    left = embed(LocalOperator(Region((tuple(x),)), s, d), reg)
-    right = embed(LocalOperator(Region((tuple(y),)), s, d), reg)
-    return left @ right
-
-
-def heisenberg_bond(rep: SpinRep, delta: float, x: Site, y: Site) -> LocalOperator:
-    """delta (S1 S1 + S2 S2) + S3 S3 on the bond {x, y}."""
-    s1, s2, s3 = spin_matrices(rep)
-    acc = LocalOperator.zero(Region.of([x, y]), rep.dim)
+def heisenberg_bond(rep: SpinRep, delta: float) -> np.ndarray:
+    """delta (S1 S1 + S2 S2) + S3 S3 on a pair of sites, as one matrix; it is
+    symmetric under swapping the two sites."""
+    s1, s2, s3 = (s.matrix for s in spin_matrices(rep))
     # a huge delta overflows here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, w in ((s1, delta), (s2, delta), (s3, 1.0)):
-            acc = acc + w * _bond_product(s.matrix, rep.dim, x, y)
-    if not np.isfinite(acc.matrix).all():
+        bond = delta * np.kron(s1, s1) + delta * np.kron(s2, s2) + np.kron(s3, s3)
+    if not np.isfinite(bond).all():
         raise FloatRangeError(
             f"the Heisenberg bond at delta = {delta} has entries beyond the float range"
         )
-    return acc
+    return bond
 
 
 def build_heisenberg(coupling: float, delta: float, rep: SpinRep,
@@ -431,10 +421,11 @@ def build_heisenberg(coupling: float, delta: float, rep: SpinRep,
     """Anisotropic Heisenberg interaction on nearest-neighbour pairs of a
     finite window: Phi_{x,y} = -J (delta (S1 S1 + S2 S2) + S3 S3).
     No single-site part."""
+    term = -coupling * heisenberg_bond(rep, delta)
     terms = {}
     for x, y in _bonds(window):
-        bond = heisenberg_bond(rep, delta, x, y)
-        terms[bond.region] = LocalOperator(bond.region, -coupling * bond.matrix, rep.dim)
+        reg = Region._raw((x, y))
+        terms[reg] = LocalOperator(reg, term, rep.dim)
     return InteractionFamily(terms, rep.dim)
 
 
@@ -485,9 +476,6 @@ class Motif:
         """|coefficient| x bond norm, as computed at construction."""
         return self._scalar_norm
 
-    def translate(self, v: Site) -> Region:
-        return Region.of(tuple(c + dv for c, dv in zip(s, v, strict=True)) for s in self.region)
-
 
 @dataclass(frozen=True)
 class TIInteractionSpec:
@@ -516,18 +504,18 @@ class TIInteractionSpec:
         )
 
 
-def _unit_vectors(nu: int):
-    return [tuple(1 if k == i else 0 for k in range(nu)) for i in range(nu)]
+def _axis_bonds(nu: int) -> list:
+    """The bond regions {0, e_i} of the origin, one per lattice direction."""
+    origin = (0,) * nu
+    return [Region._raw((origin, origin[:i] + (1,) + origin[i + 1:])) for i in range(nu)]
 
 
 def heisenberg_ti(nu: int, coupling: float, delta: float, rep: SpinRep) -> TIInteractionSpec:
     """Translation-invariant anisotropic Heisenberg model on Z^nu."""
-    origin = tuple(0 for _ in range(nu))
-    motifs = []
-    for e in _unit_vectors(nu):
-        bond = heisenberg_bond(rep, delta, origin, e)
-        motifs.append(Motif(bond.region, -coupling, operator=bond))
-    return TIInteractionSpec(nu, tuple(motifs))
+    bond = heisenberg_bond(rep, delta)
+    return TIInteractionSpec(nu, tuple(
+        Motif(reg, -coupling, operator=LocalOperator(reg, bond, rep.dim)) for reg in _axis_bonds(nu)
+    ))
 
 
 def ising_staggered_ti(nu: int, coupling: float, field: float, rep: SpinRep) -> TIInteractionSpec:
@@ -536,21 +524,18 @@ def ising_staggered_ti(nu: int, coupling: float, field: float, rep: SpinRep) -> 
     The staggering only flips signs, so ||Psi_x|| = |B| j uniformly.
     """
     _, _, s3 = spin_matrices(rep)
-    origin = tuple(0 for _ in range(nu))
-    motifs = []
-    for e in _unit_vectors(nu):
-        bond = _bond_product(s3.matrix, rep.dim, origin, e)
-        motifs.append(Motif(bond.region, coupling, operator=bond))
-    return TIInteractionSpec(nu, tuple(motifs), psi_site_norm=abs(field) * rep.j)
+    bond = np.kron(s3.matrix, s3.matrix)
+    motifs = tuple(
+        Motif(reg, coupling, operator=LocalOperator(reg, bond, rep.dim)) for reg in _axis_bonds(nu)
+    )
+    return TIInteractionSpec(nu, motifs, psi_site_norm=abs(field) * rep.j)
 
 
 def classical_heisenberg_ti(nu: int, coupling: float, delta: float) -> TIInteractionSpec:
     """Classical anisotropic Heisenberg model on Z^nu via scalar bond norms:
     sup |delta (s1 s1 + s2 s2) + s3 s3| = max(|delta|, 1) over pairs of unit
     vectors."""
-    origin = tuple(0 for _ in range(nu))
-    motifs = []
-    for e in _unit_vectors(nu):
-        reg = Region.of([origin, e])
-        motifs.append(Motif(reg, -coupling, bond_norm=max(abs(delta), 1.0)))
-    return TIInteractionSpec(nu, tuple(motifs))
+    bond_norm = max(abs(delta), 1.0)
+    return TIInteractionSpec(nu, tuple(
+        Motif(reg, -coupling, bond_norm=bond_norm) for reg in _axis_bonds(nu)
+    ))

@@ -129,25 +129,32 @@ def window_norms(spec: TIInteractionSpec, window: Region, params: NormParams) ->
 
     A motif contributes (number of its anchors whose translate onto x fits
     in the window x weight) x scalar norm at x, motif by motif in the
-    closed form's order; x is a boundary site when some translate does not
-    fit.  Motifs whose regions are translates of each other count
-    separately, as in the closed form.  A window of another lattice
-    dimension raises ``ValueError``.
+    closed form's order; a translate fits when each of its sites is a window
+    site, so windows of any shape count exactly.  x is a boundary site when
+    some translate does not fit.  Motifs whose regions are translates of each
+    other count separately, as in the closed form.  A window of another
+    lattice dimension raises ``ValueError``.
     """
+    if window.sites and len(window.sites[0]) != spec.nu:
+        raise ValueError(f"the window has dimension {len(window.sites[0])}, the spec {spec.nu}")
     terms = []
     for motif in spec.motifs:
         k = len(motif.region)
         weight = _weight(k, params.eps, params.zeta * k, spec.psi_site_norm)
-        terms.append((weight, motif.scalar_norm()))
+        # per anchor, the offsets of the motif's sites from it
+        shifts = [[tuple(c - a for c, a in zip(s, anchor)) for s in motif.region]
+                  for anchor in motif.region]
+        terms.append((shifts, weight, motif.scalar_norm()))
+    sites = set(window)
     per_site, interior, boundary = {}, 0.0, 0.0
     for x in window:
         total, inside = 0.0, True
-        for motif, (weight, norm) in zip(spec.motifs, terms):
-            fitting = 0
-            for anchor in motif.region:
-                v = tuple(c - a for c, a in zip(x, anchor, strict=True))
-                fitting += motif.translate(v).issubset(window)
-            inside = inside and fitting == len(motif.region)
+        for shifts, weight, norm in terms:
+            fitting = sum(
+                all(tuple(c + d for c, d in zip(x, o, strict=True)) in sites for o in offsets)
+                for offsets in shifts
+            )
+            inside = inside and fitting == len(shifts)
             if norm and fitting:
                 total += fitting * weight * norm
         per_site[x] = total

@@ -7,6 +7,7 @@ from kmsbounds import lattice
 from kmsbounds.lattice import (
     EMPTY_REGION,
     DimensionCapError,
+    FloatRangeError,
     InteractionFamily,
     LocalOperator,
     Motif,
@@ -14,6 +15,7 @@ from kmsbounds.lattice import (
     SpinRep,
     box_window,
     build_heisenberg,
+    classical_heisenberg_ti,
     embed,
     embed_matrices,
     heisenberg_bond,
@@ -25,7 +27,7 @@ from kmsbounds.lattice import (
     spin_matrices,
 )
 
-from ising_staggered import build_ising_staggered
+from ising_staggered import bond_product, build_ising_staggered, embedded_heisenberg_bond
 
 RNG = np.random.default_rng(42)
 
@@ -167,7 +169,7 @@ class TestOperatorNorm:
 
     @pytest.mark.parametrize("delta", [-1.5, -0.3, 0.4, 1.0, 2.0])
     def test_heisenberg_bond_eigenvalues(self, delta):
-        bond = heisenberg_bond(SpinRep(1), delta, (0,), (1,))
+        bond = LocalOperator(box_window([2]), heisenberg_bond(SpinRep(1), delta), 2)
         eigs = np.sort(np.linalg.eigvalsh(bond.matrix))
         expected = np.sort([0.25, 0.25, -0.25 + delta / 2, -0.25 - delta / 2])
         assert np.allclose(eigs, expected, atol=1e-12)
@@ -375,7 +377,7 @@ class TestBuilders:
 
 class TestTISpec:
     def test_motif_norm_agreement(self):
-        bond = heisenberg_bond(SpinRep(1), 1.0, (0,), (1,))
+        bond = LocalOperator(box_window([2]), heisenberg_bond(SpinRep(1), 1.0), 2)
         motif = Motif(bond.region, -1.0, operator=bond, bond_norm=0.75)
         assert motif.scalar_norm() == pytest.approx(0.75)
         with pytest.raises(ValueError):
@@ -386,8 +388,69 @@ class TestTISpec:
         assert spec.psi_site_norm == pytest.approx(1.5)  # |B| j
         assert len(spec.motifs) == 2
 
-    def test_translate_rejects_other_dimension(self):
-        motif = heisenberg_ti(1, 1.0, 1.0, SpinRep(1)).motifs[0]
-        assert motif.translate((2,)) == Region.of([(2,), (3,)])
-        with pytest.raises(ValueError):
-            motif.translate((2, 0))
+    def test_axis_bond_regions(self):
+        for spec in (
+            heisenberg_ti(3, 1.0, 0.5, SpinRep(2)),
+            ising_staggered_ti(3, 1.0, 0.5, SpinRep(2)),
+            classical_heisenberg_ti(3, 1.0, 0.5),
+        ):
+            assert [m.region for m in spec.motifs] == [
+                Region.of([(0, 0, 0), e]) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            ]
+
+
+class TestBondsByKronecker:
+    """Bonds are built once as Kronecker products of the one-site matrices;
+    the oracles embed each one-site matrix into the pair and multiply."""
+
+    @pytest.mark.parametrize("two_j", range(1, 17))
+    def test_heisenberg_bond_equals_embedded_products(self, two_j):
+        rep = SpinRep(two_j)
+        for delta in (-2.3, 0.0, 0.6, 1.0):
+            assert np.array_equal(heisenberg_bond(rep, delta), embedded_heisenberg_bond(rep, delta))
+
+    @pytest.mark.parametrize("two_j", [3, 8, 16])
+    def test_huge_delta_overflows_in_both(self, two_j):
+        rep = SpinRep(two_j)
+        with pytest.raises(FloatRangeError, match="beyond the float range"):
+            heisenberg_bond(rep, 1.7e308)
+        with pytest.raises(FloatRangeError):
+            embedded_heisenberg_bond(rep, 1.7e308)
+
+    def test_ising_bond_equals_embedded_product(self):
+        for two_j in (1, 4, 9):
+            rep = SpinRep(two_j)
+            _, _, s3 = spin_matrices(rep)
+            oracle = bond_product(s3.matrix, rep.dim, (0, 0), (0, 1)).matrix
+            for motif in ising_staggered_ti(2, 0.7, 1.1, rep).motifs:
+                assert np.array_equal(motif.operator.matrix, oracle)
+
+    def test_families_equal_embedded_bonds(self):
+        rep, window = SpinRep(3), box_window([3, 2])
+        fam = build_heisenberg(1.3, 0.6, rep, window)
+        oracle = -1.3 * embedded_heisenberg_bond(rep, 0.6)
+        assert len(fam.terms) == 7
+        for op in fam.terms.values():
+            assert np.array_equal(op.matrix, oracle)
+
+    def test_no_embedding(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "embed", counting)
+        heisenberg_ti(3, 1.0, 0.5, SpinRep(16))
+        ising_staggered_ti(3, 1.0, 0.5, SpinRep(16))
+        build_heisenberg(1.0, 0.5, SpinRep(2), box_window([3, 3]))
+        assert calls == []
+
+
+@pytest.mark.parametrize("extents", [[1], [5], [3, 1], [2, 3], [3, 1, 4], [2, 2, 2]])
+def test_box_window_sites_sorted(extents):
+    window = box_window(extents)
+    sites = [tuple(s) for s in np.ndindex(*extents)]
+    assert window.sites == tuple(sorted(sites))
+    assert window == Region(window.sites)
+    assert all(type(c) is int for s in window for c in s)

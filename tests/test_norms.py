@@ -186,6 +186,35 @@ class TestWindowConsistency:
         for x, value in report.per_site.items():
             assert value == pytest.approx(oracle[x], rel=1e-12)
 
+    @pytest.mark.parametrize("shape", ["L", "hole"])
+    @pytest.mark.parametrize("model", ["heisenberg", "ising_staggered"])
+    def test_window_that_is_not_a_box(self, shape, model):
+        """A translate fits when each of its sites is a window site, so the
+        per-site sums match the family built on any window shape."""
+        if shape == "L":
+            window = Region.of(x for x in box_window([4, 4]) if min(x) < 2)
+        else:
+            window = Region.of(x for x in box_window([3, 3, 3]) if x != (1, 1, 1))
+        nu, rep = len(window.sites[0]), SpinRep(2)
+        params = NormParams(0.7, 0.4)
+        if model == "heisenberg":
+            spec = heisenberg_ti(nu, 1.3, 0.6, rep)
+            fam = build_heisenberg(1.3, 0.6, rep, window)
+        else:
+            spec = ising_staggered_ti(nu, -0.9, 1.7, rep)
+            fam = build_ising_staggered(-0.9, 1.7, rep, window)
+        report = window_norms(spec, window, params)
+        oracle = site_norm_profile(fam, params)
+        assert set(oracle) == set(report.per_site) == set(window)
+        for x, value in report.per_site.items():
+            assert value == pytest.approx(oracle[x], rel=1e-12)
+        # interior sites are those with all 2 nu neighbours in the window
+        steps = [tuple(s * (k == i) for k in range(nu)) for i in range(nu) for s in (1, -1)]
+        inner = {x for x in window if all(tuple(map(sum, zip(x, v))) in window for v in steps)}
+        sums = report.per_site
+        assert report.interior == max((sums[x] for x in inner), default=0.0)
+        assert report.boundary == max(sums[x] for x in set(window) - inner)
+
     def test_no_eigendecomposition(self, monkeypatch):
         """Every translate carries its motif's scalar norm, computed when the
         motif was built: the window costs no operator norm at all."""
