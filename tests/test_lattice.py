@@ -434,6 +434,7 @@ class TestBondsByKronecker:
             assert np.array_equal(op.matrix, oracle)
 
     def test_no_embedding(self, monkeypatch):
+        """The builders form Kronecker products and embed no one-site matrix."""
         calls = []
 
         def counting(*args, **kwargs):

@@ -9,6 +9,7 @@ from kmsbounds.lattice import (
     InteractionFamily,
     Region,
     SpinRep,
+    TIInteractionSpec,
     box_window,
     build_heisenberg,
     classical_heisenberg_ti,
@@ -165,6 +166,13 @@ class TestWindowConsistency:
         spec = heisenberg_ti(nu, 1.0, 1.0, REP)
         with pytest.raises(ValueError):
             window_norms(spec, box_window(extents), NormParams(0.6))
+
+    def test_dimension_checked_without_motifs(self):
+        """The window is checked against the spec's dimension itself, not
+        only through the motifs' sites."""
+        with pytest.raises(ValueError, match="dimension"):
+            window_norms(TIInteractionSpec(2, ()), box_window([3]), NormParams(0.6))
+        assert window_norms(TIInteractionSpec(1, ()), box_window([3]), NormParams(0.6)).interior == 0.0
 
     @pytest.mark.parametrize("extents", [[4], [3, 2], [2, 3, 2]])
     @pytest.mark.parametrize("model", ["heisenberg", "ising_staggered"])
