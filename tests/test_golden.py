@@ -1,10 +1,12 @@
 """Golden CLI outputs: the default JSON and the ``--csv`` bytes of ``norms``,
 ``beta-u``, ``compare`` and ``report`` on a fixed config set, of
-``compare --paper-table``, and of ``verify`` on each quantum suite and on the
-classical-invariance suite at seed 0, must not change unless a change is
-intended.
+``compare --paper-table``, of ``verify`` on each quantum suite and on the
+classical-invariance suite at seed 0, and of the seeded quantum suites at
+seeds 1-3, must not change unless a change is intended.  Neither may the
+stdout of the paper's table scripts under ``scripts/``.
 
-Regenerate ``golden/cli_outputs.json`` after an intended output change with
+Regenerate ``golden/cli_outputs.json`` and the scripts' ``golden/*.txt``
+after an intended output change with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
 
@@ -14,14 +16,19 @@ Regenerate ``golden/cli_outputs.json`` after an intended output change with
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
 from kmsbounds.cli import main
 
-GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli_outputs.json"
+GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
+GOLDEN = GOLDEN_DIR / "cli_outputs.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: each model with eps auto and fixed, zero coupling, nu = 1, 2, 3, 2j > 1
 CONFIGS = {
@@ -80,12 +87,25 @@ COMMANDS = ("norms", "beta-u", "compare", "report")
 #: of the lattice, centering and quantum modules bit for bit
 QUANTUM_SUITES = ("decompose", "kms", "dyson", "lemma1", "ks")
 
+#: the quantum suites whose draws follow the seed (``dyson`` has none)
+SEEDED_SUITES = ("decompose", "kms", "lemma1", "ks")
+
+#: scripts whose stdout is recorded as ``golden/<name>.txt``
+SCRIPTS = ("paper_tables", "ks_decay_demo")
+
 CASES = {
     **{f"{label} {command}": (label, [command]) for label in CONFIGS for command in COMMANDS},
     "paper-table": ("heisenberg", ["compare", "--paper-table"]),
     **{
         f"heisenberg verify {suite}": ("heisenberg", ["verify", "--suite", suite])
         for suite in QUANTUM_SUITES
+    },
+    **{
+        f"heisenberg verify {suite} seed {seed}": (
+            "heisenberg", ["verify", "--suite", suite, "--seed", str(seed)],
+        )
+        for suite in SEEDED_SUITES
+        for seed in (1, 2, 3)
     },
     # the quadrature residual and the rotation-product bound pin the
     # numerics of the classical module bit for bit
@@ -119,10 +139,29 @@ def test_output_unchanged(case, golden, tmp_path):
     assert render(case, tmp_path) == golden[case]
 
 
+def run_script(name: str) -> str:
+    """Stdout of ``scripts/<name>.py`` in a fresh interpreter on one BLAS
+    thread, importing the package from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_output_unchanged(name):
+    assert run_script(name) == (GOLDEN_DIR / f"{name}.txt").read_text()
+
+
 def write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         doc = {case: render(case, pathlib.Path(tmp)) for case in sorted(CASES)}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for name in SCRIPTS:
+        (GOLDEN_DIR / f"{name}.txt").write_text(run_script(name))
 
 
 if __name__ == "__main__":
