@@ -32,7 +32,6 @@ from .lattice import (
     Site,
     embed,
     hermitian_mask,
-    operator_norm,
     operator_norms,
 )
 
@@ -154,18 +153,20 @@ def partial_expectation(a: LocalOperator, over: Region, eta: ReferenceStates) ->
     return LocalOperator._raw(Region._raw(tuple(remaining)), mat, a.site_dim)
 
 
+def _site_residual(region: Region, stacks, eta: ReferenceStates) -> float:
+    """max of ||eta_x(M)|| over the matrices M of each (i, stack) pair, a
+    stack (K, ..., D, D) on ``region`` whose ``i``-th site is x: one
+    contraction per pair, then one norm call over all of them; 0 when there
+    are no pairs."""
+    reduced = [
+        _site_contraction(mats, len(region), i, eta.density(region.sites[i])) for i, mats in stacks
+    ]
+    return float(operator_norms(np.concatenate(reduced)).max()) if reduced else 0.0
+
+
 def centering_residual(a: LocalOperator, eta: ReferenceStates) -> float:
     """max over x of ||eta_x(a)||; zero exactly when ``a`` is centered."""
-    if len(a.region) == 0:
-        return 0.0
-    return max(
-        operator_norm(partial_expectation(a, Region._raw((x,)), eta)) for x in a.region
-    )
-
-
-def _norms(mats: np.ndarray) -> np.ndarray:
-    """``operator_norms`` over any leading axes: (..., D, D) -> (...)."""
-    return operator_norms(mats.reshape((-1,) + mats.shape[-2:])).reshape(mats.shape[:-2])
+    return _site_residual(a.region, [(i, a.matrix[None]) for i in range(len(a.region))], eta)
 
 
 class Decomposition:
@@ -183,24 +184,22 @@ class Decomposition:
 
     def reconstruction_residual(self, original: LocalOperator):
         """||sum_X A_X - A||; a (B,) array of them for a stack of draws."""
-        return _norms(self.stack.sum(axis=0) - embed(original, self.region).matrix)[()]
+        return operator_norms(self.stack.sum(axis=0) - embed(original, self.region).matrix)[()]
 
     def centering_residual(self, eta: ReferenceStates) -> float:
-        """max over components A_X and sites x in X of ||eta_x(A_X)||: per
-        site one contraction of the components whose index holds it."""
-        reduced = []
-        for i, x in enumerate(self.region):
-            rows = [k for k, index in enumerate(self.components) if x in index]
-            if rows:
-                out = _site_contraction(self.stack[rows], len(self.region), i, eta.density(x))
-                reduced.append(out.reshape((-1,) + out.shape[-2:]))
-        return float(operator_norms(np.concatenate(reduced)).max()) if reduced else 0.0
+        """max over components A_X and sites x in X of ||eta_x(A_X)||, as
+        ``centering_residual`` reads it: per site one contraction of the
+        components whose index holds it."""
+        holding = ([k for k, index in enumerate(self.components) if x in index] for x in self.region)
+        return _site_residual(
+            self.region, ((i, self.stack[rows]) for i, rows in enumerate(holding) if rows), eta
+        )
 
     def norm_bound_ok(self, reference_norm, slack: float = 1e-9) -> bool:
         """||A_X|| <= 2^{|X|} ||A||, with one ||A|| per draw for a stack."""
         sizes = np.exp2([len(index) for index in self.components])
         bounds = np.multiply.outer(sizes, reference_norm)
-        return not np.any(_norms(self.stack) > bounds * (1.0 + slack) + 1e-300)
+        return not np.any(operator_norms(self.stack) > bounds * (1.0 + slack) + 1e-300)
 
 
 def decompose_recursive(a: LocalOperator, eta: ReferenceStates) -> Decomposition:

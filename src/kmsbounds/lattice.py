@@ -150,11 +150,6 @@ def hermitian_mask(mats: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray
     return np.linalg.norm(skew, axis=(-2, -1)) <= bound
 
 
-def is_hermitian_matrix(mat: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    """``hermitian_mask`` of one matrix."""
-    return bool(hermitian_mask(mat, rtol))
-
-
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Dense complex matrix attached to a finite region.
@@ -177,7 +172,7 @@ class LocalOperator:
                 f"matrix shape {mat.shape} does not match d^|region| = {dim}"
             )
         object.__setattr__(self, "matrix", mat)
-        if self.hermitian and not is_hermitian_matrix(mat):
+        if self.hermitian and not hermitian_mask(mat):
             raise ValueError("operator marked Hermitian fails the check")
 
     @classmethod
@@ -203,7 +198,7 @@ class LocalOperator:
         return LocalOperator._raw(self.region, self.matrix.conj().T, self.site_dim)
 
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
-        return is_hermitian_matrix(self.matrix, rtol)
+        return bool(hermitian_mask(self.matrix, rtol))
 
     def __add__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
@@ -270,14 +265,15 @@ def embed_matrices(mats: np.ndarray, region: Region, target: Region, d: int) -> 
 
 
 def operator_norms(mats: np.ndarray) -> np.ndarray:
-    """``operator_norm`` of each matrix of a stack (K, D, D), with the same
-    branch per matrix: max |eigenvalue| where ``hermitian_mask`` holds, else
-    the largest singular value.  One stacked eigvalsh and one stacked SVD
-    compute each matrix as they would compute it alone."""
+    """Spectral norm of each matrix on the last two axes, (..., D, D) ->
+    (...): max |eigenvalue| where ``hermitian_mask`` holds, else the largest
+    singular value.  One stacked eigvalsh and one stacked SVD compute each
+    matrix as they would compute it alone, so a norm does not depend on the
+    stack it is taken in."""
     dim = mats.shape[-1]
     if dim > DIMENSION_CAP:
         raise DimensionCapError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
-    norms = np.zeros(len(mats))
+    norms = np.zeros(mats.shape[:-2])
     herm = hermitian_mask(mats)
     if herm.any():
         norms[herm] = np.abs(np.linalg.eigvalsh(mats[herm])).max(axis=-1)
@@ -287,16 +283,8 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(a: LocalOperator) -> float:
-    """Spectral norm; max |eigenvalue| for Hermitian input, else the largest
-    singular value."""
-    dim = a.matrix.shape[0]
-    if dim > DIMENSION_CAP:
-        raise DimensionCapError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
-    if dim == 0:
-        return 0.0
-    if a.is_hermitian():
-        return float(np.abs(np.linalg.eigvalsh(a.matrix)).max())
-    return float(np.linalg.norm(a.matrix, 2))
+    """Spectral norm of one operator, ``operator_norms`` of its matrix."""
+    return float(operator_norms(a.matrix))
 
 
 def spin_matrices(rep: SpinRep, at: Site = (0,)) -> tuple:

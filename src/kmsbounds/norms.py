@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .lattice import InteractionFamily, Region, Site, TIInteractionSpec
+from .lattice import InteractionFamily, Region, TIInteractionSpec
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,20 @@ def psi_norm_sum(fam: InteractionFamily, region: Region) -> float:
     return sum(fam.psi_norm(x) for x in region)
 
 
-def per_site_norm(fam: InteractionFamily, x: Site, params: NormParams) -> float:
-    """Weighted sum over multilocal terms containing ``x``; a term of norm 0
-    contributes 0 whatever its weight."""
-    total = 0.0
-    for region in fam.multilocal():
-        if x in region:
-            norm = fam.term_norm(region)
-            if norm:
-                psi = psi_norm_sum(fam, region) if params.zeta else 0.0
-                total += _weight(len(region), params.eps, params.zeta, psi) * norm
-    return total
-
-
 def site_norm_profile(fam: InteractionFamily, params: NormParams) -> dict:
-    return {x: per_site_norm(fam, x, params) for x in fam.sites()}
+    """Per site of the family, the weighted sum over the multilocal terms
+    containing it.  One pass over the terms adds each weighted term into
+    its sites, so every site sums its terms in the family's order; a term of
+    norm 0 contributes 0 whatever its weight."""
+    profile = dict.fromkeys(fam.sites(), 0.0)
+    for region in fam.multilocal():
+        norm = fam.term_norm(region)
+        if norm:
+            psi = psi_norm_sum(fam, region) if params.zeta else 0.0
+            term = _weight(len(region), params.eps, params.zeta, psi) * norm
+            for x in region:
+                profile[x] += term
+    return profile
 
 
 def _norm_finite(fam: InteractionFamily, eps: float, zeta: float) -> float:

@@ -161,22 +161,23 @@ def single_site_evolution(fam: InteractionFamily, region: Region, t) -> tuple:
 
 
 def tau_psi(a: LocalOperator, fam: InteractionFamily, t: complex) -> LocalOperator:
-    """Interaction-picture (single-site) evolution of ``a``; ``a`` itself when
-    no site of its region carries a single-site term."""
+    """Interaction-picture (single-site) evolution of ``a`` at the time ``t``,
+    by ``_pictured``; ``a`` itself when no site of its region carries a
+    single-site term."""
     if all(fam.psi_eigh(x) is None for x in a.region):
         return a
-    left, right = single_site_evolution(fam, a.region, t)
-    return LocalOperator._raw(a.region, left @ a.matrix @ right, a.site_dim)
+    return LocalOperator._raw(a.region, _pictured(fam, a.region, a.matrix, a.region, t),
+                              a.site_dim)
 
 
 def _pictured(fam: InteractionFamily, region: Region, mats: np.ndarray, target: Region,
-              t: np.ndarray) -> np.ndarray:
+              t) -> np.ndarray:
     """Interaction-picture evolution by the single-site terms of ``region``
-    of a matrix on ``target`` (a superset of the region), at each of the N
-    times ``t``: an (N, D, D) stack.  When no site of the region carries a
-    single-site term the picture is the identity at every time, and the
-    matrix comes back as a (1, D, D) stack that broadcasts against the
-    node stacks."""
+    of a matrix on ``target`` (a superset of the region): a (D, D) matrix at
+    one time ``t``, an (N, D, D) stack at each of N times.  When no site of
+    the region carries a single-site term the picture is the identity at
+    every time, and the matrix comes back as a (1, D, D) stack that
+    broadcasts against the node stacks."""
     if all(fam.psi_eigh(x) is None for x in region):
         return mats[None]
     left, right = (

@@ -69,8 +69,15 @@ def _rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _unit_norm(mats: np.ndarray) -> np.ndarray:
-    """Each Hermitian matrix of a stack (..., D, D) over its operator norm."""
-    return mats / np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)[..., None, None]
+    """Each matrix of a stack (..., D, D) over its operator norm."""
+    return mats / operator_norms(mats)[..., None, None]
+
+
+def _heisenberg_chain(nsites: int, beta: float) -> FiniteSystem:
+    """The spin-1/2 Heisenberg chain (J = delta = 1) on ``nsites`` sites in a
+    row, at inverse temperature ``beta``."""
+    window = box_window([nsites])
+    return FiniteSystem(window, build_heisenberg(1.0, 1.0, SpinRep(1), window), beta)
 
 
 def _le(name: str, value: float, threshold: float) -> CheckResult:
@@ -104,7 +111,6 @@ def run_decompose_suite(seed: int = 0, draws: int = 100,
     bound_ok = True
     for nsites, group in by_sites.items():
         window = box_window([nsites])
-        dim = 2 ** nsites
         for lo in range(0, len(group), DRAW_BLOCK):
             beta, psi, mats = (np.array(col) for col in zip(*group[lo:lo + DRAW_BLOCK]))
             psi, mats = _unit_norm(psi), _unit_norm(mats)
@@ -117,7 +123,7 @@ def run_decompose_suite(seed: int = 0, draws: int = 100,
             worst_recon = max(worst_recon, float((rec.reconstruction_residual(a) / a_norms).max()))
             worst_center = max(worst_center, rec.centering_residual(eta))
             # both list their components in the order of Region.subsets
-            cross = operator_norms((rec.stack - moe.stack).reshape(-1, dim, dim))
+            cross = operator_norms(rec.stack - moe.stack)
             worst_cross = max(worst_cross, float(cross.max()))
             bound_ok = bound_ok and rec.norm_bound_ok(a_norms)
     return [
@@ -135,7 +141,6 @@ def run_kms_suite(seed: int = 0, draws: int = 50,
     violates it on at least 90 percent of random observables.  The draws of
     each (number of sites, beta) system run as one stack."""
     rng = np.random.default_rng(seed)
-    rep = SpinRep(1)
     by_system = {}  # (nsites, beta) -> [(a, b)], in draw order
     for i in range(draws):
         nsites = 2 + (i % 2)
@@ -144,10 +149,9 @@ def run_kms_suite(seed: int = 0, draws: int = 50,
     worst_rel = 0.0
     mismatch_hits = 0
     for (nsites, beta), pairs in by_system.items():
-        window = box_window([nsites])
-        system = FiniteSystem(window, build_heisenberg(1.0, 1.0, rep, window), beta)
+        system = _heisenberg_chain(nsites, beta)
         a_mats, b_mats = (_unit_norm(np.array(col)) for col in zip(*pairs))
-        a, b = (LocalOperator._raw(window, mats, 2) for mats in (a_mats, b_mats))
+        a, b = (LocalOperator._raw(system.gamma, mats, 2) for mats in (a_mats, b_mats))
         tolerance = (
             1e-9
             * operator_norms(a_mats)
@@ -170,11 +174,8 @@ def run_dyson_suite(seed: int = 0, order: int = 3,
     chain is of order t^{N+1}: halving the time shrinks it by 2^{N+1}.  The
     check asks for 11/16 of that rate (11 at the default order 3)."""
     min_ratio = 11.0 / 16.0 * 2.0 ** (order + 1)
-    rep = SpinRep(1)
-    window = box_window([3])
-    fam = build_heisenberg(1.0, 1.0, rep, window)
-    system = FiniteSystem(window, fam, beta=1.0)
-    _, _, s3 = spin_matrices(rep, at=(0,))
+    system = _heisenberg_chain(3, beta=1.0)
+    _, _, s3 = spin_matrices(SpinRep(1), at=(0,))
     quad = SimplexQuadrature(8)
     errors = []
     for t in times:
@@ -256,13 +257,6 @@ def run_lemma_suite(seed: int = 0, draws: int = 500,
     ]
 
 
-def _two_site_benchmark(beta: float):
-    rep = SpinRep(1)
-    window = box_window([2])
-    fam = build_heisenberg(1.0, 1.0, rep, window)
-    return FiniteSystem(window, fam, beta)
-
-
 def _centered_test_element(system: FiniteSystem, rng: np.random.Generator) -> LocalOperator:
     a = LocalOperator(
         system.gamma, _unit_norm(_rand_hermitian(2 ** len(system.gamma), rng)), system.site_dim
@@ -287,15 +281,14 @@ def run_ks_suite(seed: int = 0, mc_samples: int = 10000, order: int = 3,
     checks = []
 
     # Monte-Carlo cross-check on a system with a genuine single-site part
-    window = box_window([2])
-    bond_fam = build_heisenberg(1.0, 1.0, rep, window)
+    bonds = _heisenberg_chain(2, beta=0.5)
     s1, _, _ = spin_matrices(rep)
-    terms = dict(bond_fam.terms)
-    for x in window:
+    terms = dict(bonds.fam.terms)
+    for x in bonds.gamma:
         reg = Region((x,))
         terms[reg] = LocalOperator(reg, 0.6 * s1.matrix, 2)
     mixed_fam = InteractionFamily(terms, 2)
-    mc_system = FiniteSystem(window, mixed_fam, beta=0.5)
+    mc_system = FiniteSystem(bonds.gamma, mixed_fam, bonds.beta)
     bond_region = next(iter(mixed_fam.multilocal()))
     s_time = 0.3 * mc_system.beta
     exact = ks_kernel(mc_system, (0,), [bond_region], [s_time])
@@ -314,15 +307,15 @@ def run_ks_suite(seed: int = 0, mc_samples: int = 10000, order: int = 3,
             times = sorted(
                 (mc_system.beta * rng.uniform(size=n)).tolist(), reverse=True
             )
-            kernel = ks_kernel(mc_system, (0,), chain, times)
+            norm = operator_norm(ks_kernel(mc_system, (0,), chain, times))
             bound = ks_kernel_norm_bound(mc_system, chain)
-            margin = max(margin, operator_norm(kernel) / bound)
-            bound_ok = bound_ok and operator_norm(kernel) <= bound * (1 + 1e-9)
+            margin = max(margin, norm / bound)
+            bound_ok = bound_ok and norm <= bound * (1 + 1e-9)
     checks.append(CheckResult("kernel_norm_bound", bound_ok, margin, 1.0))
 
     # geometric decay of the residual at a tenth of the threshold
     threshold = beta_u_optimized(heisenberg_ti(1, 1.0, 1.0, rep)).beta
-    system = _two_site_benchmark(threshold / 10.0)
+    system = _heisenberg_chain(2, threshold / 10.0)
     elem = _centered_test_element(system, rng)
     reports = ks_residual(
         system, [elem], order=order, quad=SimplexQuadrature(quad_points)

@@ -526,7 +526,8 @@ def test_optimized_small_coupling_scales_inversely():
 
 def test_one_eigendecomposition_per_motif(monkeypatch):
     """Motif norms are computed when the spec is built; the eps scan of the
-    threshold reads them and diagonalizes nothing."""
+    threshold reads them and diagonalizes nothing.  Each motif's norm is
+    ``operator_norms`` of its bond, one eigvalsh on a one-matrix stack."""
     calls = []
     eigvalsh = lattice.np.linalg.eigvalsh
 
@@ -536,7 +537,7 @@ def test_one_eigendecomposition_per_motif(monkeypatch):
 
     monkeypatch.setattr(lattice.np.linalg, "eigvalsh", counting)
     beta_u_optimized(heisenberg_ti(3, 1.0, 0.5, SpinRep(16)))
-    assert calls == [(289, 289)] * 3
+    assert calls == [(1, 289, 289)] * 3
 
 
 def _per_step_beta_u_general(interaction, eps):

@@ -20,7 +20,7 @@ from kmsbounds.lattice import (
     embed_matrices,
     heisenberg_bond,
     heisenberg_ti,
-    is_hermitian_matrix,
+    hermitian_mask,
     ising_staggered_ti,
     operator_norm,
     operator_norms,
@@ -205,8 +205,8 @@ class TestOperatorNorm:
     def test_hermitian_check_scale_invariant(self, scale):
         hermitian = np.array([[1, 2j], [-2j, 3]])
         symmetric = np.array([[1, 2j], [2j, 3]])
-        assert is_hermitian_matrix(scale * hermitian)
-        assert not is_hermitian_matrix(scale * symmetric)
+        assert hermitian_mask(scale * hermitian)
+        assert not hermitian_mask(scale * symmetric)
 
     @pytest.mark.filterwarnings("error")
     def test_hermitian_mask_matches_three_temporary_formula(self):
@@ -265,12 +265,34 @@ class TestOperatorNorm:
         for mats in (hermitian, general, zero, roundoff, hermitian + general + zero + roundoff):
             alone = [
                 float(np.abs(np.linalg.eigvalsh(m)).max())
-                if is_hermitian_matrix(m)
+                if hermitian_mask(m)
                 else float(np.linalg.norm(m, 2))
                 for m in mats
             ]
             assert operator_norms(np.array(mats)).tolist() == alone
             assert [operator_norm(LocalOperator(box_window([2]), m, 2)) for m in mats] == alone
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 9])
+    def test_any_leading_axes(self, dim):
+        """``operator_norms`` of a (D, D) matrix, a (K, D, D) stack and a
+        (K, B, D, D) stack gives each matrix bit for bit its one-matrix norm,
+        in mixed stacks of Hermitian, general and Hermitian matrices scaled
+        to 1e300; a single matrix is not read as a stack of its rows."""
+        rng = np.random.default_rng(dim)
+        general = [rand_matrix(dim, rng) for _ in range(4)]
+        hermitian = [(m + m.conj().T) / 2 for m in general]
+        mats = np.array(hermitian + general + [1e300 * m for m in hermitian])
+        alone = np.array([operator_norms(m[None])[0] for m in mats])
+        assert alone[:4].tolist() == [float(np.abs(np.linalg.eigvalsh(m)).max()) for m in hermitian]
+        assert alone[4:8].tolist() == [float(np.linalg.norm(m, 2)) for m in general]
+        for m, norm in zip(mats, alone):
+            single = operator_norms(m)
+            assert single.shape == () and single == norm
+            assert operator_norm(LocalOperator(box_window([1]), m, dim)) == norm
+        assert operator_norms(mats).tolist() == alone.tolist()
+        grid = mats.reshape(3, 4, dim, dim)
+        assert operator_norms(grid).tolist() == alone.reshape(3, 4).tolist()
+        assert operator_norms(grid.swapaxes(0, 1)).tolist() == alone.reshape(3, 4).T.tolist()
 
     def test_stack_dimension_cap(self, monkeypatch):
         monkeypatch.setattr(lattice, "DIMENSION_CAP", 4)
