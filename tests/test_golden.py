@@ -1,8 +1,9 @@
 """Golden CLI outputs: the default JSON and the ``--csv`` bytes of ``norms``,
 ``beta-u``, ``compare`` and ``report`` on a fixed config set, of
 ``compare --paper-table``, of ``verify`` on each quantum suite and on the
-classical-invariance suite at seed 0, and of the seeded quantum suites at
-seeds 1-3, must not change unless a change is intended.  Neither may the
+classical-invariance suite at seed 0, of the seeded quantum suites at
+seeds 1-3, and of the ``dyson`` and ``ks`` suites at the largest truncation
+orders, must not change unless a change is intended.  Neither may the
 stdout of the paper's table scripts under ``scripts/``.
 
 Regenerate ``golden/cli_outputs.json`` and the scripts' ``golden/*.txt``
@@ -83,6 +84,15 @@ CONFIGS = {
 
 COMMANDS = ("norms", "beta-u", "compare", "report")
 
+#: configs run only by the ``verify`` suites they set: the largest Dyson and
+#: KS orders, whose ``ks`` suite runs chains of three regions
+VERIFY_CONFIGS = {
+    "heisenberg-truncation": {
+        "model": "heisenberg",
+        "truncation": {"dyson_order": 4, "ks_order": 3, "quad_points": 12},
+    },
+}
+
 #: the suites of exact diagonalization; their check values pin the numerics
 #: of the lattice, centering and quantum modules bit for bit
 QUANTUM_SUITES = ("decompose", "kms", "dyson", "lemma1", "ks")
@@ -107,6 +117,11 @@ CASES = {
         for suite in SEEDED_SUITES
         for seed in (1, 2, 3)
     },
+    **{
+        f"{label} verify {suite}": (label, ["verify", "--suite", suite])
+        for label in VERIFY_CONFIGS
+        for suite in ("dyson", "ks")
+    },
     # the quadrature residual and the rotation-product bound pin the
     # numerics of the classical module bit for bit
     "classical verify classical-invariance": (
@@ -119,7 +134,7 @@ def render(case: str, workdir: pathlib.Path) -> dict:
     """Exit code and stdout of one case, as default JSON and as CSV."""
     label, argv = CASES[case]
     path = workdir / f"{label}.json"
-    path.write_text(json.dumps(CONFIGS[label]))
+    path.write_text(json.dumps({**CONFIGS, **VERIFY_CONFIGS}[label]))
     out = {}
     for fmt, flags in (("json", []), ("csv", ["--csv"])):
         buf = io.StringIO()
