@@ -51,7 +51,7 @@ def main():
         beta = factor * threshold
         system = FiniteSystem(window, fam, beta)
         elem = centered_element(system, args.seed)
-        report = ks_residual(system, [elem], order=args.order, quad=quad)[0]
+        report = ks_residual(system, elem, order=args.order, quad=quad)
         scale = operator_norm(elem)
         row = " ".join(
             f"{report.residuals[n] / scale:>12.3e}" for n in range(1, args.order + 1)

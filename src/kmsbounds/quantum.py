@@ -327,7 +327,7 @@ def kms_residual(sys: FiniteSystem, a: LocalOperator, b: LocalOperator,
 
 
 def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
-              times: Sequence[float]) -> LocalOperator:
+              times) -> LocalOperator:
     """Exact unitary average of the nested-commutator action on the dressed
     site factor, reduced to a 2^n-term expansion through the single-site
     reference expectation at ``x`` (no Monte-Carlo integration).
@@ -337,15 +337,21 @@ def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
 
         sum over subsets of factors:  (+-) eta_x(B_n^... B_1^...) B_1^... B_n^...,
 
-    where each factor appears on exactly one side.  The norm never exceeds
-    2^n prod_l e^{2 beta ||Psi||_{X_l}} ||Phi_bar_{X_l}||.
+    where each factor appears on exactly one side.  ``times`` is an (N, n)
+    array, one row of times in [0, beta] per evaluation.  The kernels come
+    back as one operator on the union of the chain's regions whose matrix is
+    an (N, D, D) stack, or (1, D, D) when no region of the chain carries a
+    single-site term (the kernel does not depend on the times then).  Each
+    kernel's norm is at most ``ks_kernel_norm_bound``; the callers check it.
     """
     n = len(chain)
     if n < 1 or n > 3:
         raise ValueError("chain length must be between 1 and 3")
-    if len(times) != n:
-        raise ValueError("one time per chain region required")
-    if any(s < 0 or s > sys.beta * (1 + 1e-12) for s in times):
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 2 or times.shape[1] != n:
+        raise ValueError("times must be an (N, n) array, one time per chain region in each row")
+    # written so that a NaN time fails it
+    if not np.all((times >= 0) & (times <= sys.beta * (1 + 1e-12))):
         raise ValueError("interaction-picture times must lie in [0, beta]")
     x = tuple(x)
     if x not in chain[0]:
@@ -355,18 +361,6 @@ def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
         if len(region.intersection(grown)) == 0:
             raise ValueError("chain violates the overlap constraint")
         grown = grown.union(region)
-    kernels = _ks_kernels(sys, x, chain, grown, np.array([times], dtype=float))
-    return LocalOperator._raw(grown, kernels[0], sys.site_dim)
-
-
-def _ks_kernels(sys: FiniteSystem, x: Site, chain: Sequence[Region], grown: Region,
-                times: np.ndarray) -> np.ndarray:
-    """``ks_kernel`` at each row of the (N, n) array ``times`` for a valid
-    chain, as one stack on ``grown``, the union of the chain's regions:
-    (N, D, D), or (1, D, D) when no region of the chain carries a single-site
-    term (the kernel does not depend on the times then).  Checks the norm
-    bound."""
-    n = len(chain)
     eye = np.eye(sys.site_dim ** len(grown), dtype=complex)
     factors = [
         _pictured(sys.fam, region, embed(sys.fam.terms[region], grown).matrix, grown,
@@ -381,14 +375,12 @@ def _ks_kernels(sys: FiniteSystem, x: Site, chain: Sequence[Region], grown: Regi
         right = reduce(np.matmul, [factors[ell] for ell in range(n) if not mask[ell]], eye)
         sign = -1.0 if (n - sum(mask)) % 2 else 1.0
         acc = acc + sign * (averaged @ right)
-    if np.any(operator_norms(acc) > ks_kernel_norm_bound(sys, chain) * (1.0 + 1e-9)):
-        raise AssertionError("kernel norm bound violated")
-    return acc
+    return LocalOperator._raw(grown, acc, sys.site_dim)
 
 
 def ks_kernel_norm_bound(sys: FiniteSystem, chain: Sequence[Region]) -> float:
     """2^n prod_l e^{2 beta ||Psi||_{X_l}} ||Phi_bar_{X_l}|| for a chain of n
-    regions, the bound ``ks_kernel`` holds its result to."""
+    regions, the bound on the norm of each of its ``ks_kernel`` kernels."""
     bound = 2.0 ** len(chain)
     for reg in chain:
         bound *= math.exp(2 * sys.beta * psi_norm_sum(sys.fam, reg)) * sys.fam.term_norm(reg)
@@ -455,67 +447,60 @@ class KSReport:
     """Truncation residuals of the linear (Kirkwood-Salzburg style) equation
     for one centered test element."""
 
-    region: Region
     omega: float
     residuals: dict            # order N -> |omega(A~) - partial sum through N|
     telescoping_error: float   # worst |sum of component expectations - omega(A~ K)|
 
 
-def ks_residual(sys: FiniteSystem, test_elems: Sequence[LocalOperator], order: int,
-                quad: SimplexQuadrature = SimplexQuadrature()) -> list:
+def ks_residual(sys: FiniteSystem, elem: LocalOperator, order: int,
+                quad: SimplexQuadrature = SimplexQuadrature()) -> KSReport:
     """Check the centered-functional equation on the exact finite Gibbs state.
 
-    For each centered element the expectation should be reproduced by the
+    The expectation of the centered element should be reproduced by the
     alternating sum over constrained chains of simplex-integrated component
     expectations; the residual decays geometrically with the truncation order
-    inside the subcritical regime.
+    inside the subcritical regime.  Each chain's kernels are evaluated at all
+    its quadrature nodes in one ``ks_kernel`` call and held to
+    ``ks_kernel_norm_bound``: a kernel above it raises ``AssertionError``.
     """
     eta = sys.reference_states
     d = sys.site_dim
-    reports = []
-    for elem in test_elems:
-        scale = max(operator_norm(elem), 1.0)
-        if centering_residual(elem, eta) > 1e-10 * scale:
-            raise NotCenteredError("test element is not centered on its region")
-        lam = elem.region
-        x = lam.min_site()
-        contributions = {}
-        telescope = 0.0
-        for n in range(1, order + 1):
-            chains = constrained_chains(sys.fam, n, Region((x,)))
-            total = 0.0 + 0.0j
-            nodes, wgts = quad.rule(n, sys.beta)
-            for chain in chains:
-                # every node of the chain at once: kernels, the dressed
-                # element elem @ kernel, its refined components (indices
-                # X ∪ base, X within the chain's support) and their
-                # expectations
-                active = Region.of(site for reg in chain for site in reg)
-                region = lam.union(active)
-                kernels = _ks_kernels(sys, x, chain, active, nodes)
-                dressed = embed_matrices(elem.matrix, lam, region, d) @ embed_matrices(
-                    kernels, active, region, d
-                )
-                comps = butterfly(dressed, region, active, eta)
-                comp_sums = gibbs_expectations(
-                    sys, embed_matrices(comps, region, sys.gamma, d)
-                ).sum(axis=0)
-                exact = gibbs_expectations(sys, embed_matrices(dressed, region, sys.gamma, d))
-                telescope = max(telescope, float(np.abs(comp_sums - exact).max()))
-                total += complex(_node_sum(wgts, comp_sums))
-            contributions[n] = (-1.0) ** (n + 1) * total
-        target = gibbs_expectation(sys, elem)
-        residuals = {}
-        partial = 0.0 + 0.0j
-        for n in range(1, order + 1):
-            partial += contributions.get(n, 0.0)
-            residuals[n] = abs(target - partial)
-        reports.append(
-            KSReport(
-                region=lam,
-                omega=float(target.real),
-                residuals=residuals,
-                telescoping_error=telescope,
+    scale = max(operator_norm(elem), 1.0)
+    if centering_residual(elem, eta) > 1e-10 * scale:
+        raise NotCenteredError("test element is not centered on its region")
+    lam = elem.region
+    x = lam.min_site()
+    contributions = {}
+    telescope = 0.0
+    for n in range(1, order + 1):
+        chains = constrained_chains(sys.fam, n, Region((x,)))
+        total = 0.0 + 0.0j
+        nodes, wgts = quad.rule(n, sys.beta)
+        for chain in chains:
+            # every node of the chain at once: kernels, the dressed element
+            # elem @ kernel, its refined components (indices X ∪ base, X
+            # within the chain's support) and their expectations
+            kernel = ks_kernel(sys, x, chain, nodes)
+            bound = ks_kernel_norm_bound(sys, chain)
+            if np.any(operator_norms(kernel.matrix) > bound * (1.0 + 1e-9)):
+                raise AssertionError("kernel norm bound violated")
+            active = kernel.region
+            region = lam.union(active)
+            dressed = embed_matrices(elem.matrix, lam, region, d) @ embed_matrices(
+                kernel.matrix, active, region, d
             )
-        )
-    return reports
+            comps = butterfly(dressed, region, active, eta)
+            comp_sums = gibbs_expectations(
+                sys, embed_matrices(comps, region, sys.gamma, d)
+            ).sum(axis=0)
+            exact = gibbs_expectations(sys, embed_matrices(dressed, region, sys.gamma, d))
+            telescope = max(telescope, float(np.abs(comp_sums - exact).max()))
+            total += complex(_node_sum(wgts, comp_sums))
+        contributions[n] = (-1.0) ** (n + 1) * total
+    target = gibbs_expectation(sys, elem)
+    residuals = {}
+    partial = 0.0 + 0.0j
+    for n in range(1, order + 1):
+        partial += contributions.get(n, 0.0)
+        residuals[n] = abs(target - partial)
+    return KSReport(omega=float(target.real), residuals=residuals, telescoping_error=telescope)

@@ -1,10 +1,14 @@
-"""No module of the package or of ``scripts/`` imports a name it never uses.
+"""No module of the package or of ``scripts/`` imports a name it never uses,
+and no private module-level name of the package goes unused.
 
-A fold that moves a call out of a module leaves its import behind; this
-test finds such imports by reading each file's syntax tree (stdlib ``ast``
-only).  A name counts as used when it appears as a name anywhere in the
-module outside the import statements, including annotations and the roots
-of attribute chains; ``from __future__`` imports are exempt.
+A fold that moves a call out of a module leaves its import behind, or the
+private helper that served it; these tests find both by reading each file's
+syntax tree (stdlib ``ast`` only).  An imported name counts as used when it
+appears as a name anywhere in the module outside the import statements,
+including annotations and the roots of attribute chains; ``from __future__``
+imports are exempt.  A private function, class or constant counts as used
+when a name, attribute or import anywhere in the package refers to it
+outside its own definition.
 """
 
 import ast
@@ -13,7 +17,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "kmsbounds").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "kmsbounds").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(path: pathlib.Path) -> list:
@@ -32,6 +37,41 @@ def unused_imports(path: pathlib.Path) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unused_private_names(paths: list) -> list:
+    """(file name, name) of each private function, class or constant defined
+    at the top level of one of ``paths`` that nothing in ``paths`` refers to
+    outside its own definition."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    references = []  # (name, node) of every name, attribute and imported name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, node))
+            elif isinstance(node, ast.alias):
+                references.append((node.name, node))
+    unused = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = set(map(id, ast.walk(stmt)))
+            for name in filter(_is_private, names):
+                if not any(ref == name and id(node) not in own for ref, node in references):
+                    unused.append((path.name, name))
+    return sorted(unused)
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -47,3 +87,27 @@ def test_finds_an_unused_import(tmp_path):
         "x: np.ndarray = os.sep\n"
     )
     assert unused_imports(path) == [(4, "pi"), (4, "turn")]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names(PACKAGE) == []
+
+
+def test_finds_an_unused_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_SPARE: int = 4\n"
+        "__all__ = []\n"
+        "def _walk(n):\n"
+        "    return _walk(n - 1) if n else 0\n"
+        "def _kept():\n"
+        "    return _LIMIT\n"
+        "class _Used:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _kept\n"
+        "from . import a\n"
+        "x = _kept() + a._Used\n"
+    )
+    assert unused_private_names(sorted(tmp_path.glob("*.py"))) == [("a.py", "_SPARE"), ("a.py", "_walk")]

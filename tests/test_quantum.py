@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmsbounds.centering import decompose_recursive, partial_expectation
+from kmsbounds.centering import NotCenteredError, decompose_recursive, partial_expectation
 from kmsbounds.lattice import (
     InteractionFamily,
     LocalOperator,
@@ -18,6 +18,7 @@ from kmsbounds.lattice import (
     build_heisenberg,
     embed,
     operator_norm,
+    operator_norms,
     spin_matrices,
 )
 from kmsbounds.norms import NormParams, norm_eps_zeta, psi_norm_sum
@@ -884,15 +885,14 @@ class TestKSKernel:
     def test_order_one_without_single_site(self):
         system = heisenberg_system(2, 0.8)
         bond_region = next(iter(system.fam.multilocal()))
-        kernel = ks_kernel(system, (0,), [bond_region], [0.1])
+        kernel = ks_kernel(system, (0,), [bond_region], [[0.1]])
         eta = system.reference_states
         phib = system.fam.terms[bond_region]
-        from kmsbounds.centering import partial_expectation
-
         expected = embed(
             partial_expectation(phib, Region(((0,),)), eta), bond_region
         ) - embed(phib, bond_region)
-        assert operator_norm(kernel - expected) < 1e-12
+        assert kernel.region == bond_region
+        assert operator_norms(kernel.matrix[0] - expected.matrix) < 1e-12
 
     def test_norm_bound_on_random_chains(self):
         system = transverse_system(2, 0.7)
@@ -900,19 +900,19 @@ class TestKSKernel:
         rng = np.random.default_rng(19)
         for n in (1, 2, 3):
             chain = [bond_region] * n
-            times = sorted(rng.uniform(0, system.beta, size=n).tolist(), reverse=True)
+            times = np.sort(rng.uniform(0, system.beta, size=(1, n)), axis=1)[:, ::-1]
             kernel = ks_kernel(system, (0,), chain, times)
             bound = ks_kernel_norm_bound(system, chain)
-            assert operator_norm(kernel) < bound
+            assert operator_norms(kernel.matrix) < bound
 
     def test_monte_carlo_cross_check(self):
         system = transverse_system(2, 0.5)
         bond_region = next(iter(system.fam.multilocal()))
-        exact = ks_kernel(system, (0,), [bond_region], [0.15])
+        (exact,) = ks_kernel(system, (0,), [bond_region], [[0.15]]).matrix
         mean, sigma = ks_kernel_haar_mc(
             system, (0,), bond_region, 0.15, samples=10000, seed=13
         )
-        assert np.linalg.norm(mean - exact.matrix) <= 3 * sigma
+        assert np.linalg.norm(mean - exact) <= 3 * sigma
 
     @pytest.mark.parametrize("samples", [1, 255, 256, 257, 10000])
     def test_monte_carlo_matches_per_sample_loop(self, samples):
@@ -948,8 +948,117 @@ class TestKSKernel:
         system = heisenberg_system(3, 0.5)
         regions = sorted(system.fam.multilocal(), key=lambda r: r.sites)
         far_bond = regions[1]  # {(1,),(2,)} does not contain (0,)
-        with pytest.raises(ValueError):
-            ks_kernel(system, (0,), [far_bond], [0.1])
+        with pytest.raises(ValueError, match="must contain the site"):
+            ks_kernel(system, (0,), [far_bond], [[0.1]])
+
+    @pytest.mark.parametrize("nbonds, times, match", [
+        (0, np.zeros((1, 0)), "chain length"),
+        (4, np.full((1, 4), 0.1), "chain length"),
+        (2, [0.2, 0.1], r"\(N, n\) array"),
+        (2, [[0.2, 0.1, 0.05]], r"\(N, n\) array"),
+        (2, [[0.2], [0.1]], r"\(N, n\) array"),
+        (2, [[0.2, 0.1], [0.2, -1e-3]], r"\[0, beta\]"),
+        (2, [[0.5 * (1 + 1e-9), 0.1]], r"\[0, beta\]"),
+        (2, [[0.2, np.nan]], r"\[0, beta\]"),
+        (1, [[np.nan]], r"\[0, beta\]"),
+    ])
+    def test_rejects_chain_length_and_times(self, nbonds, times, match):
+        """Each input is valid but for the one thing named by ``match``:
+        the chain repeats the bond at the site, and times lie in [0, beta]
+        unless that is the fault."""
+        system = heisenberg_system(3, 0.5)
+        bond = Region(((0,), (1,)))
+        with pytest.raises(ValueError, match=match):
+            ks_kernel(system, (0,), [bond] * nbonds, times)
+
+    def test_accepts_times_at_the_ends(self):
+        system = transverse_system(2, 0.5)
+        bond = Region(((0,), (1,)))
+        kernel = ks_kernel(system, (0,), [bond, bond], [[0.5, 0.0], [0.5 * (1 + 1e-13), 0.25]])
+        assert kernel.matrix.shape == (2, 4, 4)
+
+    def test_rejects_chain_breaking_the_overlap_rule(self):
+        system = heisenberg_system(4, 0.5)
+        near, far = Region(((0,), (1,))), Region(((2,), (3,)))
+        ks_kernel(system, (0,), [near, Region(((1,), (2,))), far], [[0.3, 0.2, 0.1]])
+        with pytest.raises(ValueError, match="overlap constraint"):
+            ks_kernel(system, (0,), [near, far], [[0.2, 0.1]])
+
+    def test_stack_equals_rows_one_at_a_time(self):
+        """The kernels of N rows of times in one call are the kernels of
+        each row alone, bit for bit: the identity the suite's stacks use."""
+        system = transverse_system(3, 0.4)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            for chain in constrained_chains(system.fam, n, Region(((0,),))):
+                times = np.sort(system.beta * rng.uniform(size=(6, n)), axis=1)[:, ::-1]
+                stacked = ks_kernel(system, (0,), chain, times)
+                assert stacked.matrix.shape == (6, 2 ** len(stacked.region), 2 ** len(stacked.region))
+                for row, kernel in zip(times, stacked.matrix):
+                    alone = ks_kernel(system, (0,), chain, row[None])
+                    assert alone.region == stacked.region
+                    assert np.array_equal(alone.matrix[0], kernel)
+
+    def test_chain_without_single_site_term_is_one_row(self):
+        system = heisenberg_system(3, 0.5)
+        chain = [Region(((0,), (1,))), Region(((1,), (2,)))]
+        times = np.sort(system.beta * np.random.default_rng(2).uniform(size=(5, 2)), axis=1)
+        kernel = ks_kernel(system, (0,), chain, times[:, ::-1])
+        assert kernel.region == box_window([3])
+        assert kernel.matrix.shape == (1, 8, 8)
+
+
+def tenth_of_bound_with_single_site(monkeypatch):
+    """Replace ``ks_kernel_norm_bound`` in ``quantum`` and ``verify`` by a
+    tenth of the bound for systems with a single-site part, the true bound
+    otherwise: the ``ks`` suite's Monte-Carlo system breaks it, and the
+    bond-only chain of its residual check does not."""
+    from kmsbounds import quantum, verify
+
+    def bound(system, chain):
+        single_site = any(system.fam.psi_eigh(x) is not None for x in system.gamma)
+        return ks_kernel_norm_bound(system, chain) / (10.0 if single_site else 1.0)
+
+    for module in (quantum, verify):
+        monkeypatch.setattr(module, "ks_kernel_norm_bound", bound)
+
+
+class TestKernelBoundChecks:
+    def test_suite_check_fails_on_a_broken_bound(self, monkeypatch):
+        from kmsbounds.verify import run_ks_suite
+
+        tenth_of_bound_with_single_site(monkeypatch)
+        checks = {c.name: c for c in run_ks_suite(seed=0, mc_samples=100, order=2)}
+        assert not checks["kernel_norm_bound"].passed
+        assert checks["kernel_norm_bound"].value > 1.0
+        assert checks["telescoping_error"].passed
+
+    def test_cli_reports_a_broken_bound(self, monkeypatch, tmp_path, capsys):
+        import json
+
+        from kmsbounds.cli import main
+
+        tenth_of_bound_with_single_site(monkeypatch)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": "heisenberg"}))
+        assert main(["verify", "--suite", "ks", "--config", str(config)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        (check,) = [c for c in doc["suites"]["ks"] if c["name"] == "kernel_norm_bound"]
+        assert check["passed"] is False
+
+    def test_residual_raises_on_a_broken_bound(self, monkeypatch):
+        from kmsbounds import quantum
+
+        monkeypatch.setattr(quantum, "ks_kernel_norm_bound",
+                            lambda system, chain: ks_kernel_norm_bound(system, chain) / 10.0)
+        system = heisenberg_system(2, 0.1)
+        elem = decompose_recursive(
+            LocalOperator(system.gamma, rand_hermitian(4, np.random.default_rng(3)), 2),
+            system.reference_states,
+        ).components[system.gamma]
+        with pytest.raises(AssertionError, match="kernel norm bound violated"):
+            ks_residual(system, elem, order=2)
 
 
 def test_ks_suite_memory_peak():
@@ -983,11 +1092,11 @@ class TestKSResidual:
         }
         system = FiniteSystem(window, InteractionFamily(terms, 2), 1.1)
         elem = self.centered_element(system)
-        reports = ks_residual(system, [elem], order=2)
+        report = ks_residual(system, elem, order=2)
         # the Gibbs state factorizes over sites, so the centered expectation
         # vanishes and no chains contribute
-        assert abs(reports[0].omega) < 1e-12
-        assert all(r < 1e-12 for r in reports[0].residuals.values())
+        assert abs(report.omega) < 1e-12
+        assert all(r < 1e-12 for r in report.residuals.values())
 
     def test_two_site_benchmark_decay(self):
         from kmsbounds.bounds import beta_u_optimized
@@ -996,18 +1105,17 @@ class TestKSResidual:
         threshold = beta_u_optimized(heisenberg_ti(1, 1.0, 1.0, REP)).beta
         system = heisenberg_system(2, threshold / 10)
         elem = self.centered_element(system, seed=9)
-        reports = ks_residual(system, [elem], order=3)
-        res = reports[0].residuals
+        report = ks_residual(system, elem, order=3)
+        res = report.residuals
         scale = operator_norm(elem)
         assert res[2] < res[1] and res[3] < res[2]
         assert res[3] < 1e-4 * scale
-        assert reports[0].telescoping_error <= 1e-10
+        assert report.telescoping_error <= 1e-10
 
     def test_decay_with_noncommuting_single_site(self):
         system = transverse_system(2, 0.01)
         elem = self.centered_element(system, seed=4)
-        reports = ks_residual(system, [elem], order=3)
-        res = reports[0].residuals
+        res = ks_residual(system, elem, order=3).residuals
         assert res[2] < res[1] and res[3] < res[2]
 
     @pytest.mark.parametrize("nsites", [2, 3])
@@ -1018,7 +1126,7 @@ class TestKSResidual:
         system = transverse_system(nsites, 0.2)
         elem = self.centered_element(system, seed=nsites)
         quad = SimplexQuadrature(4)
-        (report,) = ks_residual(system, [elem], order=3, quad=quad)
+        report = ks_residual(system, elem, order=3, quad=quad)
         target, residuals = ks_residuals_per_node(system, elem, 3, quad)
         assert report.omega == pytest.approx(target.real, rel=1e-12)
         for n, value in residuals.items():
@@ -1029,19 +1137,17 @@ class TestKSResidual:
         rng = np.random.default_rng(8)
         for n in (1, 2, 3):
             for chain in constrained_chains(system.fam, n, Region(((0,),))):
-                times = sorted((system.beta * rng.uniform(size=n)).tolist(), reverse=True)
-                stacked = ks_kernel(system, (0,), chain, times)
+                times = np.sort(system.beta * rng.uniform(size=n))[::-1]
+                stacked = ks_kernel(system, (0,), chain, times[None])
                 loop = ks_kernel_per_node(system, (0,), chain, times)
                 assert stacked.region == loop.region
-                assert operator_norm(stacked - loop) <= 1e-12 * operator_norm(loop)
+                assert operator_norms(stacked.matrix[0] - loop.matrix) <= 1e-12 * operator_norm(loop)
 
     def test_rejects_uncentered_element(self):
         system = heisenberg_system(2, 0.1)
         bad = LocalOperator(system.gamma, rand_hermitian(4), 2)
-        from kmsbounds.centering import NotCenteredError
-
         with pytest.raises(NotCenteredError):
-            ks_residual(system, [bad], order=1)
+            ks_residual(system, bad, order=1)
 
 
 class TestChains:
