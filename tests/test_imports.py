@@ -37,10 +37,6 @@ def unused_imports(path: pathlib.Path) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def _is_private(name: str) -> bool:
-    return name.startswith("_") and not name.endswith("__")
-
-
 def unused_private_names(paths: list) -> list:
     """(file name, name) of each private function, class or constant defined
     at the top level of one of ``paths`` that nothing in ``paths`` refers to
@@ -66,7 +62,8 @@ def unused_private_names(paths: list) -> list:
             else:
                 continue
             own = set(map(id, ast.walk(stmt)))
-            for name in filter(_is_private, names):
+            # dunder names such as ``__all__`` are not private
+            for name in (n for n in names if n.startswith("_") and not n.endswith("__")):
                 if not any(ref == name and id(node) not in own for ref, node in references):
                     unused.append((path.name, name))
     return sorted(unused)
@@ -110,4 +107,5 @@ def test_finds_an_unused_private_name(tmp_path):
         "from . import a\n"
         "x = _kept() + a._Used\n"
     )
-    assert unused_private_names(sorted(tmp_path.glob("*.py"))) == [("a.py", "_SPARE"), ("a.py", "_walk")]
+    unused = unused_private_names(sorted(tmp_path.glob("*.py")))
+    assert unused == [("a.py", "_SPARE"), ("a.py", "_walk")]

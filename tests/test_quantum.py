@@ -993,7 +993,8 @@ class TestKSKernel:
             for chain in constrained_chains(system.fam, n, Region(((0,),))):
                 times = np.sort(system.beta * rng.uniform(size=(6, n)), axis=1)[:, ::-1]
                 stacked = ks_kernel(system, (0,), chain, times)
-                assert stacked.matrix.shape == (6, 2 ** len(stacked.region), 2 ** len(stacked.region))
+                dim = 2 ** len(stacked.region)
+                assert stacked.matrix.shape == (6, dim, dim)
                 for row, kernel in zip(times, stacked.matrix):
                     alone = ks_kernel(system, (0,), chain, row[None])
                     assert alone.region == stacked.region
@@ -1141,7 +1142,8 @@ class TestKSResidual:
                 stacked = ks_kernel(system, (0,), chain, times[None])
                 loop = ks_kernel_per_node(system, (0,), chain, times)
                 assert stacked.region == loop.region
-                assert operator_norms(stacked.matrix[0] - loop.matrix) <= 1e-12 * operator_norm(loop)
+                error = operator_norms(stacked.matrix[0] - loop.matrix)
+                assert error <= 1e-12 * operator_norm(loop)
 
     def test_rejects_uncentered_element(self):
         system = heisenberg_system(2, 0.1)
