@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -401,7 +402,11 @@ def _emit_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` returns a fresh namespace and leaves the parser
+    as it was, so one call of ``main`` cannot change the next."""
     parser = argparse.ArgumentParser(
         prog="kmsbounds",
         description="subcritical-temperature bounds and verification suites "
