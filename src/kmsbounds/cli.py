@@ -422,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON model config")
-        p.add_argument("--json", action="store_true", help="emit JSON (default)")
-        p.add_argument("--csv", action="store_true", help="emit CSV")
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true", help="emit JSON (default)")
+        output.add_argument("--csv", action="store_true", help="emit CSV")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if name == "compare":
             p.add_argument(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -33,6 +34,20 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+#: the directory that holds the ``kmsbounds`` package, for fresh interpreters
+_SRC = str(pathlib.Path(kmsbounds.__file__).resolve().parent.parent)
+
+
+def _fresh_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a fresh interpreter."""
+    run_main = "import sys; from kmsbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", run_main, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 HEISENBERG = {
@@ -122,18 +137,101 @@ class TestConfig:
         for path in paths:
             assert main(["norms", "--config", path]) == EXIT_SCHEMA
             in_process.append(capsys.readouterr().err)
-        src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
-        run_main = "import sys; from kmsbounds.cli import main; sys.exit(main(sys.argv[1:]))"
         fresh = []
         for path in paths:
-            proc = subprocess.run(
-                [sys.executable, "-c", run_main, "norms", "--config", path],
-                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-            )
-            assert proc.returncode == EXIT_SCHEMA
-            fresh.append(proc.stderr)
+            code, _, err = _fresh_main(["norms", "--config", path])
+            assert code == EXIT_SCHEMA
+            fresh.append(err)
         assert in_process == fresh
         assert all(message.startswith("error: config rejected: ") for message in fresh)
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    def test_reused_parser_matches_fresh_process(self, tmp_path, capsys, monkeypatch):
+        """Commands, flags and configs back to back through one parser give
+        each call the stdout, stderr and exit code of a fresh process: no
+        flag, default or error carries over to the next call."""
+        # argparse wraps usage at the terminal width; give both processes one
+        monkeypatch.setenv("COLUMNS", "80")
+        path = write_config(tmp_path, HEISENBERG)
+        second = write_config(tmp_path, {"model": "ising_staggered", "nu": 2}, "second.json")
+        rejected = write_config(tmp_path, {"model": "nonsense"}, "rejected.json")
+        calls = [
+            ["norms", "--config", path, "--csv"],
+            ["compare", "--config", path, "--paper-table"],
+            ["compare", "--config", path],
+            ["verify", "--suite", "kms", "--seed", "2", "--config", path],
+            ["verify", "--suite", "kms", "--config", path],
+            ["report", "--config", second],
+            ["beta-u", "--config", rejected],
+            ["beta-u", "--json", "--csv", "--config", path],
+            ["beta-u"],
+            ["beta-u", "--config", path],
+        ]
+        parser = build_parser()
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, *capsys.readouterr()))
+        assert build_parser() is parser
+        assert in_process == [_fresh_main(argv) for argv in calls]
+        codes = [code for code, _, _ in in_process]
+        assert codes == [EXIT_OK] * 6 + [EXIT_SCHEMA] * 3 + [EXIT_OK]
+        # the seed flag of one call is not the default of the next
+        assert [json.loads(in_process[k][1])["seed"] for k in (3, 4)] == [2, 0]
+        # the usage errors print argparse's usage and nothing on stdout
+        for _, out, err in in_process[7:9]:
+            assert out == ""
+            assert err.startswith("usage: kmsbounds beta-u ")
+
+    def test_twenty_calls_build_one_parser(self, tmp_path, capsys, monkeypatch):
+        """Twenty calls of ``main`` build the parser tree once: the parser
+        and one subparser per command."""
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        path = write_config(tmp_path, HEISENBERG)
+        for _ in range(20):
+            assert main(["beta-u", "--config", path]) == EXIT_OK
+        commands = ("norms", "beta-u", "compare", "verify", "report")
+        assert progs == ["kmsbounds", *(f"kmsbounds {name}" for name in commands)]
+
+    def test_setup_builds_no_parser(self, tmp_path):
+        """Importing the CLI and loading a config, the setup every command
+        starts with, build no parser in a fresh interpreter; the first call
+        of ``main`` builds the tree."""
+        path = write_config(tmp_path, HEISENBERG)
+        script = (
+            "import argparse, contextlib, io, json, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import kmsbounds.cli as cli\n"
+            "cli._load_config(sys.argv[1])\n"
+            "at_setup = len(built)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['beta-u', '--config', sys.argv[1]])\n"
+            "print(json.dumps([at_setup, len(built), code]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, path],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": _SRC},
+        )
+        assert json.loads(proc.stdout) == [0, 6, EXIT_OK]
 
 
 #: (key, least, greatest) of every integer key; None: no greatest
@@ -311,7 +409,6 @@ class TestConfigRules:
         stack to import the CLI, nor to run a threshold command on each
         model (``report`` without ``verify_suites``); nor ``logging``, which
         only an eps scan that falls back to the full grid imports."""
-        src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
         paths = [write_config(tmp_path, {"model": m}, f"{m}.json") for m in MODELS]
         script = (
             "import contextlib, io, json, sys\n"
@@ -329,14 +426,13 @@ class TestConfigRules:
         proc = subprocess.run(
             [sys.executable, "-c", script, *paths],
             capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": _SRC},
         )
         assert json.loads(proc.stdout) == [[], [], [EXIT_OK] * 4 * len(MODELS)]
 
     def test_quantum_suite_leaves_classical_out(self, tmp_path):
         """Only the classical-invariance suite imports the classical layer: a
         fresh interpreter that runs ``verify --suite kms`` does not load it."""
-        src = pathlib.Path(kmsbounds.__file__).resolve().parent.parent
         path = write_config(tmp_path, {"model": "heisenberg"})
         script = (
             "import contextlib, io, json, sys\n"
@@ -349,7 +445,7 @@ class TestConfigRules:
         proc = subprocess.run(
             [sys.executable, "-c", script, path],
             capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": _SRC},
         )
         assert json.loads(proc.stdout) == [EXIT_OK, True, False]
 
