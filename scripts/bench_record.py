@@ -11,9 +11,11 @@ as many pairs as a claimed gain is judged on) the trees run the command with
 the next, so host drift falls on both alike; each tree then runs one
 ``--trace 1`` pass.  The file holds, per tree and workload, every run's
 end-to-end metrics, their medians and interquartile ranges, the per-layer
-metrics of the traced pass and the provenance that ``run.py`` reports.  The
-benchmark itself lives in ``kmsbench/``; this script only runs it and writes
-down what it prints.
+metrics of the traced pass and the provenance that ``run.py`` reports.  Given
+exactly two trees, it also counts per workload and end-to-end metric the
+seeds at which the second tree read lower than the first, higher, or equal
+(``pairs``).  The benchmark itself lives in ``kmsbench/``; this script only
+runs it and writes down what it prints.
 """
 
 import argparse
@@ -72,6 +74,18 @@ def summarize(runs: list, traced: dict) -> dict:
     }
 
 
+def pair_counts(first: list, second: list) -> dict:
+    """Per end-to-end metric, the seeds at which the run of ``second`` read
+    lower than the run of ``first`` at the same seed, higher, or equal."""
+    counts = {}
+    for a, b in zip(first, second):
+        for name, m in b["result"]["metrics"].items():
+            before, after = a["result"]["metrics"][name]["value"], m["value"]
+            side = "lower" if after < before else "higher" if after > before else "equal"
+            counts.setdefault(name, {"lower": 0, "higher": 0, "equal": 0})[side] += 1
+    return counts
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
@@ -84,6 +98,9 @@ def main() -> int:
         label, _, path = item.partition("=")
         trees[label] = Path(path).resolve()
     doc = {"seconds": BENCHMARK["run_seconds"], "trees": {label: {} for label in trees}}
+    if len(trees) == 2:
+        first, second = trees
+        doc["pairs"] = {"first": first, "second": second, "counts": {}}
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         runs = {label: [] for label in trees}
         for k, seed in enumerate(args.seeds):
@@ -94,6 +111,8 @@ def main() -> int:
         for label, tree in trees.items():
             traced = run_bench(tree, workload, args.seeds[0], 1)
             doc["trees"][label][workload] = summarize(runs[label], traced)
+        if "pairs" in doc:
+            doc["pairs"]["counts"][workload] = pair_counts(*runs.values())
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -60,14 +60,14 @@ def gibbs_single_site(psi: np.ndarray, beta) -> np.ndarray:
 
 @dataclass
 class ReferenceStates:
-    """Per-site reference densities rho_x at inverse temperature ``beta``.
+    """Per-site reference densities rho_x, e.g. single-site Gibbs densities
+    (``from_interaction``), which carry their inverse temperature.
 
-    A density is (d, d), or a (B, d, d) stack with one density (and one
-    beta) per draw; each density of a stack passes the same checks.  Sites
-    without a single-site potential carry the maximally mixed state.
+    A density is (d, d), or a (B, d, d) stack with one density per draw;
+    each density of a stack passes the same checks.  Sites without a
+    single-site potential carry the maximally mixed state.
     """
 
-    beta: float  # or a (B,) array, one beta per draw
     site_dim: int
     rho: dict = field(default_factory=dict)  # Site -> (d, d) or (B, d, d) ndarray
 
@@ -92,7 +92,7 @@ class ReferenceStates:
             psi = fam.psi(x)
             if np.any(psi.matrix):
                 rho[x] = gibbs_single_site(psi.matrix, beta)
-        return cls(beta=beta, site_dim=fam.site_dim, rho=rho)
+        return cls(site_dim=fam.site_dim, rho=rho)
 
     def density(self, x: Site) -> np.ndarray:
         x = tuple(x)

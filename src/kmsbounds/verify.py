@@ -88,44 +88,39 @@ def _ge(name: str, value: float, threshold: float) -> CheckResult:
     return CheckResult(name, value >= threshold, value, threshold)
 
 
-#: draws per stack in the decompose suite; bounds its working set
-DRAW_BLOCK = 4
-
-
 def run_decompose_suite(seed: int = 0, draws: int = 100,
                         betas: Sequence[float] = (0.3, 1.0)) -> list:
     """Random Hermitian observables on one to three spin-1/2 sites with random
     single-site potentials: reconstruction, centering, cross-method agreement
     and the 2^|X| norm bound.
 
-    The inputs are drawn one draw at a time; the draws of each site count
-    then run as stacks of at most ``DRAW_BLOCK``, each draw with its own
+    The inputs are drawn one draw at a time; the draws of each (number of
+    sites, beta) system then run as one stack, each draw with its own
     densities, and each check reads a stack in one norm call."""
     rng = np.random.default_rng(seed)
-    by_sites = {1: [], 2: [], 3: []}  # nsites -> [(beta, potentials, observable)]
+    by_system = {}  # (nsites, beta) -> [(potentials, observable)], in draw order
     for i in range(draws):
         nsites = 1 + (i % 3)
         psi = [_rand_hermitian(2, rng) for _ in range(nsites)]
-        by_sites[nsites].append((betas[i % len(betas)], psi, _rand_hermitian(2 ** nsites, rng)))
+        pair = (psi, _rand_hermitian(2 ** nsites, rng))
+        by_system.setdefault((nsites, betas[i % len(betas)]), []).append(pair)
     worst_recon = worst_center = worst_cross = 0.0
     bound_ok = True
-    for nsites, group in by_sites.items():
+    for (nsites, beta), group in by_system.items():
         window = box_window([nsites])
-        for lo in range(0, len(group), DRAW_BLOCK):
-            beta, psi, mats = (np.array(col) for col in zip(*group[lo:lo + DRAW_BLOCK]))
-            psi, mats = _unit_norm(psi), _unit_norm(mats)
-            rho = {x: gibbs_single_site(psi[:, k], beta) for k, x in enumerate(window)}
-            eta = ReferenceStates(beta=beta, site_dim=2, rho=rho)
-            a = LocalOperator._raw(window, mats, 2)
-            rec = decompose_recursive(a, eta)
-            moe = decompose_moebius(a, eta)
-            a_norms = operator_norms(mats)
-            worst_recon = max(worst_recon, float((rec.reconstruction_residual(a) / a_norms).max()))
-            worst_center = max(worst_center, rec.centering_residual(eta))
-            # both list their components in the order of Region.subsets
-            cross = operator_norms(rec.stack - moe.stack)
-            worst_cross = max(worst_cross, float(cross.max()))
-            bound_ok = bound_ok and rec.norm_bound_ok(a_norms)
+        psi, mats = (_unit_norm(np.array(col)) for col in zip(*group))
+        rho = {x: gibbs_single_site(psi[:, k], beta) for k, x in enumerate(window)}
+        eta = ReferenceStates(site_dim=2, rho=rho)
+        a = LocalOperator._raw(window, mats, 2)
+        rec = decompose_recursive(a, eta)
+        moe = decompose_moebius(a, eta)
+        a_norms = operator_norms(mats)
+        worst_recon = max(worst_recon, float((rec.reconstruction_residual(a) / a_norms).max()))
+        worst_center = max(worst_center, rec.centering_residual(eta))
+        # both list their components in the order of Region.subsets
+        cross = operator_norms(rec.stack - moe.stack)
+        worst_cross = max(worst_cross, float(cross.max()))
+        bound_ok = bound_ok and rec.norm_bound_ok(a_norms)
     return [
         _le("reconstruction_residual_rel", worst_recon, 1e-10),
         _le("centering_residual", worst_center, 1e-10),

@@ -38,7 +38,7 @@ def rand_hermitian(dim, rng=RNG):
 
 def random_eta(window, beta, rng=RNG):
     rho = {x: gibbs_single_site(rand_hermitian(2, rng), beta) for x in window}
-    return ReferenceStates(beta=beta, site_dim=2, rho=rho)
+    return ReferenceStates(site_dim=2, rho=rho)
 
 
 def unit_observable(region, rng):
@@ -298,7 +298,7 @@ class TestDecomposition:
 
     def test_subset_cap(self):
         window = box_window([13])
-        eta = ReferenceStates(beta=1.0, site_dim=2, rho={})
+        eta = ReferenceStates(site_dim=2, rho={})
         a = LocalOperator.zero(window, 2)
         with pytest.raises(SubsetCapError):
             decompose_recursive(a, eta)
@@ -315,7 +315,7 @@ class TestStackedDraws:
         betas = rng.uniform(0.1, 2.0, size=count)
         rho = {x: gibbs_single_site(psi[:, k], betas) for k, x in enumerate(window)}
         mats = np.array([rand_hermitian(2 ** nsites, rng) for _ in range(count)])
-        return window, ReferenceStates(betas, 2, rho), mats
+        return window, ReferenceStates(2, rho), mats
 
     @pytest.mark.parametrize("nsites", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 5])
@@ -326,7 +326,7 @@ class TestStackedDraws:
         stacked = [decompose_recursive(a, eta), decompose_moebius(a, eta)]
         norms = operator_norms(mats)
         for k in range(count):
-            alone = ReferenceStates(eta.beta[k], 2, {x: r[k] for x, r in eta.rho.items()})
+            alone = ReferenceStates(2, {x: r[k] for x, r in eta.rho.items()})
             single = LocalOperator(window, mats[k], 2)
             for dec, method in zip(stacked, (decompose_recursive, decompose_moebius)):
                 ref = method(single, alone)
@@ -355,7 +355,7 @@ class TestStackedDraws:
         """Each density of a stack passes the checks one density would."""
         rng = np.random.default_rng(4)
         rho = gibbs_single_site(np.array([rand_hermitian(2, rng) for _ in range(5)]), 1.0)
-        ReferenceStates(1.0, 2, {(0,): rho})
+        ReferenceStates(2, {(0,): rho})
         bad = rho.copy()
         if fault == "non-hermitian":
             bad[2, 0, 1] += 1e-6
@@ -364,7 +364,7 @@ class TestStackedDraws:
         else:
             bad[2] = np.diag([1.5, -0.5])
         with pytest.raises(ValueError):
-            ReferenceStates(1.0, 2, {(0,): bad})
+            ReferenceStates(2, {(0,): bad})
 
     def test_one_non_hermitian_potential_in_a_stack(self):
         psi = np.array([rand_hermitian(2) for _ in range(3)])
@@ -375,18 +375,69 @@ class TestStackedDraws:
     @pytest.mark.parametrize("shape", [(2,), (2, 3), (1, 2, 2, 2)])
     def test_density_shape_rejected(self, shape):
         with pytest.raises(ValueError):
-            ReferenceStates(1.0, 2, {(0,): np.zeros(shape)})
+            ReferenceStates(2, {(0,): np.zeros(shape)})
 
     @pytest.mark.parametrize("draws", [1, 2, 3, 4, 100])
     def test_suite_at_few_draws(self, draws):
-        """Site counts without draws, or with one, leave empty or one-draw
-        stacks; every check holds at every count."""
+        """At few draws some (number of sites, beta) systems get no draw and
+        others a one-draw stack; every check holds at every count."""
         checks = run_decompose_suite(seed=7, draws=draws)
         assert [c.name for c in checks] == [
             "reconstruction_residual_rel", "centering_residual",
             "recursive_vs_moebius", "component_norm_bound",
         ]
         assert all(c.passed for c in checks)
+
+
+class TestDecomposeSuite:
+    """``run_decompose_suite`` against every draw decomposed alone."""
+
+    @staticmethod
+    def per_draw_values(seed, draws, betas=(0.3, 1.0)):
+        """The suite's four values, its draws taken from the stream in the
+        suite's order and each decomposed alone: its own densities, one
+        (D, D) matrix, both methods; the worst value of each check."""
+        rng = np.random.default_rng(seed)
+        recon = center = cross = 0.0
+        bound_ok = True
+        for i in range(draws):
+            window = box_window([1 + i % 3])
+            psi = [rand_hermitian(2, rng) for _ in window]
+            m = rand_hermitian(2 ** len(window), rng)
+            rho = {
+                x: gibbs_single_site(p / operator_norms(p), betas[i % len(betas)])
+                for x, p in zip(window, psi)
+            }
+            eta = ReferenceStates(2, rho)
+            a = LocalOperator(window, m / operator_norms(m), 2)
+            a_norm = operator_norms(a.matrix)
+            rec, moe = decompose_recursive(a, eta), decompose_moebius(a, eta)
+            recon = max(recon, float(rec.reconstruction_residual(a) / a_norm))
+            center = max(center, rec.centering_residual(eta))
+            cross = max(cross, float(operator_norms(rec.stack - moe.stack).max()))
+            bound_ok = bound_ok and rec.norm_bound_ok(a_norm)
+        return [recon, center, cross, 0.0 if bound_ok else 1.0]
+
+    @pytest.mark.parametrize("draws", [4, 100])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_values_match_draws_alone(self, seed, draws):
+        checks = run_decompose_suite(seed=seed, draws=draws)
+        assert [c.value for c in checks] == self.per_draw_values(seed, draws)
+
+    def test_one_stack_per_system(self, monkeypatch):
+        """Each (number of sites, beta) system runs as one stack: 3 x 2."""
+        from kmsbounds import verify
+
+        calls = []
+        for name in ("decompose_recursive", "decompose_moebius"):
+            method = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda a, eta, name=name, method=method:
+                calls.append(name) or method(a, eta)
+            )
+        assert all(c.passed for c in verify.run_decompose_suite(seed=0))
+        assert calls.count("decompose_recursive") == 6
+        assert calls.count("decompose_moebius") == 6
 
 
 class TestRefined:
