@@ -393,7 +393,7 @@ class TestDecomposeSuite:
     """``run_decompose_suite`` against every draw decomposed alone."""
 
     @staticmethod
-    def per_draw_values(seed, draws, betas=(0.3, 1.0)):
+    def per_draw_values(seed, draws):
         """The suite's four values, its draws taken from the stream in the
         suite's order and each decomposed alone: its own densities, one
         (D, D) matrix, both methods; the worst value of each check."""
@@ -405,7 +405,7 @@ class TestDecomposeSuite:
             psi = [rand_hermitian(2, rng) for _ in window]
             m = rand_hermitian(2 ** len(window), rng)
             rho = {
-                x: gibbs_single_site(p / operator_norms(p), betas[i % len(betas)])
+                x: gibbs_single_site(p / operator_norms(p), (0.3, 1.0)[i % 2])
                 for x, p in zip(window, psi)
             }
             eta = ReferenceStates(2, rho)
