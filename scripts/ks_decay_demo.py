@@ -13,15 +13,9 @@ import numpy as np
 
 from kmsbounds.bounds import beta_u_optimized
 from kmsbounds.centering import decompose_recursive
-from kmsbounds.lattice import (
-    LocalOperator,
-    SpinRep,
-    box_window,
-    build_heisenberg,
-    heisenberg_ti,
-    operator_norm,
-)
+from kmsbounds.lattice import LocalOperator, build_heisenberg, operator_norm
 from kmsbounds.quantum import FiniteSystem, SimplexQuadrature, ks_residual
+from kmsbounds.ti import SpinRep, box_window, heisenberg_ti
 
 
 def centered_element(system, seed):

@@ -17,7 +17,7 @@ from kmsbounds.bounds import (
     optimize_eps,
     uniqueness_objective,
 )
-from kmsbounds.lattice import SpinRep
+from kmsbounds.ti import SpinRep
 
 
 def main():

@@ -33,6 +33,7 @@ forms and from objectives that are 0 on the whole grid (a norm that
 overflows at every eps).  A near-tie, or any comparison with an
 infinity or a nan, widens the window to the whole grid: the full scan is
 the same code path, and it is logged at DEBUG on the ``kmsbounds`` logger.
+A nan in the window raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .lattice import SpinRep, TIInteractionSpec, classical_heisenberg_ti, heisenberg_ti
 from .norms import NormParams, norm_eps_zeta, norm_function, zeta_free
+from .ti import SpinRep, TIInteractionSpec, classical_heisenberg_ti, heisenberg_ti, ising_bond_norm
 
 LOG3 = math.log(3.0)
 
@@ -69,9 +68,15 @@ class OptResult:
 #: near-tie, which the search over grid indices does not decide
 _TIE_ULPS = 16
 
-#: the eps grid of every threshold (first point, last point, spacing) and
-#: the width to which golden section refines its maximizer
-_EPS_LO, _EPS_HI, _EPS_STEP, _EPS_TOL = 1e-2, 10.0, 1e-2, 1e-6
+#: the eps grid of every threshold (first point, number of points, spacing)
+#: and the width to which golden section refines its maximizer
+_EPS_LO, _EPS_POINTS, _EPS_STEP, _EPS_TOL = 1e-2, 1000, 1e-2, 1e-6
+
+
+def _grid_eps(i: int) -> float:
+    """Point i of the eps grid 0.01, 0.02, ..., 10, bit for bit the point
+    that ``np.arange(0.01, 10.005, 0.01)`` holds."""
+    return _EPS_LO + i * _EPS_STEP
 
 
 def optimize_eps(objective) -> OptResult:
@@ -98,15 +103,15 @@ def optimize_eps(objective) -> OptResult:
     - the comparators eps e^{-eps} / (1 + c e^eps) with c > 0: log eps - eps
       is concave and log(1 + c e^eps) is convex.
     """
-    grid = np.arange(_EPS_LO, _EPS_HI + _EPS_STEP / 2, _EPS_STEP)
     seen = {}
 
     def value(i: int) -> float:
         if i not in seen:
-            seen[i] = objective(grid[i])
+            seen[i] = objective(_grid_eps(i))
         return seen[i]
 
-    left, right = 0, len(grid) - 1
+    last = _EPS_POINTS - 1
+    left, right = 0, last
     while right - left >= 8:
         third = (right - left) // 3
         m1, m2 = left + third, right - third
@@ -122,16 +127,20 @@ def optimize_eps(objective) -> OptResult:
                 "and objective(eps[%d]) = %r tie within %d ulps",
                 m1, float(f1), m2, float(f2), _TIE_ULPS,
             )
-            left, right = 0, len(grid) - 1
+            left, right = 0, last
             break
         if f1 < f2:
             left = m1 + 1
         else:
             right = m2 - 1
-    window = range(max(left - 3, 0), min(right + 4, len(grid)))
-    imax = window.start + int(np.argmax([value(i) for i in window]))
-    a = float(grid[max(imax - 1, 0)])
-    b = float(grid[min(imax + 1, len(grid) - 1)])
+    window = range(max(left - 3, 0), min(right + 4, _EPS_POINTS))
+    values = [value(i) for i in window]
+    if any(map(math.isnan, values)):
+        raise ValueError(f"the objective is nan on the eps grid from {_grid_eps(window.start)}")
+    # the first grid argmax, as np.argmax gives it
+    imax = window.start + values.index(max(values))
+    a = _grid_eps(max(imax - 1, 0))
+    b = _grid_eps(min(imax + 1, last))
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = objective(x1), objective(x2)
@@ -292,7 +301,7 @@ def ising_beta_operator_norm(nu: int, coupling: float, rep: SpinRep) -> EpsBeta:
     if coupling == 0.0:
         return EpsBeta(opt.eps_star, math.inf)
     return EpsBeta(
-        opt.eps_star, opt.value / (36.0 * nu * abs(coupling) * rep.j ** 2)
+        opt.eps_star, opt.value / (36.0 * nu * abs(coupling) * ising_bond_norm(rep))
     )
 
 

@@ -25,15 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    InteractionFamily,
-    LocalOperator,
-    Region,
-    Site,
-    embed,
-    hermitian_mask,
-    operator_norms,
-)
+from .lattice import InteractionFamily, LocalOperator, embed, hermitian_mask, operator_norms
+from .ti import Region, Site
 
 SUBSET_CAP = 12
 

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lattice import Region, Site
+from .ti import Region, Site
 
 
 @dataclass(frozen=True)

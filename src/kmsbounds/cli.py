@@ -31,7 +31,8 @@ from .bounds import (
     target_fn,
     uniqueness_optimum,
 )
-from .lattice import (
+from .norms import NormParams, norm_eps_zeta, window_norms
+from .ti import (
     DimensionCapError,
     FloatRangeError,
     SpinRep,
@@ -40,7 +41,6 @@ from .lattice import (
     heisenberg_ti,
     ising_staggered_ti,
 )
-from .norms import NormParams, norm_eps_zeta, window_norms
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -109,6 +109,7 @@ class Model:
     fixed_eps: Callable  # (config, spec, eps) -> beta-u output keys at that eps
     auto_extras: Callable = lambda report: {}  # extra beta-u keys for eps "auto"
     compare_extras: Callable = lambda config: {}  # extra compare keys
+    reports_window: bool = True  # whether ``norms`` reports the config's window
 
 
 def _ising_auto_extras(report) -> dict:
@@ -142,6 +143,7 @@ MODELS = {
             "beta_u": beta_u_classical(norm_eps_zeta(spec, NormParams(LOG3)))
         },
         compare_extras=lambda c: {"fv_ratio": fv_beta(c.coupling, c.delta, c.nu).ratio},
+        reports_window=False,  # only the quantum models report a window
     ),
 }
 
@@ -246,7 +248,8 @@ def _override_seed(config: ModelConfig, seed: int) -> None:
 
 
 def cmd_norms(config: ModelConfig) -> dict:
-    spec = MODELS[config.model].spec(config)
+    model = MODELS[config.model]
+    spec = model.spec(config)
     eps = config.eps_value()
     zeta = 2.0 * config.beta
     out = {
@@ -259,8 +262,7 @@ def cmd_norms(config: ModelConfig) -> dict:
         "target": target_fn(eps),
         "psi_site_norm": spec.psi_site_norm,
     }
-    # only the quantum models report the window; classical motifs carry no operator
-    if all(motif.operator is not None for motif in spec.motifs):
+    if model.reports_window:
         report = window_norms(spec, box_window(config.window), NormParams(eps))
         out["window"] = {
             "extents": config.window,

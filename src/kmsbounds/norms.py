@@ -15,8 +15,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .lattice import InteractionFamily, Region, TIInteractionSpec
+from .ti import Region, TIInteractionSpec
+
+if TYPE_CHECKING:
+    from .lattice import InteractionFamily
 
 
 @dataclass(frozen=True)
@@ -88,11 +92,14 @@ def norm_function(interaction):
     family); translation-invariant specs use the closed form.  The function
     does not check its arguments: it serves loops whose eps and zeta are
     valid by construction, and ``norm_eps_zeta`` is the checked entry point.
+    A spec is dispatched without loading ``lattice`` and its numpy.
     """
-    if isinstance(interaction, InteractionFamily):
-        return functools.partial(_norm_finite, interaction)
     if isinstance(interaction, TIInteractionSpec):
         return functools.partial(_norm_ti, interaction)
+    from .lattice import InteractionFamily
+
+    if isinstance(interaction, InteractionFamily):
+        return functools.partial(_norm_finite, interaction)
     raise TypeError(f"unsupported interaction type {type(interaction)!r}")
 
 

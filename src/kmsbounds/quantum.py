@@ -32,17 +32,15 @@ from .centering import (
 )
 from .lattice import (
     DIMENSION_CAP,
-    DimensionCapError,
     InteractionFamily,
     LocalOperator,
-    Region,
-    Site,
     embed,
     embed_matrices,
     operator_norm,
     operator_norms,
 )
 from .norms import NormParams, norm_eps_zeta, psi_norm_sum
+from .ti import DimensionCapError, Region, Site
 
 
 class ConvergenceWarning(UserWarning):

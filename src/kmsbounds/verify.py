@@ -25,11 +25,7 @@ from .centering import (
 from .lattice import (
     InteractionFamily,
     LocalOperator,
-    Region,
-    SpinRep,
-    box_window,
     build_heisenberg,
-    heisenberg_ti,
     operator_norm,
     operator_norms,
     spin_matrices,
@@ -44,6 +40,7 @@ from .quantum import (
     ks_kernel_norm_bound,
     ks_residual,
 )
+from .ti import Region, SpinRep, box_window, heisenberg_ti
 
 
 @dataclass

@@ -1,10 +1,9 @@
 """Pin BLAS to one thread before numpy loads.
 
-Multi-threaded OpenBLAS sums in another order, so the last bits of the
-eigenvalues of the larger operators (289 x 289 at 2j = 16) depend on the
-thread count.  The golden outputs in ``golden/cli_outputs.json`` are the
-one-thread bytes.
-"""
+Multi-threaded OpenBLAS sums in another order, so the last bits of
+numpy's eigenvalues, and of the verification suites' outputs, can depend on
+the thread count.  The golden outputs in ``golden/cli_outputs.json`` are the
+one-thread bytes; the threshold commands use no numpy."""
 
 import os
 

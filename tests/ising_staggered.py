@@ -8,15 +8,14 @@ library."""
 import numpy as np
 
 from kmsbounds.lattice import (
-    FloatRangeError,
     InteractionFamily,
     LocalOperator,
-    Region,
     _bonds,
     embed,
     graph_distance,
     spin_matrices,
 )
+from kmsbounds.ti import FloatRangeError, Region
 
 
 def bond_product(s, d, x, y):

@@ -18,8 +18,8 @@ from kmsbounds.bounds import (
     optimize_eps,
     uniqueness_objective,
 )
-from kmsbounds.lattice import SpinRep, classical_heisenberg_ti, ising_staggered_ti
 from kmsbounds.norms import NormParams, norm_eps_zeta
+from kmsbounds.ti import SpinRep, classical_heisenberg_ti, ising_staggered_ti
 from kmsbounds.verify import (
     run_classical_suite,
     run_decompose_suite,

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from kmsbounds import bounds, lattice, norms
+from kmsbounds import bounds, norms, ti
 from kmsbounds.bounds import (
     LOG3,
     beta_u_classical,
@@ -26,16 +26,16 @@ from kmsbounds.bounds import (
     target_fn,
     uniqueness_objective,
 )
-from kmsbounds.lattice import (
+from kmsbounds.lattice import build_heisenberg
+from kmsbounds.norms import NormParams, norm_eps_zeta, norm_function, zeta_free
+from kmsbounds.ti import (
     SpinRep,
     TIInteractionSpec,
     box_window,
-    build_heisenberg,
     classical_heisenberg_ti,
     heisenberg_ti,
     ising_staggered_ti,
 )
-from kmsbounds.norms import NormParams, norm_eps_zeta, norm_function, zeta_free
 
 REP = SpinRep(1)
 
@@ -98,6 +98,60 @@ class TestOptimizeEps:
         assert calls[2:len(GRID)] == [x for i, x in enumerate(GRID) if i not in (333, 666)]
         assert len(calls) - len(GRID) <= 40  # golden section
         assert opt == _full_scan(threshold)
+
+
+class TestEpsGrid:
+    """The grid is computed point by point without numpy; its argmax is the
+    first maximal index, and a nan in the final window is rejected."""
+
+    def test_grid_equals_arange(self):
+        points = [bounds._grid_eps(i) for i in range(bounds._EPS_POINTS)]
+        want = np.arange(bounds._EPS_LO, 10.0 + bounds._EPS_STEP / 2, bounds._EPS_STEP)
+        assert [x.hex() for x in points] == [float(x).hex() for x in want]
+        assert points[-1] == 10.0
+
+    @pytest.mark.parametrize("start", [0, 1, 299, 998])
+    def test_plateau_resolves_to_first_index(self, start):
+        """Exact ties from grid index ``start`` on: the grid argmax is
+        ``start``, and golden section refines between its neighbours."""
+        peak = bounds._grid_eps(start)
+
+        def plateau(eps):
+            return min(eps, peak)
+
+        vals = [plateau(x) for x in GRID]
+        assert int(np.argmax(vals)) == start
+        opt = optimize_eps(plateau)
+        assert GRID[max(start - 1, 0)] <= opt.eps_star <= GRID[start + 1]
+        assert _hex(opt) == _hex(_full_scan(plateau))
+
+    def test_constant_resolves_to_first_index(self):
+        opt = optimize_eps(lambda eps: 1.0)
+        assert GRID[0] <= opt.eps_star <= GRID[1]
+
+    @pytest.mark.parametrize("start", [0, 299, 700])
+    def test_infinity_resolves_like_argmax(self, start):
+        """+inf from grid index ``start`` on: the first +inf, as np.argmax
+        finds it; -inf everywhere gives index 0, as np.argmax does."""
+        peak = bounds._grid_eps(start)
+
+        def rising(eps):
+            return math.inf if eps >= peak else eps
+
+        assert int(np.argmax([rising(x) for x in GRID])) == start
+        opt = optimize_eps(rising)
+        assert GRID[max(start - 1, 0)] <= opt.eps_star <= GRID[start + 1]
+        assert opt.value == math.inf
+        opt = optimize_eps(lambda eps: -math.inf)
+        assert GRID[0] <= opt.eps_star <= GRID[1]
+
+    @pytest.mark.parametrize("objective", [
+        lambda eps: math.nan,
+        lambda eps: math.nan if 0.55 < eps < 0.65 else uniqueness_objective(eps),
+    ], ids=["everywhere", "at-the-peak"])
+    def test_nan_in_window_rejected(self, objective):
+        with pytest.raises(ValueError, match="the objective is nan on the eps grid from"):
+            optimize_eps(objective)
 
 
 #: a bound on rounding in the second differences of log f on the grid, six
@@ -244,11 +298,11 @@ class TestSearchMatchesFullScan:
         """``heisenberg_report``: ours (target / norm) and its comparator."""
         rng = random.Random(22)
         for i in range(400):
-            # 2j = 16 takes 20 ms to build its 289 x 289 bond norm
+            # 2j up to 8, and up to 16 in one draw of 40
             rep, nu = SpinRep(rng.randint(1, 16 if i % 40 == 0 else 8)), rng.randint(1, 3)
             try:
                 heisenberg_report(rep, nu, _random_coupling(rng), rng.choice([1.0, rng.uniform(-3, 3)]))
-            except lattice.FloatRangeError:
+            except ti.FloatRangeError:
                 pass
         self._check(against_full_scan, 600)
 
@@ -258,7 +312,7 @@ class TestSearchMatchesFullScan:
         for _ in range(300):
             try:
                 classical_report(rng.randint(1, 3), _random_coupling(rng), rng.choice([1.0, rng.uniform(-3, 3)]))
-            except lattice.FloatRangeError:
+            except ti.FloatRangeError:
                 pass
         self._check(against_full_scan, 250)
 
@@ -464,7 +518,7 @@ class TestClassical:
             nu, coupling, delta = rng.randint(1, 3), 10 ** rng.uniform(-12, 16), rng.uniform(-3, 3)
             try:
                 report = classical_report(nu, coupling, delta)
-            except lattice.FloatRangeError:
+            except ti.FloatRangeError:
                 continue
             ratio = report.ratios["combined_quantum_classical"]
             assert abs(ratio - want) <= 4 * math.ulp(want), (nu, coupling, delta)
@@ -524,20 +578,31 @@ def test_optimized_small_coupling_scales_inversely():
     assert small.beta * 1e-300 == pytest.approx(unit.beta, rel=1e-12)
 
 
-def test_one_eigendecomposition_per_motif(monkeypatch):
-    """Motif norms are computed when the spec is built; the eps scan of the
-    threshold reads them and diagonalizes nothing.  Each motif's norm is
-    ``operator_norms`` of its bond, one eigvalsh on a one-matrix stack."""
+def test_one_bond_norm_per_spec(monkeypatch):
+    """A spec computes its bond norm once, for all of its motifs, and the
+    threshold and report built on it diagonalize and multiply no matrix:
+    ``heisenberg_bond_norm`` runs once per spec, ``eigvalsh`` and ``kron``
+    never."""
     calls = []
-    eigvalsh = lattice.np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(lattice.np.linalg, "eigvalsh", counting)
-    beta_u_optimized(heisenberg_ti(3, 1.0, 0.5, SpinRep(16)))
-    assert calls == [(1, 289, 289)] * 3
+        return counted
+
+    monkeypatch.setattr(ti, "heisenberg_bond_norm", counting("bond", ti.heisenberg_bond_norm))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np, "kron", counting("kron", np.kron))
+    for nu in (1, 2, 3):
+        spec = heisenberg_ti(nu, 1.0, 0.5, SpinRep(16))
+        assert len(spec.motifs) == nu
+        assert calls == ["bond"]
+        beta_u_optimized(spec)
+        heisenberg_report(SpinRep(16), nu, 1.0, 0.5)
+        assert calls == ["bond"] * 2
+        calls.clear()
 
 
 def _per_step_beta_u_general(interaction, eps):

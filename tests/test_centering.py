@@ -16,16 +16,8 @@ from kmsbounds.centering import (
     haar_random_unitaries,
     partial_expectation,
 )
-from kmsbounds.lattice import (
-    LocalOperator,
-    Region,
-    SpinRep,
-    box_window,
-    embed,
-    operator_norm,
-    operator_norms,
-    spin_matrices,
-)
+from kmsbounds.lattice import LocalOperator, embed, operator_norm, operator_norms, spin_matrices
+from kmsbounds.ti import Region, SpinRep, box_window
 from kmsbounds.verify import run_decompose_suite
 
 RNG = np.random.default_rng(12)

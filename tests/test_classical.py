@@ -20,7 +20,7 @@ from kmsbounds.classical import (
     invariance_residual,
     random_rotation,
 )
-from kmsbounds.lattice import Region, box_window, classical_heisenberg_ti
+from kmsbounds.ti import Region, box_window, classical_heisenberg_ti
 from kmsbounds.verify import run_classical_suite
 
 GRID = SphereGrid(16)

@@ -26,7 +26,7 @@ from kmsbounds.cli import (
     cmd_norms,
     main,
 )
-from kmsbounds.lattice import FloatRangeError, SpinRep, ising_staggered_ti
+from kmsbounds.ti import FloatRangeError, SpinRep, ising_staggered_ti
 from kmsbounds.verify import SUITES
 
 
@@ -232,6 +232,48 @@ class TestParserReuse:
             capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": _SRC},
         )
         assert json.loads(proc.stdout) == [0, 6, EXIT_OK]
+
+
+#: a fresh interpreter runs ``main`` on each command line after the script
+#: argument and prints, per call, its exit code and whether numpy is loaded
+_NUMPY_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "import kmsbounds.cli as cli\n"
+    "seen = ['numpy' in sys.modules]\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = cli.main(argv)\n"
+    "    seen.append([code, 'numpy' in sys.modules])\n"
+    "print(json.dumps(seen))\n"
+)
+
+
+def _numpy_probe(calls):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _NUMPY_PROBE, json.dumps(calls)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    return json.loads(proc.stdout)
+
+
+class TestThresholdCommandsLoadNoNumpy:
+    """The threshold path is pure Python: importing the CLI and running
+    ``norms``, ``beta-u``, ``compare`` and ``report`` leave numpy unloaded;
+    a verification suite loads it."""
+
+    def test_threshold_commands(self, tmp_path):
+        calls = [
+            [*command, "--config", write_config(tmp_path, {"model": model}, f"{model}.json")]
+            for model in ("heisenberg", "ising_staggered", "classical_heisenberg")
+            for command in (["norms"], ["beta-u"], ["compare"], ["compare", "--paper-table"],
+                            ["report"])
+        ]
+        assert _numpy_probe(calls) == [False] + [[EXIT_OK, False]] * 15
+
+    def test_verify_loads_numpy(self, tmp_path):
+        path = write_config(tmp_path, HEISENBERG)
+        calls = [["beta-u", "--config", path], ["verify", "--suite", "kms", "--config", path]]
+        assert _numpy_probe(calls) == [False, [EXIT_OK, False], [EXIT_OK, True]]
 
 
 #: (key, least, greatest) of every integer key; None: no greatest
@@ -873,7 +915,7 @@ class TestExitCodes:
 
     def test_dimension_cap_exit_three(self, tmp_path, monkeypatch):
         import kmsbounds.cli as cli_mod
-        from kmsbounds.lattice import DimensionCapError
+        from kmsbounds.ti import DimensionCapError
 
         def boom(config):
             raise DimensionCapError("too big")

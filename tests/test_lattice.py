@@ -1,30 +1,36 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmsbounds import lattice
+from kmsbounds import lattice, ti
 from kmsbounds.lattice import (
+    InteractionFamily,
+    LocalOperator,
+    build_heisenberg,
+    embed,
+    embed_matrices,
+    heisenberg_bond,
+    hermitian_mask,
+    operator_norm,
+    operator_norms,
+    spin_matrices,
+)
+from kmsbounds.ti import (
     EMPTY_REGION,
     DimensionCapError,
     FloatRangeError,
-    InteractionFamily,
-    LocalOperator,
     Motif,
     Region,
     SpinRep,
     box_window,
-    build_heisenberg,
     classical_heisenberg_ti,
-    embed,
-    embed_matrices,
-    heisenberg_bond,
+    heisenberg_bond_norm,
     heisenberg_ti,
-    hermitian_mask,
     ising_staggered_ti,
-    operator_norm,
-    operator_norms,
-    spin_matrices,
 )
 
 from ising_staggered import bond_product, build_ising_staggered, embedded_heisenberg_bond
@@ -399,11 +405,15 @@ class TestBuilders:
 
 class TestTISpec:
     def test_motif_norm_agreement(self):
+        """A motif's scalar norm is |coefficient| x its bond norm, and a
+        Heisenberg motif carries the operator norm of its bond."""
         bond = LocalOperator(box_window([2]), heisenberg_bond(SpinRep(1), 1.0), 2)
-        motif = Motif(bond.region, -1.0, operator=bond, bond_norm=0.75)
-        assert motif.scalar_norm() == pytest.approx(0.75)
-        with pytest.raises(ValueError):
-            Motif(bond.region, -1.0, operator=bond, bond_norm=0.5)
+        motif = heisenberg_ti(1, 2.0, 1.0, SpinRep(1)).motifs[0]
+        assert motif.bond_norm == operator_norm(bond) == 0.75
+        assert motif.scalar_norm() == 1.5
+        assert Motif(bond.region, -1.5, 0.75).scalar_norm() == 1.125
+        with pytest.raises(FloatRangeError, match=re.escape("the motif term -1e+300 x bond has")):
+            Motif(bond.region, -1e300, 1e10)
 
     def test_ising_spec_psi_norm(self):
         spec = ising_staggered_ti(2, 1.0, 3.0, SpinRep(1))
@@ -440,12 +450,17 @@ class TestBondsByKronecker:
             embedded_heisenberg_bond(rep, 1.7e308)
 
     def test_ising_bond_equals_embedded_product(self):
-        for two_j in (1, 4, 9):
+        """The Ising motifs carry j^2, the operator norm of the embedded
+        product S3 S3, which is ``kron(S3, S3)``."""
+        for two_j in (1, 4, 9, 16):
             rep = SpinRep(two_j)
             _, _, s3 = spin_matrices(rep)
             oracle = bond_product(s3.matrix, rep.dim, (0, 0), (0, 1)).matrix
+            assert np.array_equal(np.kron(s3.matrix, s3.matrix), oracle)
+            norm = float(operator_norms(oracle))
+            assert norm == rep.j ** 2
             for motif in ising_staggered_ti(2, 0.7, 1.1, rep).motifs:
-                assert np.array_equal(motif.operator.matrix, oracle)
+                assert motif.bond_norm == norm
 
     def test_families_equal_embedded_bonds(self):
         rep, window = SpinRep(3), box_window([3, 2])
@@ -468,6 +483,71 @@ class TestBondsByKronecker:
         ising_staggered_ti(3, 1.0, 0.5, SpinRep(16))
         build_heisenberg(1.0, 0.5, SpinRep(2), box_window([3, 3]))
         assert calls == []
+
+
+#: largest relative distance allowed between ``heisenberg_bond_norm`` and
+#: ``operator_norms(heisenberg_bond(...))``; the largest measured over every
+#: 2j and the deltas below is 2.5e-15
+BOND_NORM_RTOL = 1e-14
+
+#: deltas of every sign and size, up to those whose bond or norm is beyond
+#: the float range
+BOND_DELTAS = (0.0, 0.4, -0.4, 0.5, 1.0, 3.7, -2.3, 1e160, -1e160, 1e200, 1e307, 1.7e308)
+
+
+def _numpy_motif_norm(rep, delta):
+    """The bond norm as ``eigvalsh`` of the dense bond gives it, or the
+    message of the ``FloatRangeError`` that the bond or its motif raises."""
+    try:
+        norm = float(operator_norms(heisenberg_bond(rep, delta)))
+        Motif(box_window([2]), -1.0, norm)
+    except FloatRangeError as exc:
+        return str(exc)
+    return norm
+
+
+class TestHeisenbergBondNorm:
+    """``heisenberg_bond_norm`` bisects the XXZ blocks of fixed total S3 by
+    Sturm counts; the dense bond and its eigvalsh are the oracle."""
+
+    @pytest.mark.parametrize("two_j", range(1, 17))
+    def test_matches_dense_bond(self, two_j):
+        rep = SpinRep(two_j)
+        for delta in BOND_DELTAS:
+            want = _numpy_motif_norm(rep, delta)
+            try:
+                got = heisenberg_ti(1, 1.0, delta, rep).motifs[0].bond_norm
+            except FloatRangeError as exc:
+                got = str(exc)
+            if isinstance(want, str):
+                assert got == want, delta
+            else:
+                assert math.isfinite(got)
+                assert abs(got - want) <= BOND_NORM_RTOL * want, (delta, got, want)
+
+    def test_sturm_test_bounds_both_ends(self):
+        """``_within`` holds just above the spectral norm of a symmetric
+        tridiagonal matrix and fails just below it, whichever end of the
+        spectrum sets the norm."""
+        rng = np.random.default_rng(5)
+        for shift in (4.0, -4.0, 0.0):
+            for n in (1, 2, 5, 9):
+                diag = rng.normal(size=n) + shift
+                off = rng.normal(size=n - 1)
+                mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                norm = float(np.abs(np.linalg.eigvalsh(mat)).max())
+                args = diag.tolist(), (off ** 2).tolist()
+                assert ti._within(*args, norm * (1 + 1e-12))
+                assert not ti._within(*args, norm * (1 - 1e-12))
+
+    @pytest.mark.parametrize("two_j", range(1, 17))
+    def test_closed_forms(self, two_j):
+        """delta = 0 leaves the diagonal m1 m2, of norm j^2, and the norm is
+        even in delta (the blocks of -delta are similar to those of delta)."""
+        rep = SpinRep(two_j)
+        assert heisenberg_bond_norm(rep, 0.0) == rep.j ** 2
+        for delta in (0.3, 1.0, 2.5):
+            assert heisenberg_bond_norm(rep, -delta) == heisenberg_bond_norm(rep, delta)
 
 
 @pytest.mark.parametrize("extents", [[1], [5], [3, 1], [2, 3], [3, 1, 4], [2, 2, 2]])

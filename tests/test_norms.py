@@ -5,23 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmsbounds.lattice import (
-    InteractionFamily,
-    Region,
-    SpinRep,
-    TIInteractionSpec,
-    box_window,
-    build_heisenberg,
-    classical_heisenberg_ti,
-    heisenberg_ti,
-    ising_staggered_ti,
-)
+from kmsbounds.lattice import InteractionFamily, build_heisenberg
 from kmsbounds.norms import (
     NormParams,
     norm_eps_zeta,
     psi_norm_sum,
     site_norm_profile,
     window_norms,
+)
+from kmsbounds.ti import (
+    Region,
+    SpinRep,
+    TIInteractionSpec,
+    box_window,
+    classical_heisenberg_ti,
+    heisenberg_ti,
+    ising_staggered_ti,
 )
 
 from ising_staggered import build_ising_staggered

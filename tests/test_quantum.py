@@ -12,9 +12,6 @@ from kmsbounds.centering import NotCenteredError, decompose_recursive, partial_e
 from kmsbounds.lattice import (
     InteractionFamily,
     LocalOperator,
-    Region,
-    SpinRep,
-    box_window,
     build_heisenberg,
     embed,
     operator_norm,
@@ -39,6 +36,7 @@ from kmsbounds.quantum import (
     ks_residual,
     tau_psi,
 )
+from kmsbounds.ti import Region, SpinRep, box_window
 
 from ising_staggered import build_ising_staggered
 
@@ -1101,7 +1099,7 @@ class TestKSResidual:
 
     def test_two_site_benchmark_decay(self):
         from kmsbounds.bounds import beta_u_optimized
-        from kmsbounds.lattice import heisenberg_ti
+        from kmsbounds.ti import heisenberg_ti
 
         threshold = beta_u_optimized(heisenberg_ti(1, 1.0, 1.0, REP)).beta
         system = heisenberg_system(2, threshold / 10)
@@ -1176,7 +1174,8 @@ class TestDeterminism:
         ]
 
     def test_dimension_cap_on_system(self):
-        from kmsbounds.lattice import DimensionCapError, InteractionFamily
+        from kmsbounds.lattice import InteractionFamily
+        from kmsbounds.ti import DimensionCapError
 
         with pytest.raises(DimensionCapError):
             FiniteSystem(box_window([13]), InteractionFamily({}, 2), 1.0)
