@@ -26,7 +26,7 @@ def main():
     args = parser.parse_args()
 
     opt = optimize_eps(uniqueness_objective)
-    print(f"eps* = {opt.eps_star:.4f}   peak eps e^-eps/(1+e^eps) = {opt.value:.4f}")
+    print(f"eps* = {opt.eps_star:.4f}   peak eps e^-eps/(1+e^eps) = {opt.beta:.4f}")
     print()
 
     print("anisotropic Heisenberg (nu=1, J=1, delta=1): ratio vs dimension-dependent bound")

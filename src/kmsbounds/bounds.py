@@ -59,9 +59,13 @@ def target_fn(eps: float) -> float:
 
 
 @dataclass(frozen=True)
-class OptResult:
+class EpsBeta:
+    """A maximizer eps* on the eps grid and the threshold beta there.  An
+    ``optimize_eps`` result is one too: every objective of this module is a
+    threshold up to a constant prefactor, and ``beta`` is its maximum."""
+
     eps_star: float
-    value: float
+    beta: float
 
 
 #: two objective values closer than this many ulps of the larger one are a
@@ -79,7 +83,7 @@ def _grid_eps(i: int) -> float:
     return _EPS_LO + i * _EPS_STEP
 
 
-def optimize_eps(objective) -> OptResult:
+def optimize_eps(objective) -> EpsBeta:
     """Maximize a log-concave objective on the eps grid, then refine by
     golden section around the grid maximizer.
 
@@ -154,7 +158,7 @@ def optimize_eps(objective) -> OptResult:
             x1 = b - _INVPHI * (b - a)
             f1 = objective(x1)
     xs = 0.5 * (a + b)
-    return OptResult(xs, float(objective(xs)))
+    return EpsBeta(xs, float(objective(xs)))
 
 
 def beta_u_general(spec: TIInteractionSpec, eps: float) -> float:
@@ -195,22 +199,15 @@ def beta_u_general(spec: TIInteractionSpec, eps: float) -> float:
 
 def beta_u_commuting(spec: TIInteractionSpec, eps: float) -> float:
     """Commuting-case threshold beta_u = target(eps) / ||Phi_bar||_{eps+log3}
-    of a TI spec; that [Phi_bar, Psi] = 0 is left to the caller."""
-    norm = norm_eps_zeta(spec, NormParams(eps + LOG3))
-    if norm == 0.0:
-        return math.inf
-    return target_fn(eps) / norm
-
-
-@dataclass(frozen=True)
-class EpsBeta:
-    eps_star: float
-    beta: float
+    of a TI spec, +infinity for a zero norm; that [Phi_bar, Psi] = 0 is left
+    to the caller.  It is ``beta_u_general`` of the spec without its
+    single-site part, whose norm is the spec's at zeta = 0."""
+    return beta_u_general(replace(spec, psi_site_norm=0.0), eps)
 
 
 def _optimized_prefactor(prefactor: float, objective) -> EpsBeta:
     opt = optimize_eps(objective)
-    return EpsBeta(opt.eps_star, prefactor * opt.value)
+    return EpsBeta(opt.eps_star, prefactor * opt.beta)
 
 
 def uniqueness_objective(eps: float) -> float:
@@ -219,7 +216,7 @@ def uniqueness_objective(eps: float) -> float:
 
 
 @functools.cache
-def uniqueness_optimum() -> OptResult:
+def uniqueness_optimum() -> EpsBeta:
     """``optimize_eps(uniqueness_objective)``, scanned once per process: the
     objective is fixed."""
     return optimize_eps(uniqueness_objective)
@@ -250,7 +247,7 @@ def beta_u_optimized(spec: TIInteractionSpec) -> EpsBeta:
     if norm < 1.0 / _TINY_SCALE:
         factor, spec = _TINY_SCALE, _scaled(spec, _TINY_SCALE)
     opt = optimize_eps(functools.partial(beta_u_general, spec))
-    return EpsBeta(opt.eps_star, opt.value * factor)
+    return EpsBeta(opt.eps_star, opt.beta * factor)
 
 
 def br_645_beta(rep: SpinRep, bond_strength: float) -> EpsBeta:
@@ -289,22 +286,6 @@ def ising_beta_fixed(nu: int, coupling: float, eps: float) -> float:
     return uniqueness_objective(eps) / (36.0 * nu * abs(coupling))
 
 
-def ising_beta_symbolic(nu: int, coupling: float) -> EpsBeta:
-    """``ising_beta_fixed`` at the eps that maximizes it."""
-    eps_star = uniqueness_optimum().eps_star
-    return EpsBeta(eps_star, ising_beta_fixed(nu, coupling, eps_star))
-
-
-def ising_beta_operator_norm(nu: int, coupling: float, rep: SpinRep) -> EpsBeta:
-    """Same threshold evaluated with the true bond norm ||S3 S3|| = j^2."""
-    opt = uniqueness_optimum()
-    if coupling == 0.0:
-        return EpsBeta(opt.eps_star, math.inf)
-    return EpsBeta(
-        opt.eps_star, opt.value / (36.0 * nu * abs(coupling) * ising_bond_norm(rep))
-    )
-
-
 def beta_u_classical(phibar_norm_log3: float) -> float:
     """Classical subcritical threshold 1 / (3 ||phi_bar||_{log 3}).
 
@@ -329,52 +310,15 @@ class FVBound:
     ratio: float
 
 
-def fv_beta(coupling: float, delta: float, nu: int, eps: float = 0.0) -> FVBound:
-    """beta = [J max(|delta|,1)]^{-1} log(1 + 1/(2 nu e^{6+2 eps})); the ratio
-    to the classical threshold is 18 nu log(1 + 1/(2 nu e^{6+2 eps})), which
-    increases in nu towards 9 e^{-(6+2 eps)}."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+def fv_beta(coupling: float, delta: float, nu: int) -> FVBound:
+    """beta = [J max(|delta|,1)]^{-1} log(1 + 1/(2 nu e^6)); the ratio to the
+    classical threshold is 18 nu log(1 + 1/(2 nu e^6)), which increases in
+    nu towards 9 e^{-6}."""
     strength = abs(coupling) * max(abs(delta), 1.0)
-    log_term = math.log1p(1.0 / (2.0 * nu * math.exp(6.0 + 2.0 * eps)))
+    log_term = math.log1p(1.0 / (2.0 * nu * math.exp(6.0)))
     if strength == 0.0:
         return FVBound(math.inf, 18.0 * nu * log_term)
     return FVBound(log_term / strength, 18.0 * nu * log_term)
-
-
-@dataclass(frozen=True)
-class CombinedBounds:
-    """Common subcritical regime for a classical model and its quantizations."""
-
-    beta_hat: float       # root of the zeta-coupled condition on classical norms
-    beta_tilde: float     # classical threshold 1 / (3 ||phi_bar||_log3)
-    eps_star: float
-    chain_ok: bool        # beta_hat * 6 ||phi_bar||_log3 < log 2
-
-
-def combined_report(spec: TIInteractionSpec) -> CombinedBounds:
-    """Evaluate both thresholds on classical motif norms and confirm the
-    ordering beta_hat <= beta_tilde."""
-    norm_log3 = norm_eps_zeta(spec, NormParams(LOG3))
-    beta_tilde = beta_u_classical(norm_log3)
-    best = beta_u_optimized(spec)
-    chain_ok = (
-        True
-        if math.isinf(best.beta)
-        else best.beta * 6.0 * norm_log3 < math.log(2.0)
-    )
-    return CombinedBounds(
-        beta_hat=best.beta,
-        beta_tilde=beta_tilde,
-        eps_star=best.eps_star,
-        chain_ok=chain_ok,
-    )
-
-
-def json_number(x):
-    """A float as JSON output carries it: +infinity becomes the string "+inf";
-    anything else passes through unchanged."""
-    return "+inf" if isinstance(x, float) and math.isinf(x) else x
 
 
 @dataclass
@@ -391,12 +335,12 @@ class BoundReport:
         return {
             "model_id": self.model_id,
             "eps_star": self.eps_star,
-            "beta_u": json_number(self.beta_u),
+            "beta_u": self.beta_u,
             "comparators": {
-                k: {"eps_star": v.eps_star, "beta": json_number(v.beta)}
+                k: {"eps_star": v.eps_star, "beta": v.beta}
                 for k, v in sorted(self.comparators.items())
             },
-            "ratios": {k: json_number(v) for k, v in sorted(self.ratios.items())},
+            "ratios": dict(sorted(self.ratios.items())),
         }
 
 
@@ -435,26 +379,33 @@ def heisenberg_report(rep: SpinRep, nu: int, coupling: float, delta: float) -> B
 
 
 def ising_report(rep: SpinRep, nu: int, coupling: float) -> BoundReport:
-    ours = ising_beta_symbolic(nu, coupling)
-    report = BoundReport("ising_staggered", ours.eps_star, ours.beta)
+    """Threshold of the staggered-field Ising model at the eps* of
+    ``uniqueness_objective``: ``ising_beta_fixed`` there, with the bond norm
+    taken as 1.  When J != 0 it is compared with Bratteli-Robinson (6.46) and
+    with "ours_operator_norm", the same threshold on the true bond norm
+    ||S3 S3|| = j^2 (4 beta_u at 2j = 1)."""
+    opt = uniqueness_optimum()
+    beta_u = ising_beta_fixed(nu, coupling, opt.eps_star)
+    report = BoundReport("ising_staggered", opt.eps_star, beta_u)
     if coupling:
         report.comparators["bratteli_robinson_646"] = br_646_beta(rep, nu, coupling)
-        report.comparators["ours_operator_norm"] = ising_beta_operator_norm(
-            nu, coupling, rep
+        report.comparators["ours_operator_norm"] = EpsBeta(
+            opt.eps_star, opt.beta / (36.0 * nu * abs(coupling) * ising_bond_norm(rep))
         )
     return _with_ratios(report)
 
 
 def classical_report(nu: int, coupling: float, delta: float) -> BoundReport:
+    """The classical threshold beta_tilde = 1 / (3 ||phi_bar||_{log 3}) of the
+    classical Heisenberg model on Z^nu, reported at the eps* of beta_hat,
+    against Friedli-Velenik and "combined_quantum_classical": beta_hat =
+    ``beta_u_optimized`` of the same classical motif norms, the common
+    subcritical regime of the model and its quantizations.  beta_hat <=
+    beta_tilde, and beta_hat 6 ||phi_bar||_{log 3} < log 2."""
     spec = classical_heisenberg_ti(nu, coupling, delta)
-    combined = combined_report(spec)
-    report = BoundReport(
-        "classical_heisenberg", combined.eps_star, combined.beta_tilde
-    )
-    report.comparators["friedli_velenik"] = EpsBeta(
-        0.0, fv_beta(coupling, delta, nu).beta
-    )
-    report.comparators["combined_quantum_classical"] = EpsBeta(
-        combined.eps_star, combined.beta_hat
-    )
+    beta_tilde = beta_u_classical(norm_eps_zeta(spec, NormParams(LOG3)))
+    beta_hat = beta_u_optimized(spec)
+    report = BoundReport("classical_heisenberg", beta_hat.eps_star, beta_tilde)
+    report.comparators["friedli_velenik"] = EpsBeta(0.0, fv_beta(coupling, delta, nu).beta)
+    report.comparators["combined_quantum_classical"] = beta_hat
     return _with_ratios(report)

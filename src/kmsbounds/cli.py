@@ -27,7 +27,6 @@ from .bounds import (
     heisenberg_report,
     ising_beta_fixed,
     ising_report,
-    json_number,
     target_fn,
     uniqueness_optimum,
 )
@@ -277,16 +276,17 @@ def cmd_norms(config: ModelConfig) -> dict:
         }
         for e in [0.1 * k for k in range(1, 21)]
     ]
-    return _json_numbers(out)
+    return out
 
 
 def _json_numbers(doc):
-    """``doc`` with every number in it passed through ``json_number``."""
-    if isinstance(doc, dict):
-        return {key: _json_numbers(value) for key, value in doc.items()}
-    if isinstance(doc, list):
-        return [_json_numbers(value) for value in doc]
-    return json_number(doc)
+    """``doc`` as every command prints it, changed in place: each infinite
+    float, at any depth, becomes the string "+inf"; anything else stays."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            doc[key] = _json_numbers(value)
+        return doc
+    return "+inf" if isinstance(doc, float) and math.isinf(doc) else doc
 
 
 def cmd_beta_u(config: ModelConfig) -> dict:
@@ -302,7 +302,7 @@ def cmd_beta_u(config: ModelConfig) -> dict:
         out = {"eps_star": eps, "eps_mode": "fixed"}
         out.update(model.fixed_eps(config, model.spec(config), eps))
     out["model_id"] = config.model
-    return _json_numbers(out)
+    return out
 
 
 def cmd_compare(config: ModelConfig, paper_table: bool = False) -> dict:
@@ -470,6 +470,7 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMCAP
+    doc = _json_numbers(doc)
     sys.stdout.write(_emit_csv(doc) if args.csv else _emit_json(doc))
     if args.command == "verify" and not doc["passed"]:
         return EXIT_VERIFY

@@ -244,9 +244,6 @@ class InteractionFamily:
             self._psi_eigh[x] = None if op is None else np.linalg.eigh(op.matrix)
         return self._psi_eigh[x]
 
-    def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0].sites)))
-
     def psi(self, x: Site) -> LocalOperator:
         reg = Region((tuple(x),))
         return self.terms.get(reg, LocalOperator.zero(reg, self.site_dim))

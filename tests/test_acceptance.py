@@ -51,7 +51,7 @@ def test_criterion_01_eps_optimization():
     ok = (
         np.diff(log_f, 2).max() <= 1e-12
         and abs(opt.eps_star - 0.607) <= 0.002
-        and abs(opt.value - 0.117) <= 0.001
+        and abs(opt.beta - 0.117) <= 0.001
     )
     _report(1, "eps optimization 0.607 / 0.117", ok, time.perf_counter() - start, 1.0)
 

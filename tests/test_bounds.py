@@ -16,11 +16,8 @@ from kmsbounds.bounds import (
     br_645_beta,
     br_646_beta,
     classical_report,
-    combined_report,
     fv_beta,
     heisenberg_report,
-    ising_beta_operator_norm,
-    ising_beta_symbolic,
     ising_report,
     optimize_eps,
     target_fn,
@@ -62,7 +59,7 @@ class TestOptimizeEps:
     def test_uniqueness_objective_peak(self):
         opt = optimize_eps(uniqueness_objective)
         assert opt.eps_star == pytest.approx(0.607, abs=2e-3)
-        assert opt.value == pytest.approx(0.117, abs=1e-3)
+        assert opt.beta == pytest.approx(0.117, abs=1e-3)
 
     def test_tolerance(self):
         opt = optimize_eps(uniqueness_objective)
@@ -141,7 +138,7 @@ class TestEpsGrid:
         assert int(np.argmax([rising(x) for x in GRID])) == start
         opt = optimize_eps(rising)
         assert GRID[max(start - 1, 0)] <= opt.eps_star <= GRID[start + 1]
-        assert opt.value == math.inf
+        assert opt.beta == math.inf
         opt = optimize_eps(lambda eps: -math.inf)
         assert GRID[0] <= opt.eps_star <= GRID[1]
 
@@ -220,7 +217,7 @@ def _full_scan(objective, lo=1e-2, hi=10.0, step=1e-2, tol=1e-6):
     rises_after_peak = np.any(diffs[imax:] > 1e-12 * scale)
     falls_before_peak = np.any(diffs[:imax] < -1e-12 * scale)
     if rises_after_peak or falls_before_peak:
-        return bounds.OptResult(float(grid[imax]), float(vals[imax]))
+        return bounds.EpsBeta(float(grid[imax]), float(vals[imax]))
     a = float(grid[max(imax - 1, 0)])
     b = float(grid[min(imax + 1, len(grid) - 1)])
     x1 = b - bounds._INVPHI * (b - a)
@@ -236,11 +233,11 @@ def _full_scan(objective, lo=1e-2, hi=10.0, step=1e-2, tol=1e-6):
             x1 = b - bounds._INVPHI * (b - a)
             f1 = objective(x1)
     xs = 0.5 * (a + b)
-    return bounds.OptResult(xs, float(objective(xs)))
+    return bounds.EpsBeta(xs, float(objective(xs)))
 
 
 def _hex(opt):
-    return float(opt.eps_star).hex(), float(opt.value).hex()
+    return float(opt.eps_star).hex(), float(opt.beta).hex()
 
 
 @pytest.fixture
@@ -456,17 +453,55 @@ class TestComparators:
         assert len(betas) == 1
 
     def test_nu_scaling_halves(self):
-        b1 = ising_beta_symbolic(1, 1.0).beta
-        b2 = ising_beta_symbolic(2, 1.0).beta
+        b1 = ising_report(REP, 1, 1.0).beta_u
+        b2 = ising_report(REP, 2, 1.0).beta_u
         assert b2 == pytest.approx(b1 / 2, rel=1e-12)
         c1 = br_646_beta(REP, 1, 1.0).beta
         c2 = br_646_beta(REP, 2, 1.0).beta
         assert c2 == pytest.approx(c1 / 2, rel=1e-12)
 
+    def test_ising_closed_form(self):
+        """beta_u = f(eps*) / (36 nu |J|) at the eps* of the uniqueness
+        objective f, for either sign of J."""
+        opt = bounds.uniqueness_optimum()
+        for nu, coupling in ((1, 1.0), (2, -0.5), (3, 4.0)):
+            report = ising_report(REP, nu, coupling)
+            assert report.eps_star == opt.eps_star
+            assert report.beta_u == pytest.approx(
+                uniqueness_objective(opt.eps_star) / (36 * nu * abs(coupling)), rel=1e-14
+            )
+
+    def test_ising_zero_coupling(self):
+        report = ising_report(REP, 1, 0.0)
+        assert report.beta_u == math.inf
+        assert report.comparators == {}
+
     def test_ising_operator_norm_variant(self):
-        symbolic = ising_beta_symbolic(1, 1.0).beta
-        opnorm = ising_beta_operator_norm(1, 1.0, REP).beta
-        assert opnorm == pytest.approx(symbolic / REP.j ** 2, rel=1e-12)
+        """The same threshold on the true bond norm ||S3 S3|| = j^2: four
+        times beta_u at 2j = 1."""
+        report = ising_report(REP, 1, 1.0)
+        opnorm = report.comparators["ours_operator_norm"]
+        assert opnorm.eps_star == report.eps_star
+        assert opnorm.beta == pytest.approx(4 * report.beta_u, rel=1e-12)
+        for two_j in (2, 3, 8):
+            rep = SpinRep(two_j)
+            report = ising_report(rep, 2, -1.5)
+            opnorm = report.comparators["ours_operator_norm"].beta
+            assert opnorm == pytest.approx(report.beta_u / rep.j ** 2, rel=1e-12)
+
+
+def _assert_combined_regime(nu, coupling, delta):
+    """Check ``classical_report``'s combined comparator beta_hat against its
+    threshold beta_tilde: beta_hat <= beta_tilde and the chain condition
+    beta_hat 6 ||phi_bar||_log3 < log 2, which holds vacuously when the norm
+    vanishes (beta_hat = +inf).  Returns the report."""
+    report = classical_report(nu, coupling, delta)
+    combined = report.comparators["combined_quantum_classical"]
+    assert combined.eps_star == report.eps_star
+    assert combined.beta <= report.beta_u
+    norm_log3 = norm_eps_zeta(classical_heisenberg_ti(nu, coupling, delta), NormParams(LOG3))
+    assert norm_log3 == 0.0 or combined.beta * 6.0 * norm_log3 < math.log(2.0)
+    return report
 
 
 class TestClassical:
@@ -497,22 +532,16 @@ class TestClassical:
             previous = ratio
         assert previous == pytest.approx(9 * math.exp(-6.0), rel=1e-3)
 
-    def test_fv_eps_bound(self):
-        for eps in (0.0, 0.5, 1.0):
-            for nu in (1, 4):
-                assert fv_beta(1.0, 1.0, nu, eps).ratio <= 9 * math.exp(-(6 + 2 * eps))
-
     def test_combined_closed_form(self):
         # psi = 0: beta_hat = max over eps of target(eps)/(3 e^eps 2 nu J max)
         #        = f(eps*) / (18 * 2 nu J max(|delta|,1))
-        spec = classical_heisenberg_ti(1, 1.0, 1.0)
-        combined = combined_report(spec)
+        report = _assert_combined_regime(1, 1.0, 1.0)
+        beta_hat = report.comparators["combined_quantum_classical"].beta
         opt = optimize_eps(uniqueness_objective)
-        assert combined.beta_hat == pytest.approx(opt.value / 36.0, rel=1e-6)
-        assert combined.chain_ok
+        assert beta_hat == pytest.approx(opt.beta / 36.0, rel=1e-6)
         # the ratio to beta_tilde = 1 / (18 nu J max) is f(eps*) / 2 for
         # every coupling, within the rounding of the two norms
-        want = bounds.uniqueness_optimum().value / 2.0
+        want = bounds.uniqueness_optimum().beta / 2.0
         rng = random.Random(15)
         for _ in range(300):
             nu, coupling, delta = rng.randint(1, 3), 10 ** rng.uniform(-12, 16), rng.uniform(-3, 3)
@@ -527,16 +556,12 @@ class TestClassical:
         for coupling in (0.5, 1.0):
             for delta in (0.4, 1.0, 2.5):
                 for nu in (1, 2):
-                    combined = combined_report(
-                        classical_heisenberg_ti(nu, coupling, delta)
-                    )
-                    assert combined.beta_hat <= combined.beta_tilde
-                    assert combined.chain_ok
+                    _assert_combined_regime(nu, coupling, delta)
 
     def test_degenerate_coupling(self):
-        combined = combined_report(classical_heisenberg_ti(1, 0.0, 1.0))
-        assert combined.beta_hat == math.inf
-        assert combined.beta_tilde == math.inf
+        report = _assert_combined_regime(1, 0.0, 1.0)
+        assert report.comparators["combined_quantum_classical"].beta == math.inf
+        assert report.beta_u == math.inf
 
 
 class TestReports:
@@ -550,11 +575,6 @@ class TestReports:
                 assert report.ratios[name] == pytest.approx(
                     comp.beta / report.beta_u, rel=1e-12
                 )
-
-    def test_infinity_serialized_as_token(self):
-        report = ising_report(REP, 1, 0.0)
-        doc = report.to_dict()
-        assert doc["beta_u"] == "+inf"
 
 
 @pytest.mark.filterwarnings("error")
@@ -690,7 +710,7 @@ class TestNormOncePerEps:
         if norm_eps_zeta(spec, NormParams(LOG3 + 0.5)) < 1.0 / bounds._TINY_SCALE:
             factor, scanned = bounds._TINY_SCALE, bounds._scaled(spec, bounds._TINY_SCALE)
         opt = optimize_eps(functools.partial(_oracle, scanned))
-        assert beta_u_optimized(spec) == bounds.EpsBeta(opt.eps_star, opt.value * factor)
+        assert beta_u_optimized(spec) == bounds.EpsBeta(opt.eps_star, opt.beta * factor)
 
     def test_zeta_free(self):
         assert zeta_free(classical_heisenberg_ti(2, 1.0, 1.0))

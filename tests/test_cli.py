@@ -692,6 +692,25 @@ class TestOverflow:
             del field_free["psi_site_norm"], field_free["norm_eps_log3_zeta"]
         assert doc == field_free
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_infinite_check_value(self, tmp_path, capsys, monkeypatch, command):
+        """A check value of +inf is printed as "+inf" in JSON and in CSV: every
+        command's document passes through the same "+inf" rule in ``main``."""
+        from kmsbounds.verify import CheckResult
+
+        monkeypatch.setitem(
+            SUITES, "kms", lambda seed=0: [CheckResult("stub", True, math.inf, 1.0)]
+        )
+        path = write_config(tmp_path, {**HEISENBERG, "verify_suites": ["kms"]})
+        extra = ["--suite", "kms"] if command == "verify" else []
+        assert main([command, *extra, "--config", path]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=_no_bare_constants)
+        checks = doc["suites"]["kms"] if command == "verify" else doc["checks"]
+        assert [c["value"] for c in checks] == ["+inf"]
+        if command == "verify":
+            assert main(["verify", "--csv", *extra, "--config", path]) == EXIT_OK
+            assert capsys.readouterr().out.splitlines()[1] == "kms,stub,True,+inf,1.0"
+
 
 #: configs whose numbers are finite but whose Heisenberg bond, or a motif's
 #: norm |coefficient| x bond norm, is not
