@@ -49,9 +49,15 @@ class ConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class FiniteSystem:
-    """A finite lattice with an interaction supported inside it.  Its
-    Hamiltonian, eigendecomposition, Gibbs state and reference states are
-    computed once, on first use; the frozen system keeps them valid."""
+    """A finite lattice with an interaction supported inside it at inverse
+    temperature ``beta``.  Each fact is computed once, on first use.
+
+    The Hamiltonian and its eigendecomposition do not depend on beta: the
+    family holds them per lattice (``InteractionFamily.lattice_fact``), so
+    every system on one family and lattice shares one Hamiltonian and one
+    ``eigh``, whatever its beta, and their arrays are read-only.  The Gibbs
+    state and the reference states depend on beta and stay with the system;
+    the frozen system keeps them valid."""
 
     gamma: Region
     fam: InteractionFamily
@@ -69,15 +75,27 @@ class FiniteSystem:
     def site_dim(self) -> int:
         return self.fam.site_dim
 
-    @cached_property
+    @property
     def h(self) -> LocalOperator:
-        """The Hamiltonian on the whole lattice."""
-        return hamiltonian(self)
+        """The Hamiltonian on the whole lattice, shared through the family."""
+        def build():
+            h = hamiltonian(self)
+            h.matrix.flags.writeable = False
+            return h
 
-    @cached_property
+        return self.fam.lattice_fact(self.gamma, "hamiltonian", build)
+
+    @property
     def eigh(self) -> tuple:
-        """Eigenvalues and eigenvectors ``(w, v)`` of the Hamiltonian."""
-        return np.linalg.eigh(self.h.matrix)
+        """Eigenvalues and eigenvectors ``(w, v)`` of the Hamiltonian, shared
+        through the family."""
+        def build():
+            eig = np.linalg.eigh(self.h.matrix)
+            for arr in eig:
+                arr.flags.writeable = False
+            return eig
+
+        return self.fam.lattice_fact(self.gamma, "eigh", build)
 
     @cached_property
     def gibbs(self) -> tuple:

@@ -9,6 +9,7 @@ and reports named residuals with the thresholds they were held to.  The CLI
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,11 +71,22 @@ def _unit_norm(mats: np.ndarray) -> np.ndarray:
     return mats / operator_norms(mats)[..., None, None]
 
 
+@functools.cache
+def _heisenberg_family(nsites: int) -> tuple:
+    """(window, family) of the spin-1/2 Heisenberg chain (J = delta = 1) on
+    ``nsites`` sites in a row, built once per process."""
+    window = box_window([nsites])
+    return window, build_heisenberg(1.0, 1.0, SpinRep(1), window)
+
+
 def _heisenberg_chain(nsites: int, beta: float) -> FiniteSystem:
     """The spin-1/2 Heisenberg chain (J = delta = 1) on ``nsites`` sites in a
-    row, at inverse temperature ``beta``."""
-    window = box_window([nsites])
-    return FiniteSystem(window, build_heisenberg(1.0, 1.0, SpinRep(1), window), beta)
+    row, at inverse temperature ``beta``.  Every chain of one site count is
+    built on one cached family (``_heisenberg_family``), so the chains of all
+    betas share its terms, Hamiltonian and eigendecomposition, and none of
+    them is rebuilt from one suite run to the next; the Gibbs state and the
+    reference states are the system's own."""
+    return FiniteSystem(*_heisenberg_family(nsites), beta)
 
 
 def _le(name: str, value: float, threshold: float) -> CheckResult:

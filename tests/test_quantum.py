@@ -580,9 +580,20 @@ class TestKMS:
                 assert stacked[k] == single
 
 
+@pytest.fixture
+def cold_chains():
+    """The suites' cached Heisenberg chains cleared, so that work counts do
+    not depend on the tests that ran before in this process."""
+    from kmsbounds import verify
+
+    verify._heisenberg_family.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_chains")
 class TestGibbsState:
-    """Each system diagonalizes its Hamiltonian once and builds its reference
-    states once, however many expectations, residuals and kernels read them."""
+    """Each system builds its reference states once, and each family builds
+    the Hamiltonian of a lattice and diagonalizes it once, however many
+    systems, expectations, residuals and kernels read them."""
 
     @staticmethod
     def counting(monkeypatch, owner, name, calls):
@@ -603,9 +614,14 @@ class TestGibbsState:
         self.counting(monkeypatch, np.linalg, "eigh", calls)
         checks = run_kms_suite(0)
         assert all(c.passed for c in checks)
-        # one system per (number of sites, beta): 2 x 3
-        assert calls.count("hamiltonian") == 6
-        assert calls.count("eigh") == 6
+        # one system per (number of sites, beta), 2 x 3, on one chain family
+        # per number of sites
+        assert calls.count("hamiltonian") == 2
+        assert calls.count("eigh") == 2
+        # a second run builds no chain
+        calls.clear()
+        run_kms_suite(1)
+        assert calls == []
 
     def test_ks_suite_reference_states_once_per_system(self, monkeypatch):
         from kmsbounds.centering import ReferenceStates
@@ -638,6 +654,8 @@ class TestGibbsState:
 
         calls = []
         self.counting(monkeypatch, np.linalg, "eigh", calls)
+        # two single-site terms of the Monte-Carlo family, their two
+        # reference densities and the chain of the residual check
         assert all(c.passed for c in run_ks_suite(0, order=2))
         assert len(calls) == 5
 
@@ -663,6 +681,63 @@ class TestGibbsState:
         system = heisenberg_system(2, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             system.beta = 2.0
+
+
+@pytest.mark.usefixtures("cold_chains")
+class TestSharedChain:
+    """The suites' chains of one site count share one family, Hamiltonian
+    and eigendecomposition across beta, and compute what a system built
+    afresh computes, bit for bit."""
+
+    @pytest.mark.parametrize("nsites", [2, 3])
+    def test_betas_share_hamiltonian_and_eigh(self, nsites):
+        from kmsbounds.verify import _heisenberg_chain
+
+        cold, hot = _heisenberg_chain(nsites, 2.0), _heisenberg_chain(nsites, 0.5)
+        assert cold.fam is hot.fam
+        assert cold.h is hot.h
+        assert cold.eigh is hot.eigh
+        assert cold.gibbs is not hot.gibbs
+
+    @pytest.mark.parametrize("nsites", [2, 3])
+    def test_shared_system_matches_fresh_system(self, nsites):
+        from kmsbounds.verify import _heisenberg_chain
+
+        rng = np.random.default_rng(nsites)
+        dim = 2 ** nsites
+        a, b = (LocalOperator(box_window([nsites]), rand_hermitian(dim, rng), 2)
+                for _ in range(2))
+        _heisenberg_chain(nsites, 0.5).eigh  # warm the shared cache at another beta
+        for beta in (0.5, 1.0, 2.0):
+            shared = _heisenberg_chain(nsites, beta)
+            fresh = heisenberg_system(nsites, beta)
+            for got, want in zip(shared.gibbs, fresh.gibbs):
+                assert np.array_equal(got, want)
+            for t in (0.3, 0.5j):
+                assert np.array_equal(shared.evolve(a, t).matrix, fresh.evolve(a, t).matrix)
+            assert np.array_equal(kms_residual(shared, a, b), kms_residual(fresh, a, b))
+
+    def test_shared_arrays_are_read_only(self):
+        from kmsbounds.verify import _heisenberg_chain
+
+        system = _heisenberg_chain(2, 1.0)
+        w, v = system.eigh
+        term = next(iter(system.fam.terms.values()))
+        for arr in (term.matrix, system.h.matrix, v, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_suite_order_does_not_matter(self):
+        """kms, dyson and ks at seeds 0-2 from cold chains, then in the
+        reverse order on the warm chains: the same checks."""
+        from kmsbounds.verify import SUITES
+
+        runs = [(name, seed) for name in ("kms", "dyson", "ks") for seed in range(3)]
+
+        def checks(order):
+            return {run: [c.to_dict() for c in SUITES[run[0]](seed=run[1])] for run in order}
+
+        assert checks(runs) == checks(runs[::-1])
 
 
 def lemma_sum_check(alpha, lam, n, eps):
