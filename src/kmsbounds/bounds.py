@@ -43,7 +43,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .norms import NormParams, norm_eps_zeta, norm_function, zeta_free
-from .ti import SpinRep, TIInteractionSpec, classical_heisenberg_ti, heisenberg_ti, ising_bond_norm
+from .ti import (
+    SpinRep,
+    TIInteractionSpec,
+    classical_bond_norm,
+    classical_heisenberg_ti,
+    heisenberg_ti,
+    ising_bond_norm,
+)
 
 LOG3 = math.log(3.0)
 
@@ -314,7 +321,7 @@ def fv_beta(coupling: float, delta: float, nu: int) -> FVBound:
     """beta = [J max(|delta|,1)]^{-1} log(1 + 1/(2 nu e^6)); the ratio to the
     classical threshold is 18 nu log(1 + 1/(2 nu e^6)), which increases in
     nu towards 9 e^{-6}."""
-    strength = abs(coupling) * max(abs(delta), 1.0)
+    strength = abs(coupling) * classical_bond_norm(delta)
     log_term = math.log1p(1.0 / (2.0 * nu * math.exp(6.0)))
     if strength == 0.0:
         return FVBound(math.inf, 18.0 * nu * log_term)
@@ -371,7 +378,7 @@ def heisenberg_report(rep: SpinRep, nu: int, coupling: float, delta: float) -> B
     report = BoundReport("heisenberg", ours.eps_star, ours.beta)
     if strength > 0:
         report.comparators["bratteli_robinson_645"] = br_645_beta(rep, strength)
-        classical_norm = 6.0 * abs(coupling) * nu * max(abs(delta), 1.0)
+        classical_norm = 6.0 * abs(coupling) * nu * classical_bond_norm(delta)
         report.comparators["classical"] = EpsBeta(
             LOG3, beta_u_classical(classical_norm)
         )

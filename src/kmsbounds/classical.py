@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ti import Region, Site
+from .ti import Region, Site, classical_bond_norm
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def heisenberg_bond_potential(x: Site, y: Site, j: float, delta: float) -> Class
     supremum over unit vectors is |J| max(|delta|, 1)."""
     c = -j * np.diag([delta, delta, 1.0])
     return ClassicalPotential(Region.of([x, y]), lambda u, w: (u @ c, w),
-                              abs(j) * max(abs(delta), 1.0))
+                              abs(j) * classical_bond_norm(delta))
 
 
 class SphereGrid:

@@ -364,43 +364,35 @@ def _emit_json(doc: dict) -> str:
 
 
 def _emit_csv(doc: dict) -> str:
+    """``doc`` as CSV: the eps grid of ``norms``; the comparator rows of
+    ``compare`` and ``report``; the check table of ``verify``, and of
+    ``report`` after its comparator rows when it ran checks; or, for
+    ``beta-u``, one header and one row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if "table" in doc:
-        rows = doc["table"]
-    elif "comparators" in doc:
-        rows = [doc]
-    elif "grid" in doc:
+    checks = doc.get("checks", [])  # those report ran
+    if "grid" in doc:
         writer.writerow(["eps", "norm_eps", "norm_eps_log3"])
         for row in doc["grid"]:
             writer.writerow([row["eps"], row["norm_eps"], row["norm_eps_log3"]])
-        return buf.getvalue()
-    elif "suites" in doc:
-        writer.writerow(["suite", "name", "passed", "value", "threshold"])
-        for suite, checks in sorted(doc["suites"].items()):
-            for c in checks:
+    elif "table" in doc or "comparators" in doc:
+        writer.writerow(["model_id", "comparator", "eps_star", "beta", "ratio"])
+        for row in doc.get("table", [doc]):
+            writer.writerow([row["model_id"], "ours", row["eps_star"], row["beta_u"], 1.0])
+            for name, comp in sorted(row["comparators"].items()):
                 writer.writerow(
-                    [suite, c["name"], c["passed"], c["value"], c["threshold"]]
+                    [row["model_id"], name, comp["eps_star"], comp["beta"],
+                     row["ratios"].get(name, "")]
                 )
-        return buf.getvalue()
+    elif "suites" in doc:
+        checks = [{**c, "suite": suite} for suite, cs in sorted(doc["suites"].items()) for c in cs]
     else:
         writer.writerow(sorted(doc))
         writer.writerow([doc[k] for k in sorted(doc)])
-        return buf.getvalue()
-    writer.writerow(["model_id", "comparator", "eps_star", "beta", "ratio"])
-    for row in rows:
-        writer.writerow([row["model_id"], "ours", row["eps_star"], row["beta_u"], 1.0])
-        for name in sorted(row.get("comparators", {})):
-            comp = row["comparators"][name]
-            writer.writerow(
-                [
-                    row["model_id"],
-                    name,
-                    comp["eps_star"],
-                    comp["beta"],
-                    row["ratios"].get(name, ""),
-                ]
-            )
+    if checks or "suites" in doc:
+        writer.writerow(["suite", "name", "passed", "value", "threshold"])
+        for c in checks:
+            writer.writerow([c["suite"], c["name"], c["passed"], c["value"], c["threshold"]])
     return buf.getvalue()
 
 
@@ -472,7 +464,8 @@ def main(argv=None) -> int:
         return EXIT_DIMCAP
     doc = _json_numbers(doc)
     sys.stdout.write(_emit_csv(doc) if args.csv else _emit_json(doc))
-    if args.command == "verify" and not doc["passed"]:
+    checks = doc.get("checks", [])  # those of report
+    if (args.command == "verify" and not doc["passed"]) or not all(c["passed"] for c in checks):
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -206,11 +206,9 @@ class InteractionFamily:
     (terms on regions of two or more sites); the empty region never carries
     a term.
 
-    The family caches what follows from its terms alone: the term norms, the
-    single-site eigendecompositions and, per finite lattice, the facts that
-    ``lattice_fact`` holds (the Hamiltonian of ``quantum.FiniteSystem`` and
-    its eigendecomposition).  The term matrices are marked read-only, so a
-    write into one raises instead of leaving those caches stale.
+    The family caches its term norms and single-site eigendecompositions;
+    the term matrices are marked read-only, so a write into one raises
+    instead of leaving those caches stale.
     """
 
     def __init__(self, terms: Mapping[Region, LocalOperator], site_dim: int):
@@ -231,7 +229,6 @@ class InteractionFamily:
         self.terms = clean
         self._norm_cache = {}
         self._psi_eigh = {}
-        self._lattice_facts = {}
 
     def term_norm(self, region: Region) -> float:
         """Cached spectral norm of the stored term (0 when absent)."""
@@ -251,16 +248,6 @@ class InteractionFamily:
             op = self.terms.get(Region((x,)))
             self._psi_eigh[x] = None if op is None else np.linalg.eigh(op.matrix)
         return self._psi_eigh[x]
-
-    def lattice_fact(self, gamma: Region, name: str, compute):
-        """Cached ``compute()`` for the fact ``name`` of the family on the
-        finite lattice ``gamma``: a fact that depends on the terms and the
-        lattice alone, computed once and shared by every caller that asks
-        for it on this family and lattice."""
-        key = (gamma, name)
-        if key not in self._lattice_facts:
-            self._lattice_facts[key] = compute()
-        return self._lattice_facts[key]
 
     def psi(self, x: Site) -> LocalOperator:
         reg = Region((tuple(x),))

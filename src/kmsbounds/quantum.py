@@ -50,14 +50,11 @@ class ConvergenceWarning(UserWarning):
 @dataclass(frozen=True, eq=False)
 class FiniteSystem:
     """A finite lattice with an interaction supported inside it at inverse
-    temperature ``beta``.  Each fact is computed once, on first use.
-
-    The Hamiltonian and its eigendecomposition do not depend on beta: the
-    family holds them per lattice (``InteractionFamily.lattice_fact``), so
-    every system on one family and lattice shares one Hamiltonian and one
-    ``eigh``, whatever its beta, and their arrays are read-only.  The Gibbs
-    state and the reference states depend on beta and stay with the system;
-    the frozen system keeps them valid."""
+    temperature ``beta``.  Its Hamiltonian, eigendecomposition, Gibbs state
+    and reference states are computed once, on first use; the frozen system
+    keeps them valid.  The arrays of the first three are read-only, so a
+    system can be shared (``verify._heisenberg_chain``) without one caller
+    changing what the next one reads."""
 
     gamma: Region
     fam: InteractionFamily
@@ -75,27 +72,20 @@ class FiniteSystem:
     def site_dim(self) -> int:
         return self.fam.site_dim
 
-    @property
+    @cached_property
     def h(self) -> LocalOperator:
-        """The Hamiltonian on the whole lattice, shared through the family."""
-        def build():
-            h = hamiltonian(self)
-            h.matrix.flags.writeable = False
-            return h
+        """The Hamiltonian on the whole lattice."""
+        h = hamiltonian(self)
+        h.matrix.flags.writeable = False
+        return h
 
-        return self.fam.lattice_fact(self.gamma, "hamiltonian", build)
-
-    @property
+    @cached_property
     def eigh(self) -> tuple:
-        """Eigenvalues and eigenvectors ``(w, v)`` of the Hamiltonian, shared
-        through the family."""
-        def build():
-            eig = np.linalg.eigh(self.h.matrix)
-            for arr in eig:
-                arr.flags.writeable = False
-            return eig
-
-        return self.fam.lattice_fact(self.gamma, "eigh", build)
+        """Eigenvalues and eigenvectors ``(w, v)`` of the Hamiltonian."""
+        eig = np.linalg.eigh(self.h.matrix)
+        for arr in eig:
+            arr.flags.writeable = False
+        return eig
 
     @cached_property
     def gibbs(self) -> tuple:
@@ -103,6 +93,7 @@ class FiniteSystem:
         w, v = self.eigh
         weights = np.exp(-self.beta * (w - w.min()))
         weights /= weights.sum()
+        weights.flags.writeable = False
         return v, weights
 
     @cached_property

@@ -301,11 +301,16 @@ def ising_staggered_ti(nu: int, coupling: float, field: float, rep: SpinRep) -> 
     return TIInteractionSpec(nu, motifs, psi_site_norm=abs(field) * rep.j)
 
 
+def classical_bond_norm(delta: float) -> float:
+    """sup |delta (s1 s1 + s2 s2) + s3 s3| = max(|delta|, 1) over pairs of
+    unit vectors: the norm of the classical Heisenberg bond."""
+    return max(abs(delta), 1.0)
+
+
 def classical_heisenberg_ti(nu: int, coupling: float, delta: float) -> TIInteractionSpec:
-    """Classical anisotropic Heisenberg model on Z^nu via scalar bond norms:
-    sup |delta (s1 s1 + s2 s2) + s3 s3| = max(|delta|, 1) over pairs of unit
-    vectors."""
-    bond_norm = max(abs(delta), 1.0)
+    """Classical anisotropic Heisenberg model on Z^nu via scalar bond norms,
+    each ``classical_bond_norm(delta)``."""
+    bond_norm = classical_bond_norm(delta)
     return TIInteractionSpec(nu, tuple(
         Motif(reg, -coupling, bond_norm) for reg in _axis_bonds(nu)
     ))

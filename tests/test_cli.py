@@ -707,9 +707,9 @@ class TestOverflow:
         doc = json.loads(capsys.readouterr().out, parse_constant=_no_bare_constants)
         checks = doc["suites"]["kms"] if command == "verify" else doc["checks"]
         assert [c["value"] for c in checks] == ["+inf"]
-        if command == "verify":
-            assert main(["verify", "--csv", *extra, "--config", path]) == EXIT_OK
-            assert capsys.readouterr().out.splitlines()[1] == "kms,stub,True,+inf,1.0"
+        assert main([command, "--csv", *extra, "--config", path]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["suite,name,passed,value,threshold", "kms,stub,True,+inf,1.0"]
 
 
 #: configs whose numbers are finite but whose Heisenberg bond, or a motif's
@@ -931,6 +931,26 @@ class TestExitCodes:
         assert main(["verify", "--config", path, "--suite", "lemma1"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
+
+    @pytest.mark.parametrize("flags", [[], ["--csv"]])
+    def test_report_failed_check_exit_one(self, tmp_path, capsys, monkeypatch, flags):
+        """report prints its whole document and exits 1 when a check it ran
+        fails, as verify does."""
+        from kmsbounds.verify import CheckResult
+
+        monkeypatch.setitem(
+            SUITES, "kms", lambda seed=0: [CheckResult("stub", False, 1.0, 0.0)]
+        )
+        path = write_config(tmp_path, {**HEISENBERG, "verify_suites": ["lemma1", "kms"]})
+        assert main(["report", "--config", path, *flags]) == 1
+        out = capsys.readouterr().out
+        if flags:
+            assert out.splitlines()[0] == "model_id,comparator,eps_star,beta,ratio"
+            assert out.splitlines()[-1] == "kms,stub,False,1.0,0.0"
+        else:
+            doc = json.loads(out)
+            assert doc["beta_u"] > 0
+            assert [c["passed"] for c in doc["checks"]] == [True, True, False]
 
     def test_dimension_cap_exit_three(self, tmp_path, monkeypatch):
         import kmsbounds.cli as cli_mod

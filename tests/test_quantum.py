@@ -586,14 +586,15 @@ def cold_chains():
     not depend on the tests that ran before in this process."""
     from kmsbounds import verify
 
-    verify._heisenberg_family.cache_clear()
+    verify._heisenberg_chain.cache_clear()
 
 
 @pytest.mark.usefixtures("cold_chains")
 class TestGibbsState:
-    """Each system builds its reference states once, and each family builds
-    the Hamiltonian of a lattice and diagonalizes it once, however many
-    systems, expectations, residuals and kernels read them."""
+    """Each system builds its Hamiltonian, diagonalizes it and builds its
+    reference states once, however many expectations, residuals and kernels
+    read them; the suites build each of their chain systems once per
+    process."""
 
     @staticmethod
     def counting(monkeypatch, owner, name, calls):
@@ -614,10 +615,9 @@ class TestGibbsState:
         self.counting(monkeypatch, np.linalg, "eigh", calls)
         checks = run_kms_suite(0)
         assert all(c.passed for c in checks)
-        # one system per (number of sites, beta), 2 x 3, on one chain family
-        # per number of sites
-        assert calls.count("hamiltonian") == 2
-        assert calls.count("eigh") == 2
+        # one system per (number of sites, beta), 2 x 3
+        assert calls.count("hamiltonian") == 6
+        assert calls.count("eigh") == 6
         # a second run builds no chain
         calls.clear()
         run_kms_suite(1)
@@ -685,19 +685,20 @@ class TestGibbsState:
 
 @pytest.mark.usefixtures("cold_chains")
 class TestSharedChain:
-    """The suites' chains of one site count share one family, Hamiltonian
-    and eigendecomposition across beta, and compute what a system built
-    afresh computes, bit for bit."""
+    """The suites build one system per (number of sites, beta) and process,
+    which computes what a system built afresh computes, bit for bit, and
+    whose cached arrays are read-only."""
 
     @pytest.mark.parametrize("nsites", [2, 3])
-    def test_betas_share_hamiltonian_and_eigh(self, nsites):
+    def test_one_system_per_sites_and_beta(self, nsites):
         from kmsbounds.verify import _heisenberg_chain
 
-        cold, hot = _heisenberg_chain(nsites, 2.0), _heisenberg_chain(nsites, 0.5)
-        assert cold.fam is hot.fam
-        assert cold.h is hot.h
-        assert cold.eigh is hot.eigh
-        assert cold.gibbs is not hot.gibbs
+        betas = (0.5, 1.0, 2.0)
+        systems = [_heisenberg_chain(nsites, beta) for beta in betas]
+        for beta, system in zip(betas, systems):
+            assert _heisenberg_chain(nsites, beta) is system
+            assert system.beta == beta
+        assert len(set(map(id, systems))) == len(betas)
 
     @pytest.mark.parametrize("nsites", [2, 3])
     def test_shared_system_matches_fresh_system(self, nsites):
@@ -707,8 +708,8 @@ class TestSharedChain:
         dim = 2 ** nsites
         a, b = (LocalOperator(box_window([nsites]), rand_hermitian(dim, rng), 2)
                 for _ in range(2))
-        _heisenberg_chain(nsites, 0.5).eigh  # warm the shared cache at another beta
-        for beta in (0.5, 1.0, 2.0):
+        # each beta twice: on a cold system, then on the warm cached one
+        for beta in (0.5, 1.0, 2.0, 0.5, 1.0, 2.0):
             shared = _heisenberg_chain(nsites, beta)
             fresh = heisenberg_system(nsites, beta)
             for got, want in zip(shared.gibbs, fresh.gibbs):
@@ -722,8 +723,9 @@ class TestSharedChain:
 
         system = _heisenberg_chain(2, 1.0)
         w, v = system.eigh
+        _, weights = system.gibbs
         term = next(iter(system.fam.terms.values()))
-        for arr in (term.matrix, system.h.matrix, v, w):
+        for arr in (term.matrix, system.h.matrix, v, w, weights):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
