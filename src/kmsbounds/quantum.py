@@ -333,6 +333,12 @@ def kms_residual(sys: FiniteSystem, a: LocalOperator, b: LocalOperator,
     return np.hypot(diff.real, diff.imag)
 
 
+def _check_times(times, beta: float) -> None:
+    # written so that a NaN time fails it
+    if not np.all((times >= 0) & (times <= beta * (1 + 1e-12))):
+        raise ValueError("interaction-picture times must lie in [0, beta]")
+
+
 def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
               times) -> LocalOperator:
     """Exact unitary average of the nested-commutator action on the dressed
@@ -357,9 +363,7 @@ def ks_kernel(sys: FiniteSystem, x: Site, chain: Sequence[Region],
     times = np.asarray(times, dtype=float)
     if times.ndim != 2 or times.shape[1] != n:
         raise ValueError("times must be an (N, n) array, one time per chain region in each row")
-    # written so that a NaN time fails it
-    if not np.all((times >= 0) & (times <= sys.beta * (1 + 1e-12))):
-        raise ValueError("interaction-picture times must lie in [0, beta]")
+    _check_times(times, sys.beta)
     x = tuple(x)
     if x not in chain[0]:
         raise ValueError("the first chain region must contain the site")
@@ -394,8 +398,8 @@ def ks_kernel_norm_bound(sys: FiniteSystem, chain: Sequence[Region]) -> float:
     return bound
 
 
-#: Haar samples drawn and processed per stacked step of ``ks_kernel_haar_mc``;
-#: bounds its intermediates at a few stacks of this many matrices
+#: Haar samples drawn and folded into the sums of ``ks_kernel_haar_mc`` per
+#: step; its intermediates hold a few arrays of this many d x d samples
 HAAR_CHUNK = 256
 
 
@@ -405,48 +409,48 @@ def ks_kernel_haar_mc(sys: FiniteSystem, x: Site, region: Region, time: float,
     unitaries at the site: mean of U* [B, e^{-beta Psi_x} U] / c with
     the normalizer c = tr e^{-beta Psi_x} / d.
 
-    The unitaries are drawn and applied, and the samples' squared deviations
-    summed, in stacks of ``HAAR_CHUNK``; every sample is the same arithmetic,
-    on the same random stream, as drawing and applying them one at a time,
-    and the variance is ``np.var``'s bit for bit.  Returns (mean matrix on
-    the region, aggregated standard error) so the exact expansion can be
-    checked to a few sigma.
+    Each sample is linear in the d^4 entries of K = conj(u) (x) u, so it is
+    K L for one d^4 x D^2 matrix L, built from the site's matrix units.  The
+    unitaries are drawn ``HAAR_CHUNK`` at a time, and only the sum of the
+    K - K0 and their Gram matrix are kept, with K0 = E[K] = delta_ij
+    delta_ab / d as a stabilizing shift: no array grows with ``samples``.
+    Returns (mean matrix on the region, aggregated standard error) so the
+    exact expansion can be checked to a few sigma.
     """
     x = tuple(x)
     if x not in region:
         raise ValueError("site must lie in the region")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    _check_times(time, sys.beta)
     d = sys.site_dim
     rng = np.random.default_rng(seed)
     site = Region((x,))
     eig = sys.fam.psi_eigh(x)
     damp = np.eye(d, dtype=complex) if eig is None else _expm_factor(*eig, -sys.beta)
-    normalizer = np.trace(damp).real / d
     b = tau_psi(sys.fam.terms[region], sys.fam, 1j * time).matrix
     dressed = embed_matrices(damp, site, region, d)
-    b_dressed = b @ dressed
-    dim = d ** len(region)
-    draws = np.empty((samples, dim, dim), dtype=complex)
+    # units[r * d + s] = |r><s|; the sample is the sum over (i, a, b, j) of
+    # K[(i, a), (b, j)] = conj(u_ai) u_bj times |i><a| [B, D |b><j|] / c
+    units = embed_matrices(np.eye(d * d).reshape(d * d, d, d), site, region, d)
+    lin = (units[:, None] @ (b @ dressed @ units - dressed @ units @ b)[None]).reshape(d ** 4, -1)
+    lin /= np.trace(damp).real / d
+    eye = np.eye(d)
+    k0 = np.einsum("ij,ab->iabj", eye, eye).ravel() / d
+    total, gram = np.zeros(d ** 4, complex), np.zeros((d ** 4, d ** 4), complex)
     for lo in range(0, samples, HAAR_CHUNK):
-        count = min(HAAR_CHUNK, samples - lo)
-        u = embed_matrices(haar_random_unitaries(count, d, rng), site, region, d)
-        m = b_dressed @ u - dressed @ u @ b
-        draws[lo:lo + count] = (u.conj().transpose(0, 2, 1) @ m) / normalizer
-    mean = draws.mean(axis=0)
-    if samples > 1:
-        # draws.var(axis=0, ddof=1) without its two sample-sized temporaries:
-        # the squared deviations as np.var forms them, a chunk at a time, each
-        # chunk summed behind the running total, so the rows add in the order
-        # of one sum over axis 0
-        total = np.zeros(mean.shape)
-        for lo in range(0, samples, HAAR_CHUNK):
-            dev = draws[lo:lo + HAAR_CHUNK] - mean
-            sq = np.square(dev.real) + np.square(dev.imag)
-            total = np.concatenate([total[None], sq]).sum(axis=0)
-        var = total / (samples - 1) / samples
-        sigma = math.sqrt(float(np.abs(var).sum()))
-    else:
-        sigma = math.inf
-    return mean, sigma
+        u = haar_random_unitaries(min(HAAR_CHUNK, samples - lo), d, rng)
+        k = u.conj().transpose(0, 2, 1).reshape(-1, d * d, 1) * u.reshape(-1, 1, d * d)
+        k = k.reshape(-1, d ** 4) - k0
+        total += k.sum(axis=0)
+        gram += k.conj().T @ k
+    kbar = total / samples
+    mean = ((k0 + kbar) @ lin).reshape(b.shape)
+    if samples == 1:
+        return mean, math.inf
+    # sum over samples of the squared Frobenius deviation from the mean
+    spread = np.trace(lin.conj().T @ (gram - samples * np.outer(kbar.conj(), kbar)) @ lin).real
+    return mean, math.sqrt(max(spread, 0.0) / (samples - 1) / samples)
 
 
 @dataclass

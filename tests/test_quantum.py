@@ -20,6 +20,7 @@ from kmsbounds.lattice import (
 )
 from kmsbounds.norms import NormParams, norm_eps_zeta, psi_norm_sum
 from kmsbounds.quantum import (
+    HAAR_CHUNK,
     ConvergenceWarning,
     FiniteSystem,
     SimplexQuadrature,
@@ -989,35 +990,94 @@ class TestKSKernel:
         )
         assert np.linalg.norm(mean - exact) <= 3 * sigma
 
-    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 10000])
-    def test_monte_carlo_matches_per_sample_loop(self, samples):
-        system = transverse_system(2, 0.5)
-        bond_region = next(iter(system.fam.multilocal()))
-        x, s, seed = (0,), 0.15, 13
-        mean, sigma = ks_kernel_haar_mc(system, x, bond_region, s, samples=samples, seed=seed)
-        # reference: one Haar draw at a time, embedded at the first site by kron
+    @staticmethod
+    def per_sample_mc(system, x, bond_region, s, samples, seed):
+        """Reference for ``ks_kernel_haar_mc``: one Haar draw at a time by
+        LAPACK QR with the phases fixed, embedded at the site of the bond by
+        kron, and ``np.var`` over all the draws."""
         d = system.site_dim
         rng = np.random.default_rng(seed)
         w, v = np.linalg.eigh(system.fam.psi(x).matrix)
         damp = (v * np.exp(-system.beta * w)) @ v.conj().T
         normalizer = np.trace(damp).real / d
         b = tau_psi(system.fam.terms[bond_region], system.fam, 1j * s).matrix
-        dressed = np.kron(damp, np.eye(d))
+        def at_site(q):
+            return np.kron(q, np.eye(d)) if x == (0,) else np.kron(np.eye(d), q)
+
+        dressed = at_site(damp)
         draws = np.empty((samples, d * d, d * d), dtype=complex)
         for i in range(samples):
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             q, r = np.linalg.qr(z)
             phases = np.diagonal(r).copy()
             phases /= np.abs(phases)
-            u = np.kron(q * phases, np.eye(d))
+            u = at_site(q * phases)
             m = b @ dressed @ u - dressed @ u @ b
             draws[i] = (u.conj().T @ m) / normalizer
-        assert np.array_equal(mean, draws.mean(axis=0))
-        if samples > 1:
-            var = draws.var(axis=0, ddof=1) / samples
-            assert sigma == math.sqrt(float(np.abs(var).sum()))
-        else:
+        if samples == 1:
+            return draws.mean(axis=0), math.inf
+        var = draws.var(axis=0, ddof=1) / samples
+        return draws.mean(axis=0), math.sqrt(float(np.abs(var).sum()))
+
+    def assert_matches_per_sample_mc(self, x, samples):
+        system = transverse_system(2, 0.5)
+        bond_region = next(iter(system.fam.multilocal()))
+        s, seed = 0.15, 13
+        mean, sigma = ks_kernel_haar_mc(system, x, bond_region, s, samples=samples, seed=seed)
+        ref_mean, ref_sigma = self.per_sample_mc(system, x, bond_region, s, samples, seed)
+        # Gram-Schmidt samples and the Gram-matrix variance differ from the
+        # reference in roundoff only: at seeds 1-5 and 13, samples 1, 2,
+        # 255-257 and 10,000 and either site, the mean was within 3.9e-15
+        # and sigma within 4.0e-16, relative
+        assert np.linalg.norm(mean - ref_mean) <= 1e-13 * np.linalg.norm(ref_mean)
+        if samples == 1:
             assert sigma == math.inf
+        else:
+            assert abs(sigma - ref_sigma) <= 1e-14 * ref_sigma
+
+    @pytest.mark.parametrize("samples", [1, HAAR_CHUNK - 1, HAAR_CHUNK, HAAR_CHUNK + 1, 10000])
+    def test_monte_carlo_matches_per_sample_loop(self, samples):
+        self.assert_matches_per_sample_mc((0,), samples)
+
+    def test_monte_carlo_second_leg_matches_per_sample_loop(self):
+        # the site on the second leg of the bond: the reference is kron(1, q)
+        self.assert_matches_per_sample_mc((1,), 1000)
+
+    @pytest.mark.parametrize("samples, s, match", [
+        (0, 0.15, "samples"),
+        (-3, 0.15, "samples"),
+        (100, math.nan, r"\[0, beta\]"),
+        (100, -0.01, r"\[0, beta\]"),
+        (100, 0.5 * (1 + 1e-9), r"\[0, beta\]"),
+    ])
+    def test_monte_carlo_rejects_what_ks_kernel_rejects(self, samples, s, match):
+        system = transverse_system(2, 0.5)
+        bond_region = next(iter(system.fam.multilocal()))
+        with pytest.raises(ValueError, match=match):
+            ks_kernel_haar_mc(system, (0,), bond_region, s, samples=samples, seed=0)
+
+    def test_monte_carlo_time_tolerance(self):
+        # a time past beta by roundoff passes, as it does in ks_kernel
+        system = transverse_system(2, 0.5)
+        bond_region = next(iter(system.fam.multilocal()))
+        s = 0.5 * (1 + 1e-13)
+        ks_kernel(system, (0,), [bond_region], [[s]])
+        mean, _ = ks_kernel_haar_mc(system, (0,), bond_region, s, samples=10, seed=0)
+        assert np.all(np.isfinite(mean))
+
+    def test_monte_carlo_memory_peak(self):
+        # only a chunk of samples, their d^4 sum and Gram matrix are held; the
+        # 10,000 two-site samples themselves would take 2.56 MB (measured:
+        # 0.33 MB peak)
+        system = transverse_system(2, 0.5)
+        bond_region = next(iter(system.fam.multilocal()))
+        tracemalloc.start()
+        try:
+            ks_kernel_haar_mc(system, (0,), bond_region, 0.15, samples=10000, seed=13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_chain_must_start_at_site(self):
         system = heisenberg_system(3, 0.5)
@@ -1138,9 +1198,9 @@ class TestKernelBoundChecks:
 
 
 def test_ks_suite_memory_peak():
-    # the Haar kernel holds its 10,000 two-site samples (2.56 MB) and sums
-    # their squared deviations a chunk at a time; np.var's two more arrays of
-    # that size would not fit under the bound
+    # the Haar kernel keeps only sums over its 10,000 two-site samples; the
+    # samples themselves (2.56 MB) and np.var's two more arrays of that size
+    # would not fit under the bound
     from kmsbounds.verify import run_ks_suite
 
     tracemalloc.start()
