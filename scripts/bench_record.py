@@ -16,6 +16,11 @@ exactly two trees, it also counts per workload and end-to-end metric the
 seeds at which the second tree read lower than the first, higher, or equal
 (``pairs``).  The benchmark itself lives in ``kmsbench/``; this script only
 runs it and writes down what it prints.
+
+A run that exits non-zero or prints no result line is kept in ``runs`` as its
+seed, exit code and last stderr line, printed to stderr, and left out of the
+quartiles and of ``pairs``; the file is still written, and the script then
+exits 1.
 """
 
 import argparse
@@ -29,14 +34,37 @@ BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json
 
 
 def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One benchmark run in ``tree``: its report and result lines."""
+    """One benchmark run in ``tree``: its report and result lines, or, for a
+    run that fails, ``{"failed_run": {"seed", "exit_code", "stderr"}}``."""
     proc = subprocess.run(
         [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
          "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True,
     )
-    report_line, result_line = proc.stdout.splitlines()[-2:]
-    return {**json.loads(report_line), "result": json.loads(result_line)}
+    lines = proc.stdout.splitlines()
+    if proc.returncode == 0 and len(lines) >= 2:
+        try:
+            return {**json.loads(lines[-2]), "result": json.loads(lines[-1])}
+        except json.JSONDecodeError:  # no result line at the end
+            pass
+    stderr = proc.stderr.splitlines()
+    return {"failed_run": {"seed": seed, "exit_code": proc.returncode,
+                           "stderr": stderr[-1] if stderr else ""}}
+
+
+def run_logged(tree: Path, label: str, workload: str, seed: int, trace: int) -> dict:
+    """``run_bench`` with one stderr line: an untraced run's wall time, or
+    a failed run's exit code and last stderr line."""
+    run = run_bench(tree, workload, seed, trace)
+    what = f"{workload} {'traced ' * trace}seed {seed} {label}"
+    if "failed_run" in run:
+        failed = run["failed_run"]
+        print(f"{what}: FAILED with exit code {failed['exit_code']}: {failed['stderr']}",
+              file=sys.stderr)
+    elif not trace:
+        wall = run["result"]["metrics"]["wall_s"]["value"]
+        print(f"{what}: wall_s {wall:.3f}", file=sys.stderr)
+    return run
 
 
 def quartiles(values: list) -> dict:
@@ -48,14 +76,18 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(runs: list, traced: dict) -> dict:
-    metrics = runs[0]["result"]["metrics"]
-    provenance = dict(runs[0]["report"]["provenance"])
+    """The record of one tree and workload; failed runs appear only in
+    ``runs``, and a failed traced run leaves ``per_layer`` empty."""
+    done = [run for run in runs if "failed_run" not in run]
+    metrics = done[0]["result"]["metrics"] if done else {}
+    provenance = dict(done[0]["report"]["provenance"]) if done else {}
     # the per-pass config hashes follow from the seed; keep the file small
     provenance.pop("config_sha256", None)
     provenance.pop("seed", None)
     return {
         "provenance": provenance,
         "runs": [
+            run["failed_run"] if "failed_run" in run else
             {"seed": run["report"]["provenance"]["seed"],
              "attempted": run["result"]["attempted"], "failed": run["result"]["failed"],
              "correct": run["result"]["correct"],
@@ -63,22 +95,26 @@ def summarize(runs: list, traced: dict) -> dict:
             for run in runs
         ],
         "end_to_end": {
-            name: {**quartiles([run["result"]["metrics"][name]["value"] for run in runs]),
+            name: {**quartiles([run["result"]["metrics"][name]["value"] for run in done]),
                    "unit": metrics[name]["unit"]}
             for name in metrics
         },
-        "per_layer": {
+        "per_layer": {} if "failed_run" in traced else {
             name: m["value"] for name, m in traced["result"]["metrics"].items()
         },
-        "traced_seed": traced["report"]["provenance"]["seed"],
+        "traced_seed": traced["failed_run"]["seed"] if "failed_run" in traced
+        else traced["report"]["provenance"]["seed"],
     }
 
 
 def pair_counts(first: list, second: list) -> dict:
     """Per end-to-end metric, the seeds at which the run of ``second`` read
-    lower than the run of ``first`` at the same seed, higher, or equal."""
+    lower than the run of ``first`` at the same seed, higher, or equal; a
+    seed where either run failed counts in none."""
     counts = {}
     for a, b in zip(first, second):
+        if "failed_run" in a or "failed_run" in b:
+            continue
         for name, m in b["result"]["metrics"].items():
             before, after = a["result"]["metrics"][name]["value"], m["value"]
             side = "lower" if after < before else "higher" if after > before else "equal"
@@ -101,20 +137,23 @@ def main() -> int:
     if len(trees) == 2:
         first, second = trees
         doc["pairs"] = {"first": first, "second": second, "counts": {}}
+    failures = 0
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         runs = {label: [] for label in trees}
         for k, seed in enumerate(args.seeds):
             for label, tree in list(trees.items())[::-1 if k % 2 else 1]:
-                runs[label].append(run_bench(tree, workload, seed, 0))
-                wall = runs[label][-1]["result"]["metrics"]["wall_s"]["value"]
-                print(f"{workload} seed {seed} {label}: wall_s {wall:.3f}", file=sys.stderr)
+                runs[label].append(run_logged(tree, label, workload, seed, 0))
+                failures += "failed_run" in runs[label][-1]
         for label, tree in trees.items():
-            traced = run_bench(tree, workload, args.seeds[0], 1)
+            traced = run_logged(tree, label, workload, args.seeds[0], 1)
+            failures += "failed_run" in traced
             doc["trees"][label][workload] = summarize(runs[label], traced)
         if "pairs" in doc:
             doc["pairs"]["counts"][workload] = pair_counts(*runs.values())
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0
+    if failures:
+        print(f"{failures} failed runs; {args.out} keeps each one in its runs", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

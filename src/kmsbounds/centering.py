@@ -30,6 +30,9 @@ from .ti import Region, Site
 
 SUBSET_CAP = 12
 
+#: the relative slack of ``Decomposition.norm_bound_ok`` for roundoff
+NORM_BOUND_SLACK = 1e-9
+
 
 class SubsetCapError(ValueError):
     """Region too large for 2^|L| subset enumeration."""
@@ -45,7 +48,12 @@ def gibbs_single_site(psi: np.ndarray, beta) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if not hermitian_mask(psi).all():
         raise ValueError("single-site potential must be Hermitian")
-    w, v = np.linalg.eigh(psi)
+    return _gibbs_density(*np.linalg.eigh(psi), beta)
+
+
+def _gibbs_density(w: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
+    """e^{-beta psi} / tr e^{-beta psi} from the eigendecomposition (w, v) of
+    psi, or of each psi of a stack."""
     g = np.exp(-np.asarray(beta)[..., None] * (w - w.min(axis=-1, keepdims=True)))
     g /= g.sum(axis=-1, keepdims=True)
     return (v * g[..., None, :]) @ v.conj().swapaxes(-2, -1)
@@ -80,11 +88,9 @@ class ReferenceStates:
 
     @classmethod
     def from_interaction(cls, fam: InteractionFamily, window: Region, beta: float) -> "ReferenceStates":
-        rho = {}
-        for x in window:
-            psi = fam.psi(x)
-            if np.any(psi.matrix):
-                rho[x] = gibbs_single_site(psi.matrix, beta)
+        """Gibbs densities of the single-site terms, by ``fam.psi_eigh``."""
+        eighs = {x: fam.psi_eigh(x) for x in window}
+        rho = {x: _gibbs_density(*e, beta) for x, e in eighs.items() if e is not None}
         return cls(site_dim=fam.site_dim, rho=rho)
 
     def density(self, x: Site) -> np.ndarray:
@@ -188,11 +194,12 @@ class Decomposition:
             self.region, ((i, self.stack[rows]) for i, rows in enumerate(holding) if rows), eta
         )
 
-    def norm_bound_ok(self, reference_norm, slack: float = 1e-9) -> bool:
-        """||A_X|| <= 2^{|X|} ||A||, with one ||A|| per draw for a stack."""
+    def norm_bound_ok(self, reference_norm) -> bool:
+        """||A_X|| <= 2^{|X|} ||A|| up to ``NORM_BOUND_SLACK``, with one ||A||
+        per draw for a stack."""
         sizes = np.exp2([len(index) for index in self.components])
-        bounds = np.multiply.outer(sizes, reference_norm)
-        return not np.any(operator_norms(self.stack) > bounds * (1.0 + slack) + 1e-300)
+        bounds = np.multiply.outer(sizes, reference_norm) * (1.0 + NORM_BOUND_SLACK)
+        return not np.any(operator_norms(self.stack) > bounds + 1e-300)
 
 
 def decompose_recursive(a: LocalOperator, eta: ReferenceStates) -> Decomposition:

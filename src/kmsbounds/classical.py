@@ -40,6 +40,14 @@ from numpy.polynomial.legendre import leggauss
 
 from .ti import Region, Site, classical_bond_norm
 
+#: the sup-norm search's coarse grid points per angle, and refinement rounds
+SUPNORM_COARSE = 64
+SUPNORM_ROUNDS = 3
+#: how far from orthogonal, and from determinant one, a rotation may be
+ROTATION_TOL = 1e-10
+#: the order of the sphere grid of ``classical_kernel_bound_check``
+KERNEL_GRID_ORDER = 4
+
 
 @dataclass(frozen=True)
 class ClassicalPotential:
@@ -76,7 +84,7 @@ class SphereGrid:
     order in cos(theta) crossed with 2*order uniform azimuthal points; the
     weights are positive and sum to one (normalized surface measure)."""
 
-    def __init__(self, order: int = 16):
+    def __init__(self, order: int):
         if order < 2:
             raise ValueError("order must be >= 2")
         self.order = order
@@ -221,22 +229,21 @@ def _gibbs_averages(window: Region, potentials: Sequence[ClassicalPotential],
 
 
 def classical_gibbs_expectation(window: Region, potentials: Sequence[ClassicalPotential],
-                                beta: float, observable: Callable,
-                                grid: SphereGrid = None) -> float:
+                                beta: float, observable: Callable, grid: SphereGrid) -> float:
     """Quadrature evaluation of the finite-volume Gibbs average
     int e^{-beta h} a dmu / int e^{-beta h} dmu with h the sum of the given
     potentials.  ``observable`` maps the window's per-site vector lists to
     one (n_s, r) factor matrix per site; a is sum_t prod_s F_s[i_s, t]."""
-    return _gibbs_averages(window, potentials, beta, observable, [_gibbs_weights],
-                           grid or SphereGrid())[0]
+    return _gibbs_averages(window, potentials, beta, observable, [_gibbs_weights], grid)[0]
 
 
-def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3) -> float:
+def classical_supnorm(pot: ClassicalPotential) -> float:
     """Supremum of |phi| over unit-vector configurations.
 
     Returns the closed form when one is attached; otherwise the factors on
-    a coarse (theta, phi) grid per site followed by local grid refinement,
-    halving the resolution each round.
+    a coarse (theta, phi) grid per site (``SUPNORM_COARSE`` points per angle)
+    followed by ``SUPNORM_ROUNDS`` rounds of local grid refinement, halving
+    the resolution each round.
     """
     if pot.sup_norm is not None:
         return pot.sup_norm
@@ -265,12 +272,12 @@ def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3
                 best = (first + i0, *others)
         return best_val, [(tf[i], pf[i]) for tf, pf, i in zip(tfs, pfs, best)]
 
-    thetas = (np.arange(coarse) + 0.5) * math.pi / coarse
-    phis = 2.0 * math.pi * np.arange(coarse) / coarse
+    thetas = (np.arange(SUPNORM_COARSE) + 0.5) * math.pi / SUPNORM_COARSE
+    phis = 2.0 * math.pi * np.arange(SUPNORM_COARSE) / SUPNORM_COARSE
     best_val, best_angles = search([directions(thetas, phis)] * len(pot.region))
-    step_t = math.pi / coarse
-    step_p = 2.0 * math.pi / coarse
-    for _ in range(rounds):
+    step_t = math.pi / SUPNORM_COARSE
+    step_p = 2.0 * math.pi / SUPNORM_COARSE
+    for _ in range(SUPNORM_ROUNDS):
         step_t /= 2.0
         step_p /= 2.0
         val, best_angles = search([
@@ -281,11 +288,12 @@ def classical_supnorm(pot: ClassicalPotential, coarse: int = 64, rounds: int = 3
     return best_val
 
 
-def require_rotation(r: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def require_rotation(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValueError("rotation must be a 3x3 matrix")
-    if np.linalg.norm(r @ r.T - np.eye(3)) > tol or abs(np.linalg.det(r) - 1.0) > tol:
+    if (np.linalg.norm(r @ r.T - np.eye(3)) > ROTATION_TOL
+            or abs(np.linalg.det(r) - 1.0) > ROTATION_TOL):
         raise ValueError("matrix is not a rotation")
     return r
 
@@ -302,7 +310,7 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential],
                         beta: float, observable: Callable, x: Site, r: np.ndarray,
-                        grid: SphereGrid = None) -> float:
+                        grid: SphereGrid) -> float:
     """Difference between omega(a) and the rotated-dressed average
 
         omega( exp(beta sum_{X at x} (phi_X - phi_X o rotation)) a o rotation ),
@@ -331,21 +339,21 @@ def invariance_residual(window: Region, potentials: Sequence[ClassicalPotential]
         return spare, rotated
 
     lhs, rhs = _gibbs_averages(window, potentials, beta, observable,
-                               [_gibbs_weights, dressed], grid or SphereGrid())
+                               [_gibbs_weights, dressed], grid)
     return abs(lhs - rhs)
 
 
 def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: float,
                                  rotation_samples: int, seed: int,
-                                 site_field: ClassicalPotential = None,
-                                 grid: SphereGrid = None):
+                                 site_field: ClassicalPotential = None):
     """Sampled check of the rotation-difference product bound.
 
     For rotations R acting at the common site x of the bonds, the normalized
     average over R of  prod_l (phi_l - phi_l o R) e^{-beta psi o R}  never
     exceeds 2^n prod_l sup|phi_l| in absolute value (each factor is a
     difference of two values bounded by sup|phi_l|, and the weight is a
-    convex average).  Returns (max sampled lhs, rhs bound).  Each chunk
+    convex average).  Returns (max sampled lhs, rhs bound), sampled on the
+    order-``KERNEL_GRID_ORDER`` grid.  Each chunk
     rotates the list of x in blocks of at most 2^20 (rotation, configuration)
     pairs, one ``_difference`` call per bond and block.
     """
@@ -359,7 +367,7 @@ def classical_kernel_bound_check(bonds: Sequence[ClassicalPotential], beta: floa
         raise ValueError("bonds must share a site")
     x = common.min_site()
     window = Region.of([s for b in bonds for s in b.region])
-    grid = grid or SphereGrid(4)
+    grid = SphereGrid(KERNEL_GRID_ORDER)
     rng = np.random.default_rng(seed)
     rotations = np.array([random_rotation(rng) for _ in range(rotation_samples)])
     xi = window.index(x)

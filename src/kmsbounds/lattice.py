@@ -25,15 +25,15 @@ DIMENSION_CAP = 4096
 HERMITIAN_RTOL = 1e-12
 
 
-def hermitian_mask(mats: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """||M - M*||_F <= rtol ||M||_F for each matrix M on the last two axes,
-    evaluated on M divided by its largest entry modulus.  The test is
+def hermitian_mask(mats: np.ndarray) -> np.ndarray:
+    """||M - M*||_F <= HERMITIAN_RTOL ||M||_F for each matrix M on the last
+    two axes, evaluated on M divided by its largest entry modulus.  The test is
     scale-invariant (the zero matrix passes); the division keeps the
     Frobenius norms finite for entries near the top of the float range."""
     peak = np.abs(mats).max(axis=(-2, -1))
     # the reciprocal of a subnormal peak would overflow
     skew = mats * (1.0 / np.maximum(peak, sys.float_info.min))[..., None, None]
-    bound = rtol * np.linalg.norm(skew, axis=(-2, -1))
+    bound = HERMITIAN_RTOL * np.linalg.norm(skew, axis=(-2, -1))
     # M - M* in place of M: its conjugate transpose is the one other buffer
     skew -= np.conjugate(skew.swapaxes(-2, -1))
     return np.linalg.norm(skew, axis=(-2, -1)) <= bound
@@ -74,20 +74,9 @@ class LocalOperator:
         return op
 
     @classmethod
-    def identity(cls, region: Region, site_dim: int) -> "LocalOperator":
-        dim = site_dim ** len(region)
-        return cls(region, np.eye(dim, dtype=complex), site_dim)
-
-    @classmethod
     def zero(cls, region: Region, site_dim: int) -> "LocalOperator":
         dim = site_dim ** len(region)
         return cls(region, np.zeros((dim, dim), dtype=complex), site_dim)
-
-    def dagger(self) -> "LocalOperator":
-        return LocalOperator._raw(self.region, self.matrix.conj().T, self.site_dim)
-
-    def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
-        return bool(hermitian_mask(self.matrix, rtol))
 
     def __add__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
@@ -96,14 +85,6 @@ class LocalOperator:
     def __sub__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
         return LocalOperator._raw(a.region, a.matrix - b.matrix, a.site_dim)
-
-    def __neg__(self) -> "LocalOperator":
-        return LocalOperator._raw(self.region, -self.matrix, self.site_dim)
-
-    def __mul__(self, c) -> "LocalOperator":
-        return LocalOperator._raw(self.region, self.matrix * complex(c), self.site_dim)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "LocalOperator") -> "LocalOperator":
         a, b = _on_common_region(self, other)
@@ -202,9 +183,9 @@ def spin_matrices(rep: SpinRep, at: Site = (0,)) -> tuple:
 class InteractionFamily:
     """Map from finite regions to Hermitian local operators.
 
-    ``psi(x)`` is the single-site part, ``phibar`` the multilocal part
-    (terms on regions of two or more sites); the empty region never carries
-    a term.
+    The terms on one site are the single-site part (``singletons``,
+    ``psi_eigh``), those on two or more the multilocal part (``multilocal``);
+    the empty region never carries a term.
 
     The family caches its term norms and single-site eigendecompositions;
     the term matrices are marked read-only, so a write into one raises
@@ -221,7 +202,7 @@ class InteractionFamily:
                 raise ValueError("term stored under a region it does not act on")
             if op.site_dim != site_dim:
                 raise ValueError("term has inconsistent site dimension")
-            if not op.is_hermitian():
+            if not hermitian_mask(op.matrix):
                 raise ValueError(f"potential on {reg} is not Hermitian")
             if np.any(op.matrix):
                 op.matrix.flags.writeable = False
@@ -249,10 +230,6 @@ class InteractionFamily:
             self._psi_eigh[x] = None if op is None else np.linalg.eigh(op.matrix)
         return self._psi_eigh[x]
 
-    def psi(self, x: Site) -> LocalOperator:
-        reg = Region((tuple(x),))
-        return self.terms.get(reg, LocalOperator.zero(reg, self.site_dim))
-
     def multilocal(self) -> dict:
         return {r: op for r, op in self.terms.items() if len(r) >= 2}
 
@@ -266,15 +243,12 @@ class InteractionFamily:
         return out
 
 
-def graph_distance(x: Site, y: Site) -> int:
-    return int(sum(abs(a - b) for a, b in zip(x, y)))
-
-
 def _bonds(window: Region):
+    """The nearest-neighbour pairs of the window: sites at graph distance one."""
     sites = list(window)
     for i, x in enumerate(sites):
         for y in sites[i + 1:]:
-            if graph_distance(x, y) == 1:
+            if sum(abs(a - b) for a, b in zip(x, y)) == 1:
                 yield x, y
 
 

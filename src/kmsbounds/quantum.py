@@ -129,16 +129,17 @@ def _conjugate(a: np.ndarray, eig: tuple, t: complex) -> np.ndarray:
     return _expm_factor(*eig, 1j * t) @ a @ _expm_factor(*eig, -1j * t)
 
 
-def gibbs_expectation(sys: FiniteSystem, a: LocalOperator, state: tuple = None) -> complex:
-    """tr(rho A) on the full finite lattice for the state rho given by its
-    eigenbasis and weights ``(basis, weights)``; by default the Gibbs state
-    tr(e^{-beta H} A) / tr(e^{-beta H})."""
-    return complex(gibbs_expectations(sys, embed(a, sys.gamma).matrix, state))
+def gibbs_expectation(sys: FiniteSystem, a: LocalOperator) -> complex:
+    """The Gibbs expectation tr(e^{-beta H} A) / tr(e^{-beta H}) on the full
+    finite lattice."""
+    return complex(gibbs_expectations(sys, embed(a, sys.gamma).matrix))
 
 
 def gibbs_expectations(sys: FiniteSystem, mats: np.ndarray, state: tuple = None) -> np.ndarray:
-    """``gibbs_expectation`` of each matrix of a stack (..., D, D) on the
-    whole lattice, each computed as it would be alone."""
+    """tr(rho M) for each matrix M of a stack (..., D, D) on the whole
+    lattice, each computed as it would be alone, for the state rho given by
+    its eigenbasis and weights ``(basis, weights)``; by default the Gibbs
+    state."""
     basis, weights = sys.gibbs if state is None else state
     rotated = basis.conj().T @ mats @ basis
     return (weights * np.diagonal(rotated, axis1=-2, axis2=-1)).sum(axis=-1)
@@ -324,7 +325,7 @@ def _warn_if_outside_regime(fam: InteractionFamily, duration: float) -> None:
 def kms_residual(sys: FiniteSystem, a: LocalOperator, b: LocalOperator,
                  state: tuple = None):
     """|omega(A tau_{i beta} B) - omega(B A)| in a state given as in
-    ``gibbs_expectation``: zero up to roundoff in the Gibbs state (cyclicity
+    ``gibbs_expectations``: zero up to roundoff in the Gibbs state (cyclicity
     of the trace), visibly nonzero in a mismatched one.  For operators whose
     matrices are (B, D, D) stacks of draws, the (B,) array of residuals."""
     lhs = gibbs_expectations(sys, embed(a @ sys.evolve(b, 1j * sys.beta), sys.gamma).matrix, state)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -89,10 +88,19 @@ def _ge(name: str, value: float, threshold: float) -> CheckResult:
     return CheckResult(name, value >= threshold, value, threshold)
 
 
-def run_decompose_suite(seed: int = 0, draws: int = 100,
-                        betas: Sequence[float] = (0.3, 1.0)) -> list:
-    """Random Hermitian observables on one to three spin-1/2 sites with random
-    single-site potentials: reconstruction, centering, cross-method agreement
+# Suite sizes: the CLI, kmsbench, CI and the acceptance tests all run the suites at these
+DECOMPOSE_DRAWS, DECOMPOSE_BETAS = 100, (0.3, 1.0)
+KMS_DRAWS, KMS_BETAS = 50, (0.5, 1.0, 2.0)
+DYSON_TIMES = (0.1, 0.05)
+LEMMA_DRAWS, LEMMA_EPS = 500, (0.3, 0.7, 1.5)
+KS_MC_SAMPLES = 10000
+CLASSICAL_DRAWS, CLASSICAL_GRID_ORDER = 20, 16
+
+
+def run_decompose_suite(seed: int = 0) -> list:
+    """``DECOMPOSE_DRAWS`` random Hermitian observables on one to three
+    spin-1/2 sites with random single-site potentials, beta cycling through
+    ``DECOMPOSE_BETAS``: reconstruction, centering, cross-method agreement
     and the 2^|X| norm bound.
 
     The inputs are drawn one draw at a time; the draws of each (number of
@@ -100,11 +108,11 @@ def run_decompose_suite(seed: int = 0, draws: int = 100,
     densities, and each check reads a stack in one norm call."""
     rng = np.random.default_rng(seed)
     by_system = {}  # (nsites, beta) -> [(potentials, observable)], in draw order
-    for i in range(draws):
+    for i in range(DECOMPOSE_DRAWS):
         nsites = 1 + (i % 3)
         psi = [_rand_hermitian(2, rng) for _ in range(nsites)]
         pair = (psi, _rand_hermitian(2 ** nsites, rng))
-        by_system.setdefault((nsites, betas[i % len(betas)]), []).append(pair)
+        by_system.setdefault((nsites, DECOMPOSE_BETAS[i % len(DECOMPOSE_BETAS)]), []).append(pair)
     worst_recon = worst_center = worst_cross = 0.0
     bound_ok = True
     for (nsites, beta), group in by_system.items():
@@ -130,18 +138,17 @@ def run_decompose_suite(seed: int = 0, draws: int = 100,
     ]
 
 
-def run_kms_suite(seed: int = 0, draws: int = 50,
-                  betas: Sequence[float] = (0.5, 1.0, 2.0)) -> list:
+def run_kms_suite(seed: int = 0) -> list:
     """Gibbs states satisfy the analytic-continuation identity to roundoff;
     the maximally mixed state (at beta > 0 with nontrivial dynamics) visibly
-    violates it on at least 90 percent of random observables.  The draws of
-    each (number of sites, beta) system run as one stack."""
+    violates it on at least 90 percent of ``KMS_DRAWS`` random observable
+    pairs, beta cycling through ``KMS_BETAS``, one stack per system."""
     rng = np.random.default_rng(seed)
     by_system = {}  # (nsites, beta) -> [(a, b)], in draw order
-    for i in range(draws):
+    for i in range(KMS_DRAWS):
         nsites = 2 + (i % 2)
         pair = tuple(_rand_hermitian(2 ** nsites, rng) for _ in range(2))
-        by_system.setdefault((nsites, betas[i % len(betas)]), []).append(pair)
+        by_system.setdefault((nsites, KMS_BETAS[i % len(KMS_BETAS)]), []).append(pair)
     worst_rel = 0.0
     mismatch_hits = 0
     for (nsites, beta), pairs in by_system.items():
@@ -160,21 +167,20 @@ def run_kms_suite(seed: int = 0, draws: int = 50,
         mismatch_hits += int(np.count_nonzero(kms_residual(system, a, b, maximally_mixed) > 1e-3))
     return [
         _le("gibbs_residual_vs_tolerance", worst_rel, 1.0),
-        _ge("mismatched_state_detection_rate", mismatch_hits / draws, 0.9),
+        _ge("mismatched_state_detection_rate", mismatch_hits / KMS_DRAWS, 0.9),
     ]
 
 
-def run_dyson_suite(seed: int = 0, order: int = 3,
-                    times: Sequence[float] = (0.1, 0.05)) -> list:
+def run_dyson_suite(seed: int = 0, order: int = 3) -> list:
     """Truncation error against exact evolution on the three-site spin-1/2
-    chain is of order t^{N+1}: halving the time shrinks it by 2^{N+1}.  The
-    check asks for 11/16 of that rate (11 at the default order 3)."""
+    chain is of order t^{N+1}: halving the time (``DYSON_TIMES``) shrinks it
+    by 2^{N+1}.  The check asks for 11/16 of that rate (11 at order 3)."""
     min_ratio = 11.0 / 16.0 * 2.0 ** (order + 1)
     system = _heisenberg_chain(3, 1.0)
     _, _, s3 = spin_matrices(SpinRep(1), at=(0,))
     quad = SimplexQuadrature(8)
     errors = []
-    for t in times:
+    for t in DYSON_TIMES:
         approx = dyson_truncated(s3, system, t, order, quad)
         errors.append(operator_norm(approx - system.evolve(s3, t)))
     ratio = errors[0] / errors[1] if errors[1] else math.inf
@@ -189,12 +195,12 @@ _SITE_BITS = (np.arange(1 << LEMMA_SITES)[:, None] >> np.arange(LEMMA_SITES)) & 
 LEMMA_REGIONS = np.flatnonzero(np.isin(_SITE_BITS.sum(axis=1), (1, 2, 3)))
 
 
-def _lemma_draws(rng: np.random.Generator, draws: int, eps_values: Sequence[float]) -> tuple:
+def _lemma_draws(rng: np.random.Generator, draws: int) -> tuple:
     """The lemma suite's families, drawn as ``run_lemma_suite`` states, one
     row per draw: (weights (draws, regions) on ``LEMMA_REGIONS``, zero off the
-    family; lam as a site bitmask; n; eps).  A row's subset of regions (or
-    sites) is where a random permutation, the argsort of uniforms, is below
-    the subset's size."""
+    family; lam as a site bitmask; n; eps, cycling through ``LEMMA_EPS``).
+    A row's subset of regions (or sites) is where a random permutation, the
+    argsort of uniforms, is below the subset's size."""
     count = rng.integers(2, 7, size=draws)
     chosen = rng.random((draws, len(LEMMA_REGIONS))).argsort(axis=1) < count[:, None]
     weights = np.where(chosen, rng.uniform(0.05, 1.0, size=chosen.shape), 0.0)
@@ -202,7 +208,7 @@ def _lemma_draws(rng: np.random.Generator, draws: int, eps_values: Sequence[floa
     lam_sites = rng.random((draws, LEMMA_SITES)).argsort(axis=1) < lam_size[:, None]
     lam = lam_sites @ (1 << np.arange(LEMMA_SITES))
     n = rng.integers(1, 4, size=draws)
-    eps = np.resize(np.asarray(eps_values, dtype=float), draws)
+    eps = np.resize(np.asarray(LEMMA_EPS, dtype=float), draws)
     return weights, lam, n, eps
 
 
@@ -236,17 +242,16 @@ def _lemma_sides(weights: np.ndarray, lam: np.ndarray, n: np.ndarray,
     return lhs, rhs
 
 
-def run_lemma_suite(seed: int = 0, draws: int = 500,
-                    eps_values: Sequence[float] = (0.3, 0.7, 1.5)) -> list:
+def run_lemma_suite(seed: int = 0) -> list:
     """Constrained chain sums never exceed the combinatorial bound on
     randomized weight families over a four-site lattice.
 
-    Each draw is a family of 2 to 6 distinct regions of one to three of the
-    four sites, with weights uniform on [0.05, 1), a start lam of 1 to 3
-    distinct sites and a chain length n of 1 to 3 (each count uniform); eps
-    cycles through ``eps_values`` by draw index.  All draws are drawn and
-    summed as arrays (``_lemma_draws``, ``_lemma_sides``)."""
-    lhs, rhs = _lemma_sides(*_lemma_draws(np.random.default_rng(seed), draws, eps_values))
+    Each of ``LEMMA_DRAWS`` draws is a family of 2 to 6 distinct regions of
+    one to three of the four sites, with weights uniform on [0.05, 1), a start
+    lam of 1 to 3 distinct sites and a chain length n of 1 to 3 (each count
+    uniform); eps cycles through ``LEMMA_EPS`` by draw index.  All draws are
+    drawn and summed as arrays (``_lemma_draws``, ``_lemma_sides``)."""
+    lhs, rhs = _lemma_sides(*_lemma_draws(np.random.default_rng(seed), LEMMA_DRAWS))
     return [
         _le("chain_sum_violations", float(np.count_nonzero(lhs > rhs * (1 + 1e-12))), 0.0),
         _le("worst_lhs_over_rhs", float((lhs / rhs).max()), 1.0),
@@ -265,16 +270,16 @@ def _centered_test_element(system: FiniteSystem, rng: np.random.Generator) -> tu
     return elem, norm
 
 
-def run_ks_suite(seed: int = 0, mc_samples: int = 10000, order: int = 3,
-                 quad_points: int = 8) -> list:
+def run_ks_suite(seed: int = 0, order: int = 3, quad_points: int = 8) -> list:
     """Order-expanded linear equation on the two-site benchmark.
 
-    The order-one kernel matches a Haar Monte-Carlo average to a few standard
-    errors; the kernel norm bound holds on ten sampled chains of each length
-    one and two, whose kernels are one ``ks_kernel`` stack per length, normed
-    once (a violation fails the check); the per-order residuals of the linear
-    equation decrease monotonically at a tenth of the subcritical threshold;
-    and component sums telescope back exactly.
+    The order-one kernel matches a Haar Monte-Carlo average of
+    ``KS_MC_SAMPLES`` unitaries to a few standard errors; the kernel norm
+    bound holds on ten sampled chains of each length one and two, whose
+    kernels are one ``ks_kernel`` stack per length, normed once (a violation
+    fails the check); the per-order residuals of the linear equation decrease
+    monotonically at a tenth of the subcritical threshold; and component sums
+    telescope back exactly.
     """
     rng = np.random.default_rng(seed)
     rep = SpinRep(1)
@@ -293,7 +298,7 @@ def run_ks_suite(seed: int = 0, mc_samples: int = 10000, order: int = 3,
     s_time = 0.3 * mc_system.beta
     (exact,) = ks_kernel(mc_system, (0,), [bond_region], [[s_time]]).matrix
     mean, sigma = ks_kernel_haar_mc(
-        mc_system, (0,), bond_region, s_time, samples=mc_samples, seed=seed + 1
+        mc_system, (0,), bond_region, s_time, samples=KS_MC_SAMPLES, seed=seed + 1
     )
     deviation = float(np.linalg.norm(mean - exact))
     checks.append(_le("order_one_kernel_mc_deviation", deviation, 3.0 * sigma))
@@ -338,9 +343,11 @@ def run_ks_suite(seed: int = 0, mc_samples: int = 10000, order: int = 3,
     return checks
 
 
-def run_classical_suite(seed: int = 0, draws: int = 20, grid_order: int = 16) -> list:
-    """Sphere quadrature exactness and the rotation-invariance identity of the
-    finite classical Gibbs state on two-site systems."""
+def run_classical_suite(seed: int = 0) -> list:
+    """Sphere quadrature exactness on the order-``CLASSICAL_GRID_ORDER`` grid,
+    the rotation-invariance identity of the finite classical Gibbs state on
+    ``CLASSICAL_DRAWS`` two-site systems, and the rotation-difference product
+    bound."""
     # the one suite that needs the classical layer loads it
     from .classical import (
         SphereGrid,
@@ -350,7 +357,7 @@ def run_classical_suite(seed: int = 0, draws: int = 20, grid_order: int = 16) ->
         random_rotation,
     )
 
-    grid = SphereGrid(grid_order)
+    grid = SphereGrid(CLASSICAL_GRID_ORDER)
     ones = float(abs(grid.integrate(np.ones(len(grid.weights))) - 1.0))
     linear = float(abs(grid.integrate(grid.vectors[:, 2])))
     square = float(abs(grid.integrate(grid.vectors[:, 2] ** 2) - 1.0 / 3.0))
@@ -362,7 +369,7 @@ def run_classical_suite(seed: int = 0, draws: int = 20, grid_order: int = 16) ->
     rng = np.random.default_rng(seed)
     window = box_window([2])
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(CLASSICAL_DRAWS):
         delta = float(rng.uniform(-2.0, 2.0))
         coupling = float(rng.uniform(0.2, 1.5))
         bond = heisenberg_bond_potential((0,), (1,), coupling, delta)

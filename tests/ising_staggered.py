@@ -12,7 +12,6 @@ from kmsbounds.lattice import (
     LocalOperator,
     _bonds,
     embed,
-    graph_distance,
     spin_matrices,
 )
 from kmsbounds.ti import FloatRangeError, Region
@@ -28,29 +27,28 @@ def bond_product(s, d, x, y):
 
 def embedded_heisenberg_bond(rep, delta):
     """delta (S1 S1 + S2 S2) + S3 S3 on the bond {(0,), (1,)}, summed term by
-    term from a zero operator; ``FloatRangeError`` when an entry overflows."""
+    term from a zero matrix; ``FloatRangeError`` when an entry overflows."""
     s1, s2, s3 = spin_matrices(rep)
-    acc = LocalOperator.zero(Region(((0,), (1,))), rep.dim)
+    acc = np.zeros((rep.dim ** 2,) * 2, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for s, w in ((s1, delta), (s2, delta), (s3, 1.0)):
-            acc = acc + w * bond_product(s.matrix, rep.dim, (0,), (1,))
-    if not np.isfinite(acc.matrix).all():
+            acc = acc + w * bond_product(s.matrix, rep.dim, (0,), (1,)).matrix
+    if not np.isfinite(acc).all():
         raise FloatRangeError(f"the Heisenberg bond at delta = {delta} overflows")
-    return acc.matrix
+    return acc
 
 
 def build_ising_staggered(coupling, field, rep, window):
     """Ising bonds J S3 S3 plus a staggered field (-1)^{d(x,0)} B S3, where d
-    is the graph distance to the origin."""
+    is the graph distance to the origin, the sum of |x_i|."""
     _, _, s3 = spin_matrices(rep)
-    origin = tuple(0 for _ in next(iter(window), (0,)))
     terms = {}
     for x, y in _bonds(window):
         bond = bond_product(s3.matrix, rep.dim, x, y)
-        terms[bond.region] = coupling * bond
+        terms[bond.region] = LocalOperator(bond.region, coupling * bond.matrix, rep.dim)
     if field != 0.0:
         for x in window:
-            sign = -1.0 if graph_distance(x, origin) % 2 else 1.0
+            sign = -1.0 if sum(abs(c) for c in x) % 2 else 1.0
             reg = Region((x,))
             terms[reg] = LocalOperator(reg, sign * field * s3.matrix, rep.dim)
     return InteractionFamily(terms, rep.dim)

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+lines and timings.  Criteria 5-10 run the verification suites at the sizes
+that ``kmsbounds.verify`` fixes (``DECOMPOSE_DRAWS``, ``KS_MC_SAMPLES`` and
+the rest), the sizes the CLI runs; the criteria's lines print the draw counts.
 """
 
 import math
@@ -9,6 +11,7 @@ import time
 
 import numpy as np
 
+from kmsbounds import verify
 from kmsbounds.bounds import (
     beta_u_classical,
     beta_u_commuting,
@@ -123,45 +126,49 @@ def test_criterion_04_classical_bounds():
 
 def test_criterion_05_decomposition_suite():
     start = time.perf_counter()
-    checks = run_decompose_suite(seed=0, draws=100, betas=(0.3, 1.0))
+    checks = run_decompose_suite(seed=0)
     ok = all(c.passed for c in checks)
-    _report(5, "centered decomposition (100 draws)", ok, time.perf_counter() - start, 10.0)
+    name = f"centered decomposition ({verify.DECOMPOSE_DRAWS} draws)"
+    _report(5, name, ok, time.perf_counter() - start, 10.0)
 
 
 def test_criterion_06_kms_suite():
     start = time.perf_counter()
-    checks = run_kms_suite(seed=0, draws=50, betas=(0.5, 1.0, 2.0))
+    checks = run_kms_suite(seed=0)
     ok = all(c.passed for c in checks)
-    _report(6, "finite-volume KMS (50 draws)", ok, time.perf_counter() - start, 30.0)
+    name = f"finite-volume KMS ({verify.KMS_DRAWS} draws)"
+    _report(6, name, ok, time.perf_counter() - start, 30.0)
 
 
 def test_criterion_07_dyson_truncation():
     start = time.perf_counter()
-    checks = run_dyson_suite(seed=0, order=3, times=(0.1, 0.05))
+    checks = run_dyson_suite(seed=0, order=3)
     ok = all(c.passed for c in checks)
     _report(7, "Dyson order-4 error scaling", ok, time.perf_counter() - start, 30.0)
 
 
 def test_criterion_08_lemma_suite():
     start = time.perf_counter()
-    checks = run_lemma_suite(seed=0, draws=500, eps_values=(0.3, 0.7, 1.5))
+    checks = run_lemma_suite(seed=0)
     ok = all(c.passed for c in checks)
-    _report(8, "chain-sum bound (500 draws)", ok, time.perf_counter() - start, 30.0)
+    name = f"chain-sum bound ({verify.LEMMA_DRAWS} draws)"
+    _report(8, name, ok, time.perf_counter() - start, 30.0)
 
 
 def test_criterion_09_ks_suite():
     start = time.perf_counter()
-    checks = run_ks_suite(seed=0, mc_samples=10000, order=3, quad_points=8)
+    checks = run_ks_suite(seed=0, order=3, quad_points=8)
     ok = all(c.passed for c in checks)
     _report(9, "kernel MC, bound, residual decay", ok, time.perf_counter() - start, 300.0)
 
 
 def test_criterion_10_classical_invariance():
     start = time.perf_counter()
-    checks = run_classical_suite(seed=0, draws=20, grid_order=16)
+    checks = run_classical_suite(seed=0)
     by_name = {c.name: c for c in checks}
     ok = all(c.passed for c in checks)
     # quadrature exactness thresholds restated explicitly
     ok = ok and by_name["quadrature_square"].value <= 1e-10
     ok = ok and by_name["invariance_residual"].value < 1e-6
-    _report(10, "classical invariance (20 draws)", ok, time.perf_counter() - start, 120.0)
+    name = f"classical invariance ({verify.CLASSICAL_DRAWS} draws)"
+    _report(10, name, ok, time.perf_counter() - start, 120.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmsbounds import centering, verify
 from kmsbounds.centering import (
     Decomposition,
     ReferenceStates,
@@ -109,7 +110,7 @@ class TestPartialExpectation:
         assert out.matrix.shape == (1, 1)
 
     def test_unitality(self):
-        ident = LocalOperator.identity(self.window, 2)
+        ident = LocalOperator(self.window, np.eye(8), 2)
         out = partial_expectation(ident, Region(((1,),)), self.eta)
         assert np.allclose(out.matrix, np.eye(4))
 
@@ -149,7 +150,7 @@ class TestDecomposition:
         self.eta = random_eta(self.window, 0.5, np.random.default_rng(9))
 
     def test_scalar_multiple_of_identity(self):
-        a = 2.5 * LocalOperator.identity(self.window, 2)
+        a = LocalOperator(self.window, 2.5 * np.eye(8), 2)
         dec = decompose_recursive(a, self.eta)
         for index, comp in dec.components.items():
             if len(index) == 0:
@@ -212,13 +213,13 @@ class TestDecomposition:
         rng = np.random.default_rng(23)
         a = LocalOperator(window, rand_hermitian(4, rng), 2)
         b = LocalOperator(window, rand_hermitian(4, rng), 2)
-        combo = alpha * a + beta * b
+        combo = LocalOperator(window, alpha * a.matrix + beta * b.matrix, 2)
         dec_combo = decompose_recursive(combo, eta)
         dec_a = decompose_recursive(a, eta)
         dec_b = decompose_recursive(b, eta)
         for key in dec_combo.components:
-            merged = alpha * dec_a.components[key] + beta * dec_b.components[key]
-            assert operator_norm(dec_combo.components[key] - merged) <= 1e-10 * (
+            merged = alpha * dec_a.components[key].matrix + beta * dec_b.components[key].matrix
+            assert operator_norms(dec_combo.components[key].matrix - merged) <= 1e-10 * (
                 1 + abs(alpha) + abs(beta)
             )
 
@@ -263,7 +264,7 @@ class TestDecomposition:
         assert len(moe.stack) == 2 ** nsites
         assert operator_norms(rec.stack - moe.stack).max() <= 1e-11
 
-    def test_stacked_checks_match_per_component_loop(self):
+    def test_stacked_checks_match_per_component_loop(self, monkeypatch):
         """One contraction per site over the component stack gives the
         per-component residuals; one stacked norm call gives the per-component
         bound checks.  The forged family has residuals of order one."""
@@ -274,6 +275,8 @@ class TestDecomposition:
             k: op + LocalOperator(self.window, 0.1 * rand_hermitian(8, rng), 2)
             for k, op in dec.components.items()
         })
+        # the norm bound with no slack
+        monkeypatch.setattr(centering, "NORM_BOUND_SLACK", 0.0)
         for d in (dec, forged):
             per_component = max(
                 residual_at(op, index, self.eta) for index, op in d.components.items()
@@ -285,8 +288,8 @@ class TestDecomposition:
             ratios = [
                 operator_norm(op) / 2.0 ** len(k) for k, op in d.components.items()
             ]
-            assert d.norm_bound_ok(max(ratios), slack=0.0)
-            assert not d.norm_bound_ok(max(ratios) * (1 - 1e-9), slack=0.0)
+            assert d.norm_bound_ok(max(ratios))
+            assert not d.norm_bound_ok(max(ratios) * (1 - 1e-9))
 
     def test_subset_cap(self):
         window = box_window([13])
@@ -370,10 +373,11 @@ class TestStackedDraws:
             ReferenceStates(2, {(0,): np.zeros(shape)})
 
     @pytest.mark.parametrize("draws", [1, 2, 3, 4, 100])
-    def test_suite_at_few_draws(self, draws):
+    def test_suite_at_few_draws(self, draws, monkeypatch):
         """At few draws some (number of sites, beta) systems get no draw and
         others a one-draw stack; every check holds at every count."""
-        checks = run_decompose_suite(seed=7, draws=draws)
+        monkeypatch.setattr(verify, "DECOMPOSE_DRAWS", draws)
+        checks = run_decompose_suite(seed=7)
         assert [c.name for c in checks] == [
             "reconstruction_residual_rel", "centering_residual",
             "recursive_vs_moebius", "component_norm_bound",
@@ -412,14 +416,13 @@ class TestDecomposeSuite:
 
     @pytest.mark.parametrize("draws", [4, 100])
     @pytest.mark.parametrize("seed", range(10))
-    def test_values_match_draws_alone(self, seed, draws):
-        checks = run_decompose_suite(seed=seed, draws=draws)
+    def test_values_match_draws_alone(self, seed, draws, monkeypatch):
+        monkeypatch.setattr(verify, "DECOMPOSE_DRAWS", draws)
+        checks = run_decompose_suite(seed=seed)
         assert [c.value for c in checks] == self.per_draw_values(seed, draws)
 
     def test_one_stack_per_system(self, monkeypatch):
         """Each (number of sites, beta) system runs as one stack: 3 x 2."""
-        from kmsbounds import verify
-
         calls = []
         for name in ("decompose_recursive", "decompose_moebius"):
             method = getattr(verify, name)
@@ -565,7 +568,7 @@ class TestHaar:
         assert haar_random_unitaries(0, 3, np.random.default_rng(0)).shape == (0, 3, 3)
 
     def test_identity_exact(self):
-        ident = LocalOperator.identity(Region(((0,),)), 2)
+        ident = LocalOperator(Region(((0,),)), np.eye(2), 2)
         assert haar_trace_identity_check(ident, 50, seed=0) < 1e-13
 
     def test_s3_average_concentrates(self):

@@ -6,6 +6,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from kmsbounds import classical
 from kmsbounds.classical import (
     ClassicalPotential,
     SphereGrid,
@@ -610,7 +611,8 @@ def test_factors_get_per_site_lists():
     obs = lambda *lists: [v[:, 2:] for v in lists]
     classical_gibbs_expectation(window, [bond, other, field], 0.6, obs, grid)
     invariance_residual(window, [bond, other, field], 0.6, obs, (0,), rotation_about_z(0.5), grid)
-    classical_kernel_bound_check([bond, other], 0.5, 10, seed=1, site_field=field, grid=grid)
+    # the kernel bound check samples on its own grid, of order KERNEL_GRID_ORDER = 4
+    classical_kernel_bound_check([bond, other], 0.5, 10, seed=1, site_field=field)
     assert seen and all(len(shape) <= 3 and shape[-2] <= n and shape[-1] == 3 for shape in seen)
     # the search's direction grids have 64^2 rows per site; their product
     # would have 64^4
@@ -711,12 +713,12 @@ class TestKernelBound:
         lhs, _ = classical_kernel_bound_check(bonds, 0.5, 60, seed=5, site_field=field)
         assert lhs.hex() == kernel_bound_loop(bonds, 0.5, 60, 5, site_field=field).hex()
 
-    def test_rotation_blocks_split(self):
+    def test_rotation_blocks_split(self, monkeypatch):
         # 512^2 configuration rows: blocks of four rotations, the last of two
         bond = heisenberg_bond_potential((0,), (1,), 1.3, -0.6)
-        grid = SphereGrid(16)
-        lhs, _ = classical_kernel_bound_check([bond], 0.5, 10, seed=2, grid=grid)
-        assert lhs.hex() == kernel_bound_loop([bond], 0.5, 10, 2, grid=grid).hex()
+        monkeypatch.setattr(classical, "KERNEL_GRID_ORDER", 16)
+        lhs, _ = classical_kernel_bound_check([bond], 0.5, 10, seed=2)
+        assert lhs.hex() == kernel_bound_loop([bond], 0.5, 10, 2, grid=SphereGrid(16)).hex()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mean_matches_uniform_weights(self, seed):

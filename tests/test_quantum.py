@@ -89,7 +89,8 @@ def generator_delta(a, fam):
     a_e = embed(a, out_region)
     for op in touching:
         op_e = embed(op, out_region)
-        acc = acc + 1j * (op_e @ a_e - a_e @ op_e)
+        comm = op_e @ a_e - a_e @ op_e
+        acc = acc + LocalOperator(out_region, 1j * comm.matrix, a.site_dim)
     return acc
 
 
@@ -145,7 +146,7 @@ class TestHamiltonian:
 class TestGibbsExpectation:
     def test_identity(self):
         system = heisenberg_system(2, 1.3)
-        ident = LocalOperator.identity(system.gamma, 2)
+        ident = LocalOperator(system.gamma, np.eye(4), 2)
         assert gibbs_expectation(system, ident) == pytest.approx(1.0)
 
     def test_infinite_temperature(self):
@@ -205,7 +206,7 @@ class TestEvolve:
 class TestGenerator:
     def test_identity_annihilated(self):
         system = heisenberg_system(3, 1.0)
-        ident = LocalOperator.identity(box_window([2]), 2)
+        ident = LocalOperator(box_window([2]), np.eye(4), 2)
         assert operator_norm(generator_delta(ident, system.fam)) < 1e-14
 
     def test_finite_difference(self):
@@ -213,7 +214,8 @@ class TestGenerator:
         h = hamiltonian(system)
         a = LocalOperator(box_window([2]), rand_hermitian(4), 2)
         step = 1e-4
-        fd = (evolve(a, h, step) - embed(a, system.gamma)) * (1.0 / step)
+        diff = evolve(a, h, step) - embed(a, system.gamma)
+        fd = LocalOperator(diff.region, diff.matrix * (1.0 / step), 2)
         gen = generator_delta(a, system.fam)
         bound = 2 * operator_norm(h) ** 2 * operator_norm(a) * step
         assert operator_norm(fd - embed(gen, system.gamma)) <= bound
@@ -222,13 +224,15 @@ class TestGenerator:
         system = transverse_system(2, 1.0)
         m = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         a = LocalOperator(box_window([2]), m, 2)
-        lhs = generator_delta(a.dagger(), system.fam)
-        rhs = generator_delta(a, system.fam).dagger()
+
+        def dagger(op):
+            return LocalOperator(op.region, op.matrix.conj().T, op.site_dim)
+
+        lhs = generator_delta(dagger(a), system.fam)
+        rhs = dagger(generator_delta(a, system.fam))
         assert operator_norm(lhs - rhs) < 1e-12
         # the sign-flipped identity is false for generic non-Hermitian input
-        wrong = generator_delta(a, system.fam).dagger() + generator_delta(
-            a.dagger(), system.fam
-        )
+        wrong = rhs + lhs
         assert operator_norm(wrong) > 1e-3
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -302,7 +306,7 @@ def ks_kernel_per_node(system, x, chain, times):
         embed(tau_psi(system.fam.terms[region], system.fam, 1j * s), grown)
         for region, s in zip(chain, times)
     ]
-    identity = LocalOperator.identity(grown, system.site_dim)
+    identity = LocalOperator(grown, np.eye(system.site_dim ** len(grown)), system.site_dim)
     acc = LocalOperator.zero(grown, system.site_dim)
     n = len(chain)
     for mask in iterproduct((0, 1), repeat=n):
@@ -315,8 +319,8 @@ def ks_kernel_per_node(system, x, chain, times):
         for ell in range(n):
             if not mask[ell]:
                 right = right @ factors[ell]
-        sign = -1.0 if (n - sum(mask)) % 2 else 1.0
-        acc = acc + sign * (averaged @ right)
+        term = averaged @ right
+        acc = acc - term if (n - sum(mask)) % 2 else acc + term
     return acc
 
 
@@ -334,7 +338,7 @@ def inclusion_exclusion(product, active, eta):
     for X in active.subsets():
         acc = LocalOperator.zero(region, product.site_dim)
         for Y in X.subsets():
-            acc = acc + (-1.0 if (len(X) - len(Y)) % 2 else 1.0) * tables[Y]
+            acc = acc - tables[Y] if (len(X) - len(Y)) % 2 else acc + tables[Y]
         comps[X.union(base)] = acc
     return comps
 
@@ -547,7 +551,7 @@ class TestKMS:
     def test_identity_argument(self):
         system = heisenberg_system(2, 1.0)
         a = LocalOperator(system.gamma, rand_hermitian(4), 2)
-        ident = LocalOperator.identity(system.gamma, 2)
+        ident = LocalOperator(system.gamma, np.eye(4), 2)
         assert kms_residual(system, a, ident) < 1e-12
 
     def test_maximally_mixed_fails(self):
@@ -649,16 +653,18 @@ class TestGibbsState:
         assert len(calls) == 1
 
     def test_ks_suite_eigendecompositions(self, monkeypatch):
-        """The Haar Monte-Carlo kernel reads the family's cached single-site
-        eigendecomposition instead of diagonalizing the site term again."""
+        """The Haar Monte-Carlo kernel and the reference densities read the
+        family's cached single-site eigendecompositions instead of
+        diagonalizing the site terms again."""
         from kmsbounds.verify import run_ks_suite
 
         calls = []
         self.counting(monkeypatch, np.linalg, "eigh", calls)
-        # two single-site terms of the Monte-Carlo family, their two
-        # reference densities and the chain of the residual check
+        # two single-site terms of the Monte-Carlo family, whose
+        # eigendecompositions its reference densities also read, and the
+        # chain of the residual check
         assert all(c.passed for c in run_ks_suite(0, order=2))
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     def test_system_evolve_matches_evolve(self):
         system = transverse_system(2, 0.8)
@@ -907,22 +913,20 @@ class TestLemmaSuite:
     """The lemma suite's array program: its draws follow the stated
     distributions, and each draw's sides are the oracle's."""
 
-    EPS = (0.3, 0.7, 1.5)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_sides_match_oracle(self, seed):
-        from kmsbounds.verify import _lemma_draws, _lemma_sides, run_lemma_suite
+        from kmsbounds.verify import LEMMA_DRAWS, _lemma_draws, _lemma_sides, run_lemma_suite
 
-        weights, lam, n, eps = _lemma_draws(np.random.default_rng(seed), 500, self.EPS)
+        weights, lam, n, eps = _lemma_draws(np.random.default_rng(seed), LEMMA_DRAWS)
         lhs, rhs = _lemma_sides(weights, lam, n, eps)
         ratios = []
-        for row in range(500):
+        for row in range(LEMMA_DRAWS):
             alpha, start = lemma_family(weights[row], lam[row])
             lhs_o, rhs_o = lemma_sum_check(alpha, start, int(n[row]), float(eps[row]))
             assert lhs[row] == pytest.approx(lhs_o, rel=1e-12, abs=0.0)
             assert rhs[row] == pytest.approx(rhs_o, rel=1e-12, abs=0.0)
             ratios.append(lhs_o / rhs_o)
-        checks = {c.name: c for c in run_lemma_suite(seed, 500, self.EPS)}
+        checks = {c.name: c for c in run_lemma_suite(seed)}
         assert checks["worst_lhs_over_rhs"].value == pytest.approx(max(ratios), rel=1e-12)
         assert checks["chain_sum_violations"].value == 0.0
 
@@ -930,13 +934,13 @@ class TestLemmaSuite:
         """2-6 distinct regions of 1-3 of the four sites, weights U(0.05, 1),
         lam of 1-3 distinct sites and n of 1-3 (each count uniform, each
         region and site equally likely), eps cycling by draw index."""
-        from kmsbounds.verify import LEMMA_REGIONS, _lemma_draws
+        from kmsbounds.verify import LEMMA_EPS, LEMMA_REGIONS, _lemma_draws
 
         sizes = [bin(m).count("1") for m in LEMMA_REGIONS]
         assert sorted(LEMMA_REGIONS) == [m for m in range(16) if 1 <= bin(m).count("1") <= 3]
         assert len(set(LEMMA_REGIONS)) == len(LEMMA_REGIONS) == 14 and max(sizes) == 3
         draws = 3000
-        weights, lam, n, eps = _lemma_draws(np.random.default_rng(5), draws, self.EPS)
+        weights, lam, n, eps = _lemma_draws(np.random.default_rng(5), draws)
         assert weights.shape == (draws, len(LEMMA_REGIONS))
         chosen = weights != 0.0
         count = chosen.sum(axis=1)
@@ -954,7 +958,7 @@ class TestLemmaSuite:
         assert 0.05 <= picked.min() and picked.max() < 1.0
         assert picked.mean() == pytest.approx(0.525, abs=0.01)
         assert np.abs(np.histogram(picked, bins=5, range=(0.05, 1.0))[0] / len(picked) - 0.2).max() < 0.03
-        assert eps.tolist() == [self.EPS[i % 3] for i in range(draws)]
+        assert eps.tolist() == [LEMMA_EPS[i % 3] for i in range(draws)]
 
 
 class TestKSKernel:
@@ -997,7 +1001,7 @@ class TestKSKernel:
         kron, and ``np.var`` over all the draws."""
         d = system.site_dim
         rng = np.random.default_rng(seed)
-        w, v = np.linalg.eigh(system.fam.psi(x).matrix)
+        w, v = np.linalg.eigh(system.fam.terms[Region((x,))].matrix)
         damp = (v * np.exp(-system.beta * w)) @ v.conj().T
         normalizer = np.trace(damp).real / d
         b = tau_psi(system.fam.terms[bond_region], system.fam, 1j * s).matrix
@@ -1161,10 +1165,12 @@ def tenth_of_bound_with_single_site(monkeypatch):
 
 class TestKernelBoundChecks:
     def test_suite_check_fails_on_a_broken_bound(self, monkeypatch):
+        from kmsbounds import verify
         from kmsbounds.verify import run_ks_suite
 
         tenth_of_bound_with_single_site(monkeypatch)
-        checks = {c.name: c for c in run_ks_suite(seed=0, mc_samples=100, order=2)}
+        monkeypatch.setattr(verify, "KS_MC_SAMPLES", 100)
+        checks = {c.name: c for c in run_ks_suite(seed=0, order=2)}
         assert not checks["kernel_norm_bound"].passed
         assert checks["kernel_norm_bound"].value > 1.0
         assert checks["telescoping_error"].passed
@@ -1300,11 +1306,13 @@ class TestChains:
 
 
 class TestDeterminism:
-    def test_seeded_suites_are_reproducible(self):
+    def test_seeded_suites_are_reproducible(self, monkeypatch):
+        from kmsbounds import verify
         from kmsbounds.verify import run_dyson_suite, run_ks_suite
 
-        first = [c.to_dict() for c in run_ks_suite(seed=0, mc_samples=2000, order=2)]
-        second = [c.to_dict() for c in run_ks_suite(seed=0, mc_samples=2000, order=2)]
+        monkeypatch.setattr(verify, "KS_MC_SAMPLES", 2000)
+        first = [c.to_dict() for c in run_ks_suite(seed=0, order=2)]
+        second = [c.to_dict() for c in run_ks_suite(seed=0, order=2)]
         assert first == second
         assert [c.to_dict() for c in run_dyson_suite(seed=0)] == [
             c.to_dict() for c in run_dyson_suite(seed=0)
@@ -1331,7 +1339,8 @@ class TestDysonSuite:
 
         for power, passes in ((order + 1, True), (order, False)):
             def truncated(a, system, t, n, quad, power=power):
-                return evolve(a, hamiltonian(system), t) + a * t ** power
+                exact = evolve(a, hamiltonian(system), t)
+                return exact + LocalOperator(a.region, a.matrix * t ** power, a.site_dim)
 
             monkeypatch.setattr(verify, "dyson_truncated", truncated)
             (check,) = verify.run_dyson_suite(order=order)
